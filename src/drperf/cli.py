@@ -14,14 +14,7 @@ from . import __version__, report
 from .engine import run
 from .errors import ToolkitError
 from .plot import emit_plot
-from .scenario import (
-    Scenario,
-    build_basic_model,
-    compliance_for,
-    cost_for,
-    load_scenario,
-    projection_for,
-)
+from .scenario import Evaluation, load_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -38,8 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    model = build_basic_model(scenario)
+    model = Evaluation(load_scenario(args.scenario)).basic_model
     result = run(model)
     print(report.render_run_summary(model, result), end="")
     return EXIT_OK
@@ -47,14 +39,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_project(args) -> int:
     scenario = load_scenario(args.scenario)
-    projection = projection_for(scenario, args.test_data_mb)
+    projection = Evaluation(scenario, args.test_data_mb).projection
     print(report.render_projection(projection, scenario.name), end="")
     return EXIT_OK
 
 
 def _cmd_cost(args) -> int:
     scenario = load_scenario(args.scenario)
-    breakdown = cost_for(scenario, args.test_data_mb)
+    breakdown = Evaluation(scenario, args.test_data_mb).cost
     print(report.render_cost(breakdown, scenario.name), end="")
     return EXIT_OK
 
@@ -67,7 +59,7 @@ def _cmd_reliability(args) -> int:
 
 def _cmd_bia_check(args) -> int:
     scenario = load_scenario(args.scenario)
-    compliance = compliance_for(scenario, args.test_data_mb)
+    compliance = Evaluation(scenario, args.test_data_mb).compliance
     print(report.render_compliance(compliance), end="")
     return EXIT_OK if compliance.compliant else EXIT_NONCOMPLIANT
 
@@ -84,7 +76,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plot(args) -> int:
     scenario = load_scenario(args.scenario)
-    model = build_basic_model(scenario)
+    model = Evaluation(scenario).basic_model
     result = run(model)
     series = {}
     units = []

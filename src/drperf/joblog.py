@@ -3,12 +3,14 @@
 Job logs are CSV with header ``day,data_mb,duration_s`` (or
 ``duration_min``, converted to seconds at parse time).  Restore samples
 use ``tier,data_mb,duration_s`` with one row per sampled restore.  Both
-formats round-trip: ``parse(render(samples)) == samples``.
+formats round-trip: ``parse(render(samples)) == samples``.  Numeric cells
+must be finite.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Sequence
 
 from .errors import DomainError, ParseError
@@ -43,9 +45,12 @@ def _header(rows: list[tuple[int, list[str]]], *accepted: tuple[str, ...]) -> tu
 
 def _number(cell: str, column: str, lineno: int) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ParseError(f"non-numeric {column} value {cell!r}", line=lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {column} value {cell!r}", line=lineno)
+    return value
 
 
 def parse_job_log(text: str) -> tuple[JobSample, ...]:

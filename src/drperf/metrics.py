@@ -67,17 +67,6 @@ class RestoreSample:
             raise DomainError(f"duration_s must be > 0, got {self.duration_s}")
 
 
-def validate_job_log(samples: Iterable[JobSample]) -> tuple[JobSample, ...]:
-    """Check that day indices strictly increase and return the log as a tuple."""
-    log = tuple(samples)
-    for prev, cur in zip(log, log[1:]):
-        if cur.day <= prev.day:
-            raise DomainError(
-                f"day indices must strictly increase: day {cur.day} follows day {prev.day}"
-            )
-    return log
-
-
 @dataclass(frozen=True)
 class ThroughputSummary:
     """Per-sample throughputs plus two averaging strategies.

@@ -18,10 +18,10 @@ import dataclasses
 from collections.abc import Mapping, Sequence
 
 from . import costs, metrics
-from .costs import ObjectStoreRates, VaultRates
+from .costs import CostBreakdown, ObjectStoreRates, VaultRates
 from .engine import Kind, Model, ModelComponent
 from .errors import ConfigError
-from .metrics import JobSample, Rate, RateKind, RateRole, RestoreSample, Tier
+from .metrics import JobSample, Projection, Rate, RateKind, RateRole, RestoreSample, Tier
 
 HYBRID_BACKUP_DAYS = 14
 CLOUD_BACKUP_DAYS = 7
@@ -68,7 +68,6 @@ def _event_series(horizon: int, period: int, value: float) -> tuple[float, ...]:
 
 
 def _check_daily_log(log: Sequence[JobSample], expected_days: int, label: str) -> None:
-    metrics.validate_job_log(log)
     if tuple(s.day for s in log) != tuple(range(1, expected_days + 1)):
         raise ConfigError(
             f"{label} must cover days 1..{expected_days} exactly, got {len(log)} samples"
@@ -276,98 +275,47 @@ def build_cloud_basic(
     )
 
 
-def _merge_averages(
-    model: Model, supplied_averages: Mapping[str, float] | None
-) -> dict[str, float]:
-    system = model.meta["system"]
-    allowed = HYBRID_AVERAGE_NAMES if system == "hybrid" else CLOUD_AVERAGE_NAMES
-    averages = dict(model.meta["averages"])
-    for name, value in (supplied_averages or {}).items():
-        if name not in allowed:
-            raise ConfigError(
-                f"unknown supplied average {name!r}; expected one of {sorted(allowed)}"
-            )
-        if value <= 0:
-            raise ConfigError(f"supplied average {name!r} must be > 0, got {value}")
-        averages[name] = float(value)
-    return averages
+# The what-if converters of each system and the projection label each holds.
+_EXTENSION_TIMES = {
+    "hybrid": (
+        ("BackupTimeTestData", "Backup"),
+        ("RestoreTimeLocalTestData", "Local"),
+        ("RestoreTimeArchiveTestData", "Archive"),
+    ),
+    "cloud-vault": (
+        ("BackupTimeJob1TestData", "Job1"),
+        ("BackupTimeJob2TestData", "Job2"),
+        ("RecoveryTimeTestData", "Vault"),
+    ),
+}
 
 
-def _object_store_rates(meta: Mapping[str, object]) -> ObjectStoreRates:
-    return ObjectStoreRates(**meta["pricing"])
-
-
-def _vault_rates(meta: Mapping[str, object]) -> VaultRates:
-    pricing = dict(meta["pricing"])
-    pricing["instance_fee_tiers"] = tuple(
-        costs.FeeTier(**tier) for tier in pricing["instance_fee_tiers"]
-    )
-    return VaultRates(**pricing)
-
-
-def extend_with_test_data(
-    model: Model,
-    test_data_mb: float,
-    supplied_averages: Mapping[str, float] | None = None,
-) -> Model:
+def extend_with_test_data(model: Model, projection: Projection, cost: CostBreakdown) -> Model:
     """Add what-if converters for a test data volume to a basic model.
 
-    The new converters project backup/restore times from the model's
-    average rates (optionally overridden by ``supplied_averages``) and the
-    monthly cost of protecting the volume.  Every original component keeps
-    its exact trajectory.
+    The new converters hold the projected backup/restore times and the
+    monthly cost of protecting the volume, exactly as given.  Every
+    original component keeps its exact trajectory.
     """
     system = model.meta.get("system")
-    if system not in ("hybrid", "cloud-vault"):
+    if system not in _EXTENSION_TIMES:
         raise ConfigError(f"cannot extend model {model.name!r}: unknown system {system!r}")
     if model.meta.get("extended"):
         raise ConfigError(f"model {model.name!r} is already extended")
-    if test_data_mb <= 0:
-        raise ConfigError(f"test_data_mb must be > 0, got {test_data_mb}")
-    averages = _merge_averages(model, supplied_averages)
-    test_gb = metrics.mb_to_gb(test_data_mb)
-
-    extra = [_constant("TestData", test_data_mb, "MB")]
-    if system == "hybrid":
-        rates = _object_store_rates(model.meta)
-        cost = costs.hybrid_cloud_cost(
-            test_gb, model.meta["ingress_egress_ops"], model.meta["listing_ops"], rates
-        ).total
-        extra += [
-            _constant("BackupTimeTestData", test_data_mb / averages["MeanDailyThroughput"], "s"),
-            _constant(
-                "RestoreTimeLocalTestData",
-                test_data_mb * averages["RestoreTimePerMbLocal"],
-                "s",
-            ),
-            _constant(
-                "RestoreTimeArchiveTestData",
-                test_data_mb * averages["RestoreTimePerMbArchive"],
-                "s",
-            ),
-            _constant("TotalServiceCostTestData", cost, "USD/month"),
-        ]
-    else:
-        rates = _vault_rates(model.meta)
-        cost = costs.cloud_vault_cost(test_gb, test_gb, rates).total
-        extra += [
-            _constant("BackupTimeJob1TestData", test_data_mb / averages["AvgJob1Throughput"], "s"),
-            _constant("BackupTimeJob2TestData", test_data_mb / averages["AvgJob2Throughput"], "s"),
-            _constant("RecoveryTimeTestData", test_data_mb / averages["RecoveryThroughput"], "s"),
-            _constant("TotalServiceCostTestData", cost, "USD/month"),
-        ]
-
-    meta = dict(model.meta)
-    meta.update(
-        extended=True,
-        test_data_mb=float(test_data_mb),
-        supplied_averages=dict(supplied_averages or {}),
-        effective_averages=averages,
-        test_monthly_cost=cost,
+    times = {**projection.backup_times_s, **projection.restore_times_s}
+    missing = [label for _, label in _EXTENSION_TIMES[system] if label not in times]
+    if missing:
+        raise ConfigError(f"projection for {system} model {model.name!r} lacks times {missing}")
+    extra = (
+        (_constant("TestData", projection.test_data_mb, "MB"),)
+        + tuple(_constant(name, times[label], "s") for name, label in _EXTENSION_TIMES[system])
+        + (_constant("TotalServiceCostTestData", cost.total, "USD/month"),)
     )
+    meta = dict(model.meta)
+    meta.update(extended=True, test_data_mb=projection.test_data_mb)
     return Model(
         name=f"{model.name}-extended",
-        components=model.components + tuple(extra),
+        components=model.components + extra,
         horizon=model.horizon,
         exogenous=model.exogenous,
         meta=meta,
@@ -377,17 +325,17 @@ def extend_with_test_data(
 def projection_rates(
     model: Model, supplied_averages: Mapping[str, float] | None = None
 ) -> tuple[Rate, ...]:
-    """The model's average rates as labelled projection inputs."""
+    """The model's average rates, overridden by ``supplied_averages``, as projection inputs."""
     system = model.meta.get("system")
-    averages = _merge_averages(model, supplied_averages)
-    supplied = frozenset(supplied_averages or ())
     if system == "hybrid":
+        allowed = HYBRID_AVERAGE_NAMES
         entries = (
             ("Backup", "MeanDailyThroughput", RateKind.THROUGHPUT, RateRole.BACKUP),
             ("Local", "RestoreTimePerMbLocal", RateKind.SECONDS_PER_MB, RateRole.RESTORE),
             ("Archive", "RestoreTimePerMbArchive", RateKind.SECONDS_PER_MB, RateRole.RESTORE),
         )
     elif system == "cloud-vault":
+        allowed = CLOUD_AVERAGE_NAMES
         entries = (
             ("Job1", "AvgJob1Throughput", RateKind.THROUGHPUT, RateRole.BACKUP),
             ("Job2", "AvgJob2Throughput", RateKind.THROUGHPUT, RateRole.BACKUP),
@@ -395,7 +343,17 @@ def projection_rates(
         )
     else:
         raise ConfigError(f"model {model.name!r} has no projection rates")
+    supplied_averages = supplied_averages or {}
+    averages = dict(model.meta["averages"])
+    for name, value in supplied_averages.items():
+        if name not in allowed:
+            raise ConfigError(
+                f"unknown supplied average {name!r}; expected one of {sorted(allowed)}"
+            )
+        if value <= 0:
+            raise ConfigError(f"supplied average {name!r} must be > 0, got {value}")
+        averages[name] = float(value)
     return tuple(
-        Rate(label, averages[key], kind, role, supplied=key in supplied)
+        Rate(label, averages[key], kind, role, supplied=key in supplied_averages)
         for label, key, kind, role in entries
     )

@@ -18,9 +18,7 @@ from .engine import Model, RunResult
 from .errors import ConfigError
 from .metrics import Projection, Rate, RateKind, RateRole, seconds_to_hours
 from .reliability import SeriesSystem
-from .scenario import Scenario, build_basic_model, compliance_for, cost_for
-from . import models
-from .metrics import project
+from .scenario import Evaluation, Scenario
 
 
 def fmt_num(value: float) -> str:
@@ -180,21 +178,18 @@ class ComparisonReport:
 
 def compile_column(scenario: Scenario, test_data_mb: float | None = None) -> SystemColumn:
     """Evaluate one scenario into a comparison column."""
-    volume = test_data_mb if test_data_mb is not None else scenario.test_data_mb
-    basic = build_basic_model(scenario)
-    rates = models.projection_rates(basic, scenario.supplied_averages)
-    projection = project(volume, rates) if volume is not None else None
-    compliance = compliance_for(scenario, volume) if volume is not None else None
+    evaluation = Evaluation(scenario, test_data_mb)
+    volume = evaluation.test_data_mb
     return SystemColumn(
         scenario_name=scenario.name,
         system=scenario.system.value,
         test_data_mb=volume,
-        rates=rates,
-        projection=projection,
-        cost=cost_for(scenario, volume),
+        rates=evaluation.rates,
+        projection=evaluation.projection if volume is not None else None,
+        compliance=evaluation.compliance if volume is not None else None,
+        cost=evaluation.cost,
         reliability_value=scenario.reliability.system_reliability(),
         mission_h=scenario.reliability.mission_h,
-        compliance=compliance,
     )
 
 

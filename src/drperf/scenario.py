@@ -4,15 +4,19 @@ A scenario names the system kind, points at measured job logs and restore
 samples, and carries pricing, BIA targets, reliability components, and
 the optional test data volume.  ``parse_scenario(render_scenario(s))``
 reproduces ``s`` exactly; paths stay relative and resolve against the
-scenario's base directory at load time.
+scenario's base directory at load time.  ``Evaluation`` derives every
+number of one scenario (model, rates, projection, cost, BIA verdicts)
+from a single read of its input files.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -20,10 +24,10 @@ import yaml
 from . import costs, models
 from .bia import BiaTargets, ComplianceReport, MeasuredMetrics, evaluate
 from .costs import CostBreakdown, FeeTier, ObjectStoreRates, VaultRates
-from .engine import Model, RunResult, run
+from .engine import Model
 from .errors import ConfigError, ParseError
 from .joblog import parse_job_log, parse_restore_samples
-from .metrics import JobSample, Projection, RestoreSample, mb_to_gb, project
+from .metrics import JobSample, Projection, Rate, RestoreSample, mb_to_gb, project
 from .reliability import (
     DEFAULT_MISSION_HOURS,
     ReliabilityComponent,
@@ -293,109 +297,121 @@ def render_scenario(scenario: Scenario) -> str:
     return yaml.safe_dump(_clean(doc), sort_keys=False)
 
 
-def load_job_logs(scenario: Scenario) -> dict[str, tuple[JobSample, ...]]:
-    logs = {}
-    for label, relative in scenario.job_log_paths.items():
-        path = scenario.resolve(relative)
-        try:
-            logs[label] = parse_job_log(path.read_text(encoding="utf-8"))
-        except ParseError as exc:
-            raise ParseError(f"{path.name}: {exc}") from exc
-    return logs
-
-
-def load_restore_samples(scenario: Scenario) -> tuple[RestoreSample, ...]:
-    path = scenario.resolve(scenario.restore_samples_path)
+def _read(path: Path, parse):
     try:
-        return parse_restore_samples(path.read_text(encoding="utf-8"))
+        return parse(path.read_text(encoding="utf-8"))
     except ParseError as exc:
         raise ParseError(f"{path.name}: {exc}") from exc
 
 
-def build_basic_model(scenario: Scenario) -> Model:
-    """Construct the scenario's basic stock-and-flow model."""
-    logs = load_job_logs(scenario)
-    restores = load_restore_samples(scenario)
-    if scenario.system is SystemKind.HYBRID:
-        return models.build_hybrid_basic(
-            logs["backup"],
-            restores,
-            tiering_threshold_days=scenario.tiering_threshold_days,
-            rates=scenario.pricing,
-            ingress_egress_ops=scenario.transactions.ingress_egress_ops,
-            listing_ops=scenario.transactions.listing_ops,
-        )
-    if len(restores) != 1:
-        raise ConfigError(f"cloud scenarios need exactly one restore sample, got {len(restores)}")
-    return models.build_cloud_basic(
-        logs["job1"],
-        logs["job2"],
-        restores[0],
-        frontend_gb=scenario.frontend_gb,
-        rates=scenario.pricing,
-    )
+class Evaluation:
+    """One scenario evaluated at one test data volume.
 
-
-def build_extended_model(scenario: Scenario, test_data_mb: float | None = None) -> Model:
-    """Basic model plus what-if converters for the scenario's test volume."""
-    volume = test_data_mb if test_data_mb is not None else scenario.test_data_mb
-    if volume is None:
-        raise ConfigError(f"scenario {scenario.name!r} has no test_data_mb")
-    basic = build_basic_model(scenario)
-    return models.extend_with_test_data(basic, volume, scenario.supplied_averages)
-
-
-def projection_for(scenario: Scenario, test_data_mb: float | None = None) -> Projection:
-    """Projected backup/restore times for the scenario's test volume."""
-    volume = test_data_mb if test_data_mb is not None else scenario.test_data_mb
-    if volume is None:
-        raise ConfigError(f"scenario {scenario.name!r} has no test_data_mb")
-    basic = build_basic_model(scenario)
-    rates = models.projection_rates(basic, scenario.supplied_averages)
-    return project(volume, rates)
-
-
-def cost_for(scenario: Scenario, test_data_mb: float | None = None) -> CostBreakdown:
-    """Monthly cost of protecting the given volume (test volume by default).
-
-    With no volume at all, the cost of the measured state applies: data in
-    the hybrid cloud tier, or the vault contents with the configured
-    frontend size.  A test volume protected in the vault is its own
-    frontend.
+    The volume is the override if given, else the scenario's own.  Each
+    field is derived on first use and kept, so a command reads each input
+    file at most once and pays only for the fields it prints.
     """
-    volume = test_data_mb if test_data_mb is not None else scenario.test_data_mb
-    if scenario.system is SystemKind.HYBRID:
-        if volume is None:
-            volume = build_basic_model(scenario).meta["tiered_mb"]
-        return costs.hybrid_cloud_cost(
-            mb_to_gb(volume),
-            scenario.transactions.ingress_egress_ops,
-            scenario.transactions.listing_ops,
-            scenario.pricing,
+
+    def __init__(self, scenario: Scenario, test_data_mb: float | None = None):
+        volume = test_data_mb if test_data_mb is not None else scenario.test_data_mb
+        if volume is not None and not math.isfinite(volume):
+            raise ConfigError(f"test_data_mb must be finite, got {volume}")
+        self.scenario = scenario
+        self.test_data_mb = volume
+
+    def _volume(self) -> float:
+        if self.test_data_mb is None:
+            raise ConfigError(f"scenario {self.scenario.name!r} has no test_data_mb")
+        return self.test_data_mb
+
+    @cached_property
+    def job_logs(self) -> dict[str, tuple[JobSample, ...]]:
+        return {
+            label: _read(self.scenario.resolve(relative), parse_job_log)
+            for label, relative in self.scenario.job_log_paths.items()
+        }
+
+    @cached_property
+    def restore_samples(self) -> tuple[RestoreSample, ...]:
+        path = self.scenario.resolve(self.scenario.restore_samples_path)
+        return _read(path, parse_restore_samples)
+
+    @cached_property
+    def basic_model(self) -> Model:
+        """The scenario's basic stock-and-flow model."""
+        scenario, logs, restores = self.scenario, self.job_logs, self.restore_samples
+        if scenario.system is SystemKind.HYBRID:
+            return models.build_hybrid_basic(
+                logs["backup"],
+                restores,
+                tiering_threshold_days=scenario.tiering_threshold_days,
+                rates=scenario.pricing,
+                ingress_egress_ops=scenario.transactions.ingress_egress_ops,
+                listing_ops=scenario.transactions.listing_ops,
+            )
+        if len(restores) != 1:
+            raise ConfigError(
+                f"cloud scenarios need exactly one restore sample, got {len(restores)}"
+            )
+        return models.build_cloud_basic(
+            logs["job1"],
+            logs["job2"],
+            restores[0],
+            frontend_gb=scenario.frontend_gb,
+            rates=scenario.pricing,
         )
-    if volume is None:
-        stored_gb = mb_to_gb(build_basic_model(scenario).meta["stored_mb"])
-        frontend_gb = scenario.frontend_gb
-    else:
-        stored_gb = mb_to_gb(volume)
-        frontend_gb = stored_gb
-    return costs.cloud_vault_cost(frontend_gb, stored_gb, scenario.pricing)
 
+    @cached_property
+    def rates(self) -> tuple[Rate, ...]:
+        return models.projection_rates(self.basic_model, self.scenario.supplied_averages)
 
-def compliance_for(scenario: Scenario, test_data_mb: float | None = None) -> ComplianceReport:
-    """BIA verdicts for the projected times and measured ingest volumes."""
-    projection = projection_for(scenario, test_data_mb)
-    logs = load_job_logs(scenario)
-    data_loss = None
-    if scenario.bia.max_data_loss_mb is not None:
-        by_day: dict[int, float] = {}
-        for log in logs.values():
-            for sample in log:
-                by_day[sample.day] = by_day.get(sample.day, 0.0) + sample.data_mb
-        data_loss = max(by_day.values())
-    measured = MeasuredMetrics.from_projection(projection, data_loss_mb=data_loss)
-    return evaluate(measured, scenario.bia, scenario=scenario.name)
+    @cached_property
+    def projection(self) -> Projection:
+        """Projected backup/restore times for the test volume."""
+        return project(self._volume(), self.rates)
 
+    @cached_property
+    def cost(self) -> CostBreakdown:
+        """Monthly cost of protecting the test volume.
 
-def simulate(scenario: Scenario) -> RunResult:
-    return run(build_basic_model(scenario))
+        With no volume at all, the cost of the measured state applies: data in
+        the hybrid cloud tier, or the vault contents with the configured
+        frontend size.  A test volume protected in the vault is its own
+        frontend.
+        """
+        scenario, volume = self.scenario, self.test_data_mb
+        if scenario.system is SystemKind.HYBRID:
+            if volume is None:
+                volume = self.basic_model.meta["tiered_mb"]
+            return costs.hybrid_cloud_cost(
+                mb_to_gb(volume),
+                scenario.transactions.ingress_egress_ops,
+                scenario.transactions.listing_ops,
+                scenario.pricing,
+            )
+        if volume is None:
+            stored_gb = mb_to_gb(self.basic_model.meta["stored_mb"])
+            frontend_gb = scenario.frontend_gb
+        else:
+            stored_gb = mb_to_gb(volume)
+            frontend_gb = stored_gb
+        return costs.cloud_vault_cost(frontend_gb, stored_gb, scenario.pricing)
+
+    @cached_property
+    def compliance(self) -> ComplianceReport:
+        """BIA verdicts for the projected times and measured ingest volumes."""
+        projection = self.projection
+        data_loss = None
+        if self.scenario.bia.max_data_loss_mb is not None:
+            by_day: dict[int, float] = {}
+            for log in self.job_logs.values():
+                for sample in log:
+                    by_day[sample.day] = by_day.get(sample.day, 0.0) + sample.data_mb
+            data_loss = max(by_day.values())
+        measured = MeasuredMetrics.from_projection(projection, data_loss_mb=data_loss)
+        return evaluate(measured, self.scenario.bia, scenario=self.scenario.name)
+
+    @cached_property
+    def extended_model(self) -> Model:
+        """Basic model plus converters holding the projection and the cost."""
+        return models.extend_with_test_data(self.basic_model, self.projection, self.cost)

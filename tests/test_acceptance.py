@@ -32,18 +32,14 @@ from drperf.metrics import (
     summarize_throughput,
     throughput,
 )
-from drperf.models import build_hybrid_basic, extend_with_test_data
+from drperf.models import build_hybrid_basic
 from drperf.reliability import (
     component_reliability,
     default_recovery_chain,
     series_reliability,
     sla_to_mtbf,
 )
-from drperf.scenario import (
-    build_basic_model,
-    build_extended_model,
-    compliance_for,
-)
+from drperf.scenario import Evaluation
 from .oracles import retention_tiering_oracle
 
 TEST_DATA_MB = 531012.0
@@ -74,7 +70,7 @@ def _exact(label: str, actual: float, expected: float) -> tuple[str, bool]:
 
 
 def test_criterion_1_hybrid_derived_variables(hybrid_scenario):
-    model = build_basic_model(hybrid_scenario)
+    model = Evaluation(hybrid_scenario).basic_model
     averages = model.meta["averages"]
     _verdict(
         "1",
@@ -88,7 +84,7 @@ def test_criterion_1_hybrid_derived_variables(hybrid_scenario):
 
 
 def test_criterion_2_hybrid_extended_model(hybrid_scenario):
-    result = run(build_extended_model(hybrid_scenario, TEST_DATA_MB))
+    result = run(Evaluation(hybrid_scenario, TEST_DATA_MB).extended_model)
     _verdict(
         "2",
         [
@@ -111,7 +107,7 @@ def test_criterion_2_hybrid_extended_model(hybrid_scenario):
 
 
 def test_criterion_3_cloud_derived_variables(cloud_scenario):
-    model = build_basic_model(cloud_scenario)
+    model = Evaluation(cloud_scenario).basic_model
     result = run(model)
     _verdict(
         "3",
@@ -135,7 +131,7 @@ def test_criterion_4_cloud_extended_model(cloud_scenario):
         "AvgJob2Throughput": 1.83045,
         "RecoveryThroughput": 5.57246,
     }
-    result = run(build_extended_model(cloud_scenario, TEST_DATA_MB))
+    result = run(Evaluation(cloud_scenario, TEST_DATA_MB).extended_model)
     _verdict(
         "4",
         [
@@ -197,8 +193,8 @@ def test_criterion_5b_exponential_components():
 
 
 def test_criterion_6_bia_verdicts(hybrid_scenario, cloud_scenario):
-    hybrid = {v.metric: v for v in compliance_for(hybrid_scenario).verdicts}
-    cloud = {v.metric: v for v in compliance_for(cloud_scenario).verdicts}
+    hybrid = {v.metric: v for v in Evaluation(hybrid_scenario).compliance.verdicts}
+    cloud = {v.metric: v for v in Evaluation(cloud_scenario).compliance.verdicts}
     local = hybrid["restore time (Local)"]
     archive = hybrid["restore time (Archive)"]
     vault = cloud["restore time (Vault)"]
@@ -228,8 +224,8 @@ _LOG_DATAS = st.lists(st.integers(1, 200_000), min_size=14, max_size=14)
 def test_criterion_7a_determinism(hybrid_scenario, cloud_scenario):
     checks = []
     for scenario in (hybrid_scenario, cloud_scenario):
-        first = run(build_extended_model(scenario, TEST_DATA_MB))
-        again = run(build_extended_model(scenario, TEST_DATA_MB))
+        first = run(Evaluation(scenario, TEST_DATA_MB).extended_model)
+        again = run(Evaluation(scenario, TEST_DATA_MB).extended_model)
         checks.append((f"{scenario.name} series identical", first.series == again.series))
         checks.append((f"{scenario.name} digest stable", first.digest == again.digest))
     _verdict("7a", checks)
@@ -261,11 +257,8 @@ def test_criterion_7b_conservation(hybrid_restores):
 def test_criterion_7c_extension_neutrality(hybrid_scenario, cloud_scenario):
     checks = []
     for scenario in (hybrid_scenario, cloud_scenario):
-        basic = build_basic_model(scenario)
-        extended = extend_with_test_data(
-            basic, TEST_DATA_MB, scenario.supplied_averages or None
-        )
-        base, ext = run(basic), run(extended)
+        evaluation = Evaluation(scenario, TEST_DATA_MB)
+        base, ext = run(evaluation.basic_model), run(evaluation.extended_model)
         untouched = all(ext.series[name] == base.series[name] for name in base.series)
         checks.append((f"{scenario.name} basic series unchanged", untouched))
     _verdict("7c", checks)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import shutil
+import sys
+
 import pytest
 
+from drperf import joblog
 from drperf.cli import main
-from drperf.data import cloud_scenario_path, hybrid_scenario_path
+from drperf.data import cloud_scenario_path, data_path, hybrid_scenario_path
 
 HYBRID = str(hybrid_scenario_path())
 CLOUD = str(cloud_scenario_path())
@@ -104,3 +108,79 @@ def test_version(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "drperf" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", HYBRID, "--test-data-mb", "nan"],
+        ["project", CLOUD, "--test-data-mb", "inf"],
+        ["cost", HYBRID, "--test-data-mb=-inf"],
+        ["bia-check", CLOUD, "--test-data-mb", "nan"],
+        ["compare", HYBRID, CLOUD, "--test-data-mb", "inf"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.endswith(".yaml")),
+)
+def test_non_finite_test_volume_rejected(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: test_data_mb must be finite") and err.count("\n") == 1
+
+
+def test_non_finite_scenario_volume_rejected(tmp_path, capsys):
+    for name in ("hybrid_backup.csv", "hybrid_restore.csv"):
+        shutil.copy(data_path(name), tmp_path / name)
+    text = data_path("hybrid_reference.yaml").read_text()
+    scenario = tmp_path / "nan.yaml"
+    scenario.write_text(text.replace("test_data_mb: 531012", "test_data_mb: .nan"))
+    for command in ("project", "cost", "bia-check", "compare"):
+        assert main([command, str(scenario)]) == 1
+        assert capsys.readouterr().err == "error: test_data_mb must be finite, got nan\n"
+
+
+# (command line, job-log files, restore-sample files); OUT is the plot's output path.
+@pytest.mark.parametrize(
+    "argv, job_log_files, restore_files",
+    [
+        pytest.param(["simulate", HYBRID], 1, 1, id="simulate-hybrid"),
+        pytest.param(["simulate", CLOUD], 2, 1, id="simulate-cloud"),
+        pytest.param(["project", HYBRID], 1, 1, id="project-hybrid"),
+        pytest.param(["project", CLOUD, "--test-data-mb", "1000"], 2, 1, id="project-cloud"),
+        pytest.param(["bia-check", HYBRID], 1, 1, id="bia-check-hybrid"),
+        pytest.param(["bia-check", CLOUD], 2, 1, id="bia-check-cloud"),
+        pytest.param(
+            ["plot", HYBRID, "--component", "CloudTier", "--out", "OUT"], 1, 1, id="plot-hybrid"
+        ),
+        pytest.param(
+            ["plot", CLOUD, "--component", "RecoveryVault", "--out", "OUT"], 2, 1, id="plot-cloud"
+        ),
+        pytest.param(["compare", HYBRID, CLOUD], 3, 2, id="compare-text"),
+        pytest.param(
+            ["compare", HYBRID, CLOUD, "--test-data-mb", "1000", "--format", "csv"],
+            3,
+            2,
+            id="compare-csv",
+        ),
+        pytest.param(["reliability", HYBRID], 0, 0, id="reliability-hybrid"),
+        pytest.param(["reliability", CLOUD], 0, 0, id="reliability-cloud"),
+        pytest.param(["cost", HYBRID], 0, 0, id="cost-hybrid"),
+        pytest.param(["cost", CLOUD, "--test-data-mb", "1000"], 0, 0, id="cost-cloud"),
+    ],
+)
+def test_each_input_file_is_parsed_once(
+    argv, job_log_files, restore_files, monkeypatch, tmp_path, capsys
+):
+    calls = {"parse_job_log": 0, "parse_restore_samples": 0}
+    for name in calls:
+        original = getattr(joblog, name)
+
+        def counting(text, name=name, original=original):
+            calls[name] += 1
+            return original(text)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "drperf" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    argv = [str(tmp_path / "chart.svg") if a == "OUT" else a for a in argv]
+    assert main(argv) in (0, 2)
+    assert calls == {"parse_job_log": job_log_files, "parse_restore_samples": restore_files}

@@ -65,6 +65,12 @@ class TestParseJobLog:
         with pytest.raises(ParseError, match="columns"):
             parse_job_log("day,data_mb,duration_s\n1,10\n")
 
+    @pytest.mark.parametrize("row", ["1,nan,20", "1,10,inf", "inf,10,20", "nan,10,20", "1,-inf,9"])
+    def test_non_finite_cell_rejected(self, row):
+        with pytest.raises(ParseError, match="non-finite") as excinfo:
+            parse_job_log(f"day,data_mb,duration_s\n{row}\n")
+        assert excinfo.value.line == 2
+
 
 finite_mb = st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False)
 finite_duration = st.floats(0.001, 1e9, allow_nan=False, allow_infinity=False)
@@ -117,3 +123,9 @@ class TestParseRestoreSamples:
     def test_bad_number(self):
         with pytest.raises(ParseError, match="non-numeric"):
             parse_restore_samples("tier,data_mb,duration_s\nLocal,x,1\n")
+
+    @pytest.mark.parametrize("row", ["Local,nan,1", "Local,1,nan", "Vault,inf,1", "Vault,1,inf"])
+    def test_non_finite_cell_rejected(self, row):
+        with pytest.raises(ParseError, match="non-finite") as excinfo:
+            parse_restore_samples(f"tier,data_mb,duration_s\nLocal,1,1\n{row}\n")
+        assert excinfo.value.line == 3

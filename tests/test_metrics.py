@@ -20,7 +20,6 @@ from drperf.metrics import (
     seconds_to_hours,
     summarize_throughput,
     throughput,
-    validate_job_log,
 )
 
 
@@ -54,14 +53,6 @@ class TestJobSample:
             sample(1, -5, 10)
         with pytest.raises(DomainError):
             sample(1, 10, 0)
-
-    def test_day_order_enforced(self):
-        with pytest.raises(DomainError):
-            validate_job_log([sample(1, 1, 1), sample(1, 1, 1)])
-        with pytest.raises(DomainError):
-            validate_job_log([sample(3, 1, 1), sample(2, 1, 1)])
-        log = validate_job_log([sample(1, 1, 1), sample(5, 1, 1)])
-        assert len(log) == 2
 
 
 class TestSummarize:
@@ -142,6 +133,8 @@ class TestProject:
     def test_rejects_bad_volume_and_rates(self):
         with pytest.raises(DomainError):
             project(0.0, self.rates())
+        with pytest.raises(DomainError):
+            project(-1.0, self.rates())
         with pytest.raises(DomainError):
             project(10.0, [])
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drperf.costs import CostBreakdown
 from drperf.engine import run
 from drperf.errors import ConfigError
 from drperf.metrics import (
@@ -82,6 +83,8 @@ class TestHybridBuilder:
         )
         with pytest.raises(ConfigError):
             build_hybrid_basic(shifted, hybrid_restores)
+        with pytest.raises(ConfigError):
+            build_hybrid_basic(tuple(reversed(hybrid_log)), hybrid_restores)
 
     def test_rejects_bad_restore_samples(self, hybrid_log, hybrid_restores):
         with pytest.raises(ConfigError):
@@ -133,10 +136,15 @@ class TestCloudBuilder:
             build_cloud_basic(job1[:6], job2, cloud_restore)
 
 
+def extend(basic, test_data_mb, supplied_averages=None):
+    projection = project(test_data_mb, projection_rates(basic, supplied_averages))
+    return extend_with_test_data(basic, projection, CostBreakdown(12.5))
+
+
 class TestExtension:
     def test_basic_series_are_untouched(self, hybrid_log, hybrid_restores):
         basic = build_hybrid_basic(hybrid_log, hybrid_restores)
-        extended = extend_with_test_data(basic, 531012)
+        extended = extend(basic, 531012)
         before, after = run(basic), run(extended)
         for component in basic.components:
             assert after.series[component.name] == before.series[component.name]
@@ -146,35 +154,34 @@ class TestExtension:
     ):
         job1, job2 = cloud_logs
         basic = build_cloud_basic(job1, job2, cloud_restore)
-        extended = extend_with_test_data(
-            basic, 531012, {"AvgJob1Throughput": 2.57731}
-        )
+        extended = extend(basic, 531012, {"AvgJob1Throughput": 2.57731})
         result = run(extended)
         assert result.final("AvgJob1Throughput") == pytest.approx(2.7404289, abs=1e-6)
         assert result.final("BackupTimeJob1TestData") == pytest.approx(531012 / 2.57731)
 
     def test_matches_direct_projection(self, hybrid_log, hybrid_restores):
         basic = build_hybrid_basic(hybrid_log, hybrid_restores)
-        extended = run(extend_with_test_data(basic, 100_000))
         projection = project(100_000, projection_rates(basic))
+        extended = run(extend_with_test_data(basic, projection, CostBreakdown(1.0, 2.0)))
+        assert extended.final("TestData") == 100_000
         assert extended.final("BackupTimeTestData") == projection.backup_times_s["Backup"]
         assert extended.final("RestoreTimeLocalTestData") == projection.restore_times_s["Local"]
+        assert (
+            extended.final("RestoreTimeArchiveTestData") == projection.restore_times_s["Archive"]
+        )
+        assert extended.final("TotalServiceCostTestData") == 3.0
 
     def test_double_extension_rejected(self, hybrid_log, hybrid_restores):
-        extended = extend_with_test_data(
-            build_hybrid_basic(hybrid_log, hybrid_restores), 1000
-        )
+        extended = extend(build_hybrid_basic(hybrid_log, hybrid_restores), 1000)
         with pytest.raises(ConfigError):
-            extend_with_test_data(extended, 1000)
+            extend(extended, 1000)
 
-    def test_bad_inputs_rejected(self, hybrid_log, hybrid_restores):
-        basic = build_hybrid_basic(hybrid_log, hybrid_restores)
-        with pytest.raises(ConfigError):
-            extend_with_test_data(basic, 0)
-        with pytest.raises(ConfigError):
-            extend_with_test_data(basic, 1000, {"NoSuchAverage": 1.0})
-        with pytest.raises(ConfigError):
-            extend_with_test_data(basic, 1000, {"MeanDailyThroughput": 0.0})
+    def test_bad_inputs_rejected(self, hybrid_log, hybrid_restores, cloud_logs, cloud_restore):
+        hybrid = build_hybrid_basic(hybrid_log, hybrid_restores)
+        cloud = build_cloud_basic(*cloud_logs, cloud_restore)
+        cloud_projection = project(1000, projection_rates(cloud))
+        with pytest.raises(ConfigError, match="lacks times"):
+            extend_with_test_data(hybrid, cloud_projection, CostBreakdown(1.0))
 
 
 class TestProjectionRates:
@@ -194,6 +201,15 @@ class TestProjectionRates:
         assert by_label["Vault"].supplied
         assert by_label["Vault"].value == 5.57246
         assert not by_label["Job1"].supplied
+
+    def test_bad_supplied_averages_rejected(self, hybrid_log, hybrid_restores):
+        basic = build_hybrid_basic(hybrid_log, hybrid_restores)
+        with pytest.raises(ConfigError, match="unknown supplied average"):
+            projection_rates(basic, {"NoSuchAverage": 1.0})
+        with pytest.raises(ConfigError, match="must be > 0"):
+            projection_rates(basic, {"MeanDailyThroughput": 0.0})
+        with pytest.raises(ConfigError, match="must be > 0"):
+            projection_rates(basic, {"RestoreTimePerMbLocal": -1.0})
 
 
 class TestRandomLogProperties:

@@ -5,7 +5,7 @@ import pytest
 from drperf.engine import run
 from drperf.errors import DomainError
 from drperf.plot import emit_plot, render_svg
-from drperf.scenario import build_basic_model
+from drperf.scenario import Evaluation
 
 
 def test_polyline_per_series():
@@ -15,7 +15,7 @@ def test_polyline_per_series():
 
 
 def test_point_counts_match_the_series(hybrid_scenario):
-    result = run(build_basic_model(hybrid_scenario))
+    result = run(Evaluation(hybrid_scenario).basic_model)
     backup_cycle = result.series["DailyBackup"][:14]
     svg = render_svg({"DailyBackup": backup_cycle})
     polyline = [line for line in svg.splitlines() if "<polyline" in line][0]
@@ -46,7 +46,7 @@ def test_deterministic_output():
 
 
 def test_emit_plot_writes_the_file(tmp_path, cloud_scenario):
-    result = run(build_basic_model(cloud_scenario))
+    result = run(Evaluation(cloud_scenario).basic_model)
     out = tmp_path / "vault.svg"
     emit_plot({"RecoveryVault": result.series["RecoveryVault"]}, out, title="vault")
     text = out.read_text()
@@ -54,14 +54,14 @@ def test_emit_plot_writes_the_file(tmp_path, cloud_scenario):
 
 
 def test_emit_plot_unwritable_path(tmp_path, cloud_scenario):
-    result = run(build_basic_model(cloud_scenario))
+    result = run(Evaluation(cloud_scenario).basic_model)
     missing_dir = tmp_path / "nope" / "vault.svg"
     with pytest.raises(OSError):
         emit_plot({"RecoveryVault": result.series["RecoveryVault"]}, missing_dir)
 
 
 def test_golden_stock_chart(hybrid_scenario, golden):
-    result = run(build_basic_model(hybrid_scenario))
+    result = run(Evaluation(hybrid_scenario).basic_model)
     svg = render_svg(
         {
             "LocalStorage": result.series["LocalStorage"],
@@ -74,7 +74,7 @@ def test_golden_stock_chart(hybrid_scenario, golden):
 
 
 def test_cloud_transfer_peaks_at_the_measured_maximum(cloud_scenario):
-    result = run(build_basic_model(cloud_scenario))
+    result = run(Evaluation(cloud_scenario).basic_model)
     transfers = result.series["DailyTransfer"][:7]
     assert max(v for _, v in transfers) == 9458.0
     svg = render_svg({"DailyTransfer": transfers})

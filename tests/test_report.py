@@ -19,7 +19,7 @@ from drperf.report import (
     render_run_summary,
     render_trajectories,
 )
-from drperf.scenario import build_basic_model, compliance_for, cost_for, projection_for
+from drperf.scenario import Evaluation
 
 
 def test_fmt_num_uses_six_significant_digits():
@@ -75,28 +75,28 @@ class TestComparison:
 
 class TestSingleReports:
     def test_run_summary_lists_components(self, hybrid_scenario):
-        model = build_basic_model(hybrid_scenario)
+        model = Evaluation(hybrid_scenario).basic_model
         text = render_run_summary(model, run(model))
         assert "MeanDailyThroughput" in text
         assert "54.2224" in text
         assert text.endswith("\n")
 
     def test_trajectories_table(self, hybrid_scenario):
-        model = build_basic_model(hybrid_scenario)
+        model = Evaluation(hybrid_scenario).basic_model
         text = render_trajectories(model, run(model), ["LocalStorage", "CloudTier"])
         assert "LocalStorage (MB)" in text
         assert "352407" in text and "325451" in text
 
     def test_cost_table(self, hybrid_scenario):
-        text = render_cost(cost_for(hybrid_scenario), hybrid_scenario.name)
+        text = render_cost(Evaluation(hybrid_scenario).cost, hybrid_scenario.name)
         assert "total" in text and "11.6602" in text
 
     def test_projection_report(self, hybrid_scenario):
-        text = render_projection(projection_for(hybrid_scenario), hybrid_scenario.name)
+        text = render_projection(Evaluation(hybrid_scenario).projection, hybrid_scenario.name)
         assert "2.72034" in text and "computed" in text
 
     def test_projection_marks_supplied_rates(self, cloud_scenario):
-        text = render_projection(projection_for(cloud_scenario), cloud_scenario.name)
+        text = render_projection(Evaluation(cloud_scenario).projection, cloud_scenario.name)
         assert "supplied" in text
 
     def test_reliability_table(self, hybrid_scenario):
@@ -105,7 +105,7 @@ class TestSingleReports:
         assert "0.993952" in text and "0.967185" in text
 
     def test_compliance_table(self, hybrid_scenario):
-        text = render_compliance(compliance_for(hybrid_scenario))
+        text = render_compliance(Evaluation(hybrid_scenario).compliance)
         assert "FAIL" in text and "PASS" in text
         assert "restore time (Archive)" in text
 
@@ -114,5 +114,5 @@ class TestSingleReports:
             hybrid_scenario,
             bia=dataclasses.replace(hybrid_scenario.bia, wrt_h=1.90761),
         )
-        text = render_compliance(compliance_for(scenario))
+        text = render_compliance(Evaluation(scenario).compliance)
         assert "MTD" in text and "5 h" in text

@@ -5,19 +5,13 @@ import dataclasses
 import pytest
 
 from drperf.costs import ObjectStoreRates, VaultRates
+from drperf.engine import run
 from drperf.errors import ConfigError, ParseError
 from drperf.scenario import (
-    Scenario,
+    Evaluation,
     SystemKind,
-    build_basic_model,
-    build_extended_model,
-    compliance_for,
-    cost_for,
-    load_scenario,
     parse_scenario,
-    projection_for,
     render_scenario,
-    simulate,
 )
 
 
@@ -48,11 +42,12 @@ class TestBundledScenarios:
             assert again == scenario
 
     def test_build_both_models(self, hybrid_scenario, cloud_scenario):
-        assert build_basic_model(hybrid_scenario).horizon == 15
-        assert build_basic_model(cloud_scenario).horizon == 8
+        assert Evaluation(hybrid_scenario).basic_model.horizon == 15
+        assert Evaluation(cloud_scenario).basic_model.horizon == 8
 
     def test_simulate_is_deterministic(self, hybrid_scenario):
-        first, second = simulate(hybrid_scenario), simulate(hybrid_scenario)
+        first = run(Evaluation(hybrid_scenario).basic_model)
+        second = run(Evaluation(hybrid_scenario).basic_model)
         assert first.series == second.series
         assert first.digest == second.digest
 
@@ -137,32 +132,34 @@ class TestParseScenario:
 
 
 class TestEvaluationHelpers:
+    """The fields of ``Evaluation``, each derived once from the scenario."""
+
     def test_projection_requires_a_volume(self, hybrid_scenario):
         bare = dataclasses.replace(hybrid_scenario, test_data_mb=None)
         with pytest.raises(ConfigError, match="test_data_mb"):
-            projection_for(bare)
-        projection = projection_for(bare, 1000.0)
+            Evaluation(bare).projection
+        projection = Evaluation(bare, 1000.0).projection
         assert projection.test_data_mb == 1000.0
 
     def test_extended_model_requires_a_volume(self, hybrid_scenario):
         bare = dataclasses.replace(hybrid_scenario, test_data_mb=None)
         with pytest.raises(ConfigError, match="test_data_mb"):
-            build_extended_model(bare)
+            Evaluation(bare).extended_model
 
     def test_cost_without_volume_prices_the_measured_state(
         self, hybrid_scenario, cloud_scenario
     ):
         hybrid = dataclasses.replace(hybrid_scenario, test_data_mb=None)
-        assert cost_for(hybrid).total == pytest.approx(1.57912)
+        assert Evaluation(hybrid).cost.total == pytest.approx(1.57912)
         cloud = dataclasses.replace(cloud_scenario, test_data_mb=None)
-        assert cost_for(cloud).total == pytest.approx(7.8270144)
+        assert Evaluation(cloud).cost.total == pytest.approx(7.8270144)
 
     def test_cost_with_volume(self, hybrid_scenario, cloud_scenario):
-        assert cost_for(hybrid_scenario).total == pytest.approx(11.66024)
-        assert cost_for(cloud_scenario).total == pytest.approx(43.7893376)
+        assert Evaluation(hybrid_scenario).cost.total == pytest.approx(11.66024)
+        assert Evaluation(cloud_scenario).cost.total == pytest.approx(43.7893376)
 
     def test_compliance_uses_projected_times(self, hybrid_scenario):
-        report = compliance_for(hybrid_scenario)
+        report = Evaluation(hybrid_scenario).compliance
         by_metric = {v.metric: v.status.value for v in report.verdicts}
         assert by_metric["restore time (Local)"] == "PASS"
         assert by_metric["restore time (Archive)"] == "FAIL"
@@ -172,8 +169,33 @@ class TestEvaluationHelpers:
             hybrid_scenario,
             bia=dataclasses.replace(hybrid_scenario.bia, max_data_loss_mb=30000.0),
         )
-        report = compliance_for(limited)
+        report = Evaluation(limited).compliance
         verdict = {v.metric: v for v in report.verdicts}["data loss"]
         # worst single day of measured ingest is day 9
         assert verdict.measured.value == 27342.0
         assert verdict.status.value == "PASS"
+
+    def test_extended_converters_hold_the_projection_and_cost(
+        self, hybrid_scenario, cloud_scenario
+    ):
+        converters = {
+            "hybrid-reference": {
+                "BackupTimeTestData": ("backup", "Backup"),
+                "RestoreTimeLocalTestData": ("restore", "Local"),
+                "RestoreTimeArchiveTestData": ("restore", "Archive"),
+            },
+            "cloud-reference": {
+                "BackupTimeJob1TestData": ("backup", "Job1"),
+                "BackupTimeJob2TestData": ("backup", "Job2"),
+                "RecoveryTimeTestData": ("restore", "Vault"),
+            },
+        }
+        for scenario in (hybrid_scenario, cloud_scenario):
+            evaluation = Evaluation(scenario)
+            projection = evaluation.projection
+            result = run(evaluation.extended_model)
+            times = {"backup": projection.backup_times_s, "restore": projection.restore_times_s}
+            for name, (role, label) in converters[scenario.name].items():
+                assert result.final(name) == times[role][label]
+            assert result.final("TotalServiceCostTestData") == evaluation.cost.total
+            assert result.final("TestData") == evaluation.test_data_mb
