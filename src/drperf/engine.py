@@ -11,6 +11,21 @@ Converters may read previous-period stocks, exogenous inputs, and other
 converters.  Flows may additionally read converters but never other
 flows.  Expressions must be pure; they receive exactly their declared
 dependencies, so an undeclared read fails loudly.
+
+``run`` first compiles the model into a flat plan, then runs a period loop
+that allocates no dict and no scope:
+
+- Each expression has one scope, a dict holding exactly its declared
+  dependencies, passed to it as a read-only ``MappingProxyType``.  Each
+  stock has a plain dict holding its own level and its flows.
+- A readers table lists, per name, the dicts that hold that name.  Every
+  value, once computed (an input, a converter, a flow, or a stock after its
+  update), is stored into each of them, so a scope always holds current
+  values by the time its expression runs.
+- A scope raises on any name it does not hold, on every lookup (``[]``,
+  ``get``, ``in``) and every call, so a read that a later period's branch
+  makes is caught too; ``run`` reports it as a ``ModelError`` naming the
+  expression's owner.
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
+from types import MappingProxyType
 
 from .errors import ModelError
 
@@ -175,41 +191,46 @@ class RunResult:
     horizon: int
     series: Mapping[str, tuple[tuple[int, float], ...]]
 
-    def values(self, name: str) -> tuple[float, ...]:
+    def _series(self, name: str) -> tuple[tuple[int, float], ...]:
         try:
-            return tuple(v for _, v in self.series[name])
+            return self.series[name]
         except KeyError:
             raise ModelError(f"run has no series {name!r}") from None
+
+    def values(self, name: str) -> tuple[float, ...]:
+        return tuple(v for _, v in self._series(name))
 
     def value(self, name: str, period: int) -> float:
         if not 1 <= period <= self.horizon:
             raise ModelError(f"period {period} outside 1..{self.horizon}")
-        return self.values(name)[period - 1]
+        return self._series(name)[period - 1][1]
 
     def final(self, name: str) -> float:
-        return self.values(name)[-1]
+        return self._series(name)[-1][1]
 
 
-class _Scope(Mapping[str, float]):
-    """Read view restricted to a component's declared dependencies."""
+class _UndeclaredRead(Exception):
+    """An expression read a name it did not declare; ``run`` names the owner."""
 
-    def __init__(self, allowed: Mapping[str, float], owner: str):
-        self._allowed = allowed
-        self._owner = owner
 
-    def __getitem__(self, key: str) -> float:
-        try:
-            return self._allowed[key]
-        except KeyError:
-            raise ModelError(
-                f"{self._owner!r} read {key!r} without declaring it as a dependency"
-            ) from None
+class _Scope(dict):
+    """The values one expression may read: exactly its declared dependencies.
 
-    def __iter__(self):
-        return iter(self._allowed)
+    ``run`` stores each dependency's value here as soon as it is computed.
+    Any other name raises on every lookup, whichever way it is made.
+    """
 
-    def __len__(self):
-        return len(self._allowed)
+    def __missing__(self, key):
+        raise _UndeclaredRead(key)
+
+    def get(self, key, default=None):
+        # a declared name always holds a value, so ``default`` never applies
+        return self[key]
+
+    def __contains__(self, key):
+        if not dict.__contains__(self, key):
+            raise _UndeclaredRead(key)
+        return True
 
 
 def _converter_order(model: Model) -> list[ModelComponent]:
@@ -229,45 +250,67 @@ def _converter_order(model: Model) -> list[ModelComponent]:
 def run(model: Model) -> RunResult:
     """Evaluate the model over its horizon; same model, same result, always."""
     order = _converter_order(model)
-    flows = [c for c in model.components if c.kind is Kind.FLOW and not c.is_exogenous]
-    stocks = [c for c in model.components if c.kind is Kind.STOCK]
-    exogenous = [c for c in model.components if c.is_exogenous]
+    horizon = model.horizon
 
-    padded: dict[str, tuple[float, ...]] = {}
-    for comp in exogenous:
-        series = model.exogenous[comp.name]
-        if len(series) < model.horizon:
-            logger.warning(
-                "series for %r has %d of %d periods; missing periods default to 0",
-                comp.name,
-                len(series),
-                model.horizon,
-            )
-            series = tuple(series) + (0.0,) * (model.horizon - len(series))
-        padded[comp.name] = tuple(float(v) for v in series)
+    # The plan.  Each expression reads a ``_Scope``, each stock a plain dict
+    # of its own level and its flows.  ``readers[name]`` lists the dicts that
+    # hold ``name``; each new value of ``name`` is stored into every one.
+    readers: dict[str, list[dict[str, float]]] = {c.name: [] for c in model.components}
+    trajectories: dict[str, Sequence[float]] = {}
+    inputs, expressions, stocks = [], {}, []
+    for comp in model.components:
+        name = comp.name
+        if comp.is_exogenous:
+            series = model.exogenous[name]
+            if len(series) < horizon:
+                logger.warning(
+                    "series for %r has %d of %d periods; missing periods default to 0",
+                    name,
+                    len(series),
+                    horizon,
+                )
+                series = tuple(series) + (0.0,) * (horizon - len(series))
+            trajectories[name] = values = tuple(float(v) for v in series)
+            inputs.append((name, values, readers[name]))
+            continue
+        trajectories[name] = values = []
+        if comp.kind is Kind.STOCK:
+            reads = dict.fromkeys((name, *comp.inflows, *comp.outflows))
+            get = reads.__getitem__
+            stocks.append((name, get, comp.inflows, comp.outflows, values.append, readers[name]))
+        else:
+            reads = _Scope.fromkeys(comp.depends)
+            view = MappingProxyType(reads)
+            expressions[name] = (name, comp.expression, view, values.append, readers[name])
+        for dep in reads:
+            readers[dep].append(reads)
+    for comp in model.components:
+        if comp.kind is Kind.STOCK:
+            for target in readers[comp.name]:
+                target[comp.name] = float(comp.initial)
+    flows = [c for c in model.components if c.kind is Kind.FLOW]
+    evaluations = [expressions[c.name] for c in order + flows if c.name in expressions]
 
-    trajectories: dict[str, list[float]] = {c.name: [] for c in model.components}
-    stock_prev = {c.name: float(c.initial) for c in stocks}
-
-    for period in range(1, model.horizon + 1):
-        current: dict[str, float] = dict(stock_prev)
-        for comp in exogenous:
-            current[comp.name] = padded[comp.name][period - 1]
-        for comp in order:
-            if comp.is_exogenous:
-                continue
-            scope = _Scope({d: current[d] for d in comp.depends}, comp.name)
-            current[comp.name] = float(comp.expression(scope))
-        for comp in flows:
-            scope = _Scope({d: current[d] for d in comp.depends}, comp.name)
-            current[comp.name] = float(comp.expression(scope))
-        for comp in stocks:
-            delta_in = sum(current[f] for f in comp.inflows)
-            delta_out = sum(current[f] for f in comp.outflows)
-            current[comp.name] = stock_prev[comp.name] + delta_in - delta_out
-        for comp in model.components:
-            trajectories[comp.name].append(current[comp.name])
-        stock_prev = {c.name: current[c.name] for c in stocks}
+    for index in range(horizon):
+        for name, values, dicts in inputs:
+            value = values[index]
+            for target in dicts:
+                target[name] = value
+        for name, expression, view, append, dicts in evaluations:
+            try:
+                value = float(expression(view))
+            except _UndeclaredRead as exc:
+                raise ModelError(
+                    f"{name!r} read {exc.args[0]!r} without declaring it as a dependency"
+                ) from None
+            append(value)
+            for target in dicts:
+                target[name] = value
+        for name, get, inflows, outflows, append, dicts in stocks:
+            value = get(name) + sum(map(get, inflows)) - sum(map(get, outflows))
+            append(value)
+            for target in dicts:
+                target[name] = value
 
     series = {
         name: tuple(enumerate(values, start=1)) for name, values in trajectories.items()

@@ -307,15 +307,19 @@ def _read(path: Path, parse):
 class Evaluation:
     """One scenario evaluated at one test data volume.
 
-    The volume is the override if given, else the scenario's own.  Each
-    field is derived on first use and kept, so a command reads each input
-    file at most once and pays only for the fields it prints.
+    The volume is the override if given, else the scenario's own; it must
+    be finite and > 0.  Each field is derived on first use and kept, so a
+    command reads each input file at most once and pays only for the
+    fields it prints.
     """
 
     def __init__(self, scenario: Scenario, test_data_mb: float | None = None):
         volume = test_data_mb if test_data_mb is not None else scenario.test_data_mb
-        if volume is not None and not math.isfinite(volume):
-            raise ConfigError(f"test_data_mb must be finite, got {volume}")
+        if volume is not None:
+            if not math.isfinite(volume):
+                raise ConfigError(f"test_data_mb must be finite, got {volume}")
+            if volume <= 0:
+                raise ConfigError(f"test_data_mb must be > 0, got {volume}")
         self.scenario = scenario
         self.test_data_mb = volume
 

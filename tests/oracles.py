@@ -1,15 +1,22 @@
 """Brute-force reference implementations used only by the tests.
 
-The engine tracks storage through stock/flow arithmetic; this oracle
-instead keeps an explicit list of backup copies and moves each one the
-first period its age reaches the tiering threshold.  Agreement between
-the two is a strong check that the stock updates are wired correctly.
+``retention_tiering_oracle``: the engine tracks storage through stock/flow
+arithmetic; this oracle instead keeps an explicit list of backup copies and
+moves each one the first period its age reaches the tiering threshold.
+Agreement between the two is a strong check that the stock updates are
+wired correctly.
+
+``reference_run``: a direct period loop that builds a fresh read view of
+each component's dependencies on every call, where ``engine.run`` compiles
+a plan once and reuses its scopes; the two must give identical series.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
+from drperf.engine import Kind, Model, RunResult, _converter_order
+from drperf.errors import ModelError
 from drperf.metrics import JobSample
 
 
@@ -35,3 +42,73 @@ def retention_tiering_oracle(
         local_series.append(sum(mb for _, mb in local_copies))
         cloud_series.append(cloud_total)
     return local_series, cloud_series
+
+
+class _Scope(Mapping[str, float]):
+    """Read view restricted to a component's declared dependencies."""
+
+    def __init__(self, allowed: Mapping[str, float], owner: str):
+        self._allowed = allowed
+        self._owner = owner
+
+    def __getitem__(self, key: str) -> float:
+        try:
+            return self._allowed[key]
+        except KeyError:
+            raise ModelError(
+                f"{self._owner!r} read {key!r} without declaring it as a dependency"
+            ) from None
+
+    def __iter__(self):
+        return iter(self._allowed)
+
+    def __len__(self):
+        return len(self._allowed)
+
+
+def reference_run(model: Model) -> RunResult:
+    """Evaluate the model period by period, building every scope anew."""
+    order = _converter_order(model)
+    flows = [c for c in model.components if c.kind is Kind.FLOW and not c.is_exogenous]
+    stocks = [c for c in model.components if c.kind is Kind.STOCK]
+    exogenous = [c for c in model.components if c.is_exogenous]
+
+    padded: dict[str, tuple[float, ...]] = {}
+    for comp in exogenous:
+        series = model.exogenous[comp.name]
+        if len(series) < model.horizon:
+            series = tuple(series) + (0.0,) * (model.horizon - len(series))
+        padded[comp.name] = tuple(float(v) for v in series)
+
+    trajectories: dict[str, list[float]] = {c.name: [] for c in model.components}
+    stock_prev = {c.name: float(c.initial) for c in stocks}
+
+    for period in range(1, model.horizon + 1):
+        current: dict[str, float] = dict(stock_prev)
+        for comp in exogenous:
+            current[comp.name] = padded[comp.name][period - 1]
+        for comp in order:
+            if comp.is_exogenous:
+                continue
+            scope = _Scope({d: current[d] for d in comp.depends}, comp.name)
+            current[comp.name] = float(comp.expression(scope))
+        for comp in flows:
+            scope = _Scope({d: current[d] for d in comp.depends}, comp.name)
+            current[comp.name] = float(comp.expression(scope))
+        for comp in stocks:
+            delta_in = sum(current[f] for f in comp.inflows)
+            delta_out = sum(current[f] for f in comp.outflows)
+            current[comp.name] = stock_prev[comp.name] + delta_in - delta_out
+        for comp in model.components:
+            trajectories[comp.name].append(current[comp.name])
+        stock_prev = {c.name: current[c.name] for c in stocks}
+
+    series = {
+        name: tuple(enumerate(values, start=1)) for name, values in trajectories.items()
+    }
+    return RunResult(
+        model_name=model.name,
+        digest=model.digest(),
+        horizon=model.horizon,
+        series=series,
+    )

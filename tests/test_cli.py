@@ -127,15 +127,34 @@ def test_non_finite_test_volume_rejected(argv, capsys):
     assert err.startswith("error: test_data_mb must be finite") and err.count("\n") == 1
 
 
-def test_non_finite_scenario_volume_rejected(tmp_path, capsys):
+def _hybrid_with_volume(tmp_path, volume: str) -> str:
+    """A copy of the hybrid reference scenario whose own test volume is ``volume``."""
     for name in ("hybrid_backup.csv", "hybrid_restore.csv"):
         shutil.copy(data_path(name), tmp_path / name)
     text = data_path("hybrid_reference.yaml").read_text()
-    scenario = tmp_path / "nan.yaml"
-    scenario.write_text(text.replace("test_data_mb: 531012", "test_data_mb: .nan"))
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text.replace("test_data_mb: 531012", f"test_data_mb: {volume}"))
+    return str(scenario)
+
+
+def test_non_finite_scenario_volume_rejected(tmp_path, capsys):
+    scenario = _hybrid_with_volume(tmp_path, ".nan")
     for command in ("project", "cost", "bia-check", "compare"):
-        assert main([command, str(scenario)]) == 1
+        assert main([command, scenario]) == 1
         assert capsys.readouterr().err == "error: test_data_mb must be finite, got nan\n"
+
+
+@pytest.mark.parametrize("volume", ["0", "-5"])
+@pytest.mark.parametrize("scenario", [HYBRID, CLOUD], ids=["hybrid", "cloud"])
+def test_cost_rejects_non_positive_volume_flag(scenario, volume, capsys):
+    assert main(["cost", scenario, f"--test-data-mb={volume}"]) == 1
+    assert capsys.readouterr().err == f"error: test_data_mb must be > 0, got {float(volume)}\n"
+
+
+@pytest.mark.parametrize("volume", ["0", "-5"])
+def test_cost_rejects_non_positive_scenario_volume(volume, tmp_path, capsys):
+    assert main(["cost", _hybrid_with_volume(tmp_path, volume)]) == 1
+    assert capsys.readouterr().err == f"error: test_data_mb must be > 0, got {float(volume)}\n"
 
 
 # (command line, job-log files, restore-sample files); OUT is the plot's output path.

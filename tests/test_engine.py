@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drperf.engine import Kind, Model, ModelComponent, run
 from drperf.errors import ModelError
+
+from .oracles import reference_run
 
 
 def accumulator(horizon=5, inflow=(1.0,) * 5):
@@ -175,18 +180,59 @@ class TestValidation:
         with pytest.raises(ModelError, match="cyclic"):
             run(model)
 
-    def test_undeclared_read_fails_loudly(self):
+    @pytest.mark.parametrize("from_period", [1, 3])
+    @pytest.mark.parametrize("kind", [Kind.CONVERTER, Kind.FLOW], ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "read",
+        [lambda v: v["X"], lambda v: v.get("X"), lambda v: "X" in v],
+        ids=["getitem", "get", "contains"],
+    )
+    def test_undeclared_read_fails_loudly(self, read, kind, from_period):
+        # the check holds on every call: this read first happens in a later period
+        periods = []
+
+        def expression(v):
+            periods.append(v["T"])
+            return float(read(v)) if v["T"] >= from_period else 0.0
+
         model = Model(
             name="sneaky",
             components=(
                 ModelComponent("X", Kind.CONVERTER),
-                ModelComponent("Y", Kind.CONVERTER, expression=lambda v: v["X"]),
+                ModelComponent("T", Kind.CONVERTER),
+                ModelComponent("Y", kind, expression=expression, depends=("T",)),
             ),
-            horizon=1,
-            exogenous={"X": (1.0,)},
+            horizon=4,
+            exogenous={"X": (1.0,) * 4, "T": (1.0, 2.0, 3.0, 4.0)},
         )
-        with pytest.raises(ModelError, match="without declaring"):
+        with pytest.raises(ModelError, match="^'Y' read 'X' without declaring"):
             run(model)
+        assert periods[-1] == from_period
+
+    def test_expressions_get_a_read_only_mapping_of_their_dependencies(self):
+        views = []
+        model = Model(
+            name="views",
+            components=(
+                ModelComponent("X", Kind.CONVERTER),
+                ModelComponent("Y", Kind.CONVERTER, expression=lambda v: 0.0),
+                ModelComponent(
+                    "Z",
+                    Kind.CONVERTER,
+                    expression=lambda v: views.append(v) or v["X"] + v["Y"],
+                    depends=("X", "Y"),
+                ),
+            ),
+            horizon=2,
+            exogenous={"X": (1.0, 2.0)},
+        )
+        assert run(model).values("Z") == (1.0, 2.0)
+        view = views[-1]
+        assert isinstance(view, Mapping)
+        assert dict(view) == {"X": 2.0, "Y": 0.0}
+        assert view.get("X") == 2.0 and "Y" in view
+        with pytest.raises(TypeError):
+            view["X"] = 5.0
 
     def test_series_longer_than_horizon_rejected(self):
         with pytest.raises(ModelError, match="horizon"):
@@ -248,3 +294,92 @@ class TestDigest:
 
     def test_stable_for_equal_models(self):
         assert accumulator().digest() == accumulator().digest()
+
+
+def _expression(kind, names, a, b):
+    """A bounded expression over one or two declared names."""
+    x, y = names[0], names[-1]
+    if kind == "linear":
+        return lambda v: a * v[x] + b * v[y]
+    if kind == "damp":
+        return lambda v: a * v[x] / (1.0 + abs(v[y]))
+    if kind == "gate":  # reads x only in the periods where y is positive
+        return lambda v: v[x] if v[y] > 0 else b
+    return lambda v: a * v[x] / (1.0 + abs(v[x]) / 100.0)  # saturate
+
+
+@st.composite
+def engine_models(draw):
+    """Random shapes: exogenous converters and flows, acyclic converter chains
+    that may read stocks, expression flows, stocks with several inflows and
+    outflows, and exogenous series shorter than the horizon."""
+    horizon = draw(st.integers(1, 12))
+    number = st.floats(-50.0, 50.0).map(lambda x: round(x, 3))
+    coefficient = st.floats(-1.0, 1.0).map(lambda x: round(x, 3))
+    kinds = st.sampled_from(["linear", "damp", "gate", "saturate"])
+    exogenous = {}
+
+    def series(name):
+        exogenous[name] = tuple(draw(st.lists(number, max_size=horizon)))
+
+    def expression_component(name, kind, readable):
+        names = tuple(draw(st.lists(st.sampled_from(readable), min_size=1, max_size=2)))
+        expression = _expression(draw(kinds), names, draw(coefficient), draw(coefficient))
+        return ModelComponent(name, kind, expression=expression, depends=names)
+
+    stocks = [f"S{i}" for i in range(draw(st.integers(1, 3)))]
+    inputs = [f"X{i}" for i in range(draw(st.integers(1, 3)))]
+    components = [ModelComponent(name, Kind.CONVERTER) for name in inputs]
+    for name in inputs:
+        series(name)
+    readable = inputs + stocks
+    for i in range(draw(st.integers(0, 5))):
+        components.append(expression_component(f"C{i}", Kind.CONVERTER, readable))
+        readable.append(f"C{i}")
+    flows = []
+    for i in range(draw(st.integers(0, 2))):
+        flows.append(f"E{i}")
+        components.append(ModelComponent(f"E{i}", Kind.FLOW))
+        series(f"E{i}")
+    flow_readable = readable + flows
+    for i in range(draw(st.integers(1, 4))):
+        flows.append(f"F{i}")
+        components.append(expression_component(f"F{i}", Kind.FLOW, flow_readable))
+    for name in stocks:
+        inflows = draw(st.lists(st.sampled_from(flows), min_size=1, max_size=3))
+        outflows = draw(st.lists(st.sampled_from(flows), max_size=2))
+        components.append(
+            ModelComponent(
+                name,
+                Kind.STOCK,
+                initial=draw(number),
+                inflows=tuple(inflows),
+                outflows=tuple(outflows),
+            )
+        )
+    return Model(
+        name="generated",
+        components=tuple(draw(st.permutations(components))),
+        horizon=horizon,
+        exogenous=exogenous,
+    )
+
+
+class TestAgainstReferenceRun:
+    @given(model=engine_models())
+    @settings(max_examples=200, deadline=None)
+    def test_same_series_digest_and_conserved_stocks(self, model):
+        result = run(model)
+        reference = reference_run(model)
+        assert result.series == reference.series
+        assert result.digest == reference.digest
+        for comp in model.components:
+            if comp.kind is not Kind.STOCK:
+                continue
+            level = comp.initial
+            for period in range(1, model.horizon + 1):
+                inflow = sum(result.value(f, period) for f in comp.inflows)
+                outflow = sum(result.value(f, period) for f in comp.outflows)
+                level = level + inflow - outflow
+                assert math.isfinite(level)
+                assert result.value(comp.name, period) == level
