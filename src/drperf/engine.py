@@ -26,6 +26,11 @@ that allocates no dict and no scope:
   ``get``, ``in``) and every call, so a read that a later period's branch
   makes is caught too; ``run`` reports it as a ``ModelError`` naming the
   expression's owner.
+
+The result keeps one tuple of floats per component
+(``RunResult.trajectories``).  ``RunResult.series`` shows them as
+``(period, value)`` pairs, and each read of ``series[name]`` builds a new
+tuple of pairs, so repeated reads should use ``RunResult.values``.
 """
 
 from __future__ import annotations
@@ -182,31 +187,59 @@ class Model:
         return hashlib.sha256(blob).hexdigest()
 
 
+class _Series(Mapping[str, tuple[tuple[int, float], ...]]):
+    """Read-only ``(period, value)`` pairs over a run's trajectories, built per read."""
+
+    __slots__ = ("_trajectories",)
+
+    def __init__(self, trajectories: Mapping[str, tuple[float, ...]]):
+        self._trajectories = trajectories
+
+    def __getitem__(self, name: str) -> tuple[tuple[int, float], ...]:
+        values = self._trajectories[name]
+        return tuple(zip(range(1, len(values) + 1), values))
+
+    def __iter__(self):
+        return iter(self._trajectories)
+
+    def __len__(self):
+        return len(self._trajectories)
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """Trajectories of every component, one (period, value) pair per period."""
+    """Trajectories of every component, one value per period (element 0 is period 1).
+
+    ``series`` shows the same trajectories as ``(period, value)`` pairs.  Each
+    read of ``series[name]`` builds a new tuple of pairs; use ``values`` for
+    repeated reads.
+    """
 
     model_name: str
     digest: str
     horizon: int
-    series: Mapping[str, tuple[tuple[int, float], ...]]
+    trajectories: Mapping[str, tuple[float, ...]]
 
-    def _series(self, name: str) -> tuple[tuple[int, float], ...]:
+    @property
+    def series(self) -> Mapping[str, tuple[tuple[int, float], ...]]:
+        return _Series(self.trajectories)
+
+    def _trajectory(self, name: str) -> tuple[float, ...]:
         try:
-            return self.series[name]
+            return self.trajectories[name]
         except KeyError:
             raise ModelError(f"run has no series {name!r}") from None
 
     def values(self, name: str) -> tuple[float, ...]:
-        return tuple(v for _, v in self._series(name))
+        return self._trajectory(name)
 
     def value(self, name: str, period: int) -> float:
         if not 1 <= period <= self.horizon:
             raise ModelError(f"period {period} outside 1..{self.horizon}")
-        return self._series(name)[period - 1][1]
+        return self._trajectory(name)[period - 1]
 
     def final(self, name: str) -> float:
-        return self._series(name)[-1][1]
+        return self._trajectory(name)[-1]
 
 
 class _UndeclaredRead(Exception):
@@ -270,7 +303,7 @@ def run(model: Model) -> RunResult:
                     horizon,
                 )
                 series = tuple(series) + (0.0,) * (horizon - len(series))
-            trajectories[name] = values = tuple(float(v) for v in series)
+            trajectories[name] = values = tuple(map(float, series))
             inputs.append((name, values, readers[name]))
             continue
         trajectories[name] = values = []
@@ -312,12 +345,9 @@ def run(model: Model) -> RunResult:
             for target in dicts:
                 target[name] = value
 
-    series = {
-        name: tuple(enumerate(values, start=1)) for name, values in trajectories.items()
-    }
     return RunResult(
         model_name=model.name,
         digest=model.digest(),
         horizon=model.horizon,
-        series=series,
+        trajectories={name: tuple(values) for name, values in trajectories.items()},
     )

@@ -57,12 +57,13 @@ def render_svg(
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    y_span = y_hi - y_lo
 
     def sx(period: float) -> float:
         return MARGIN_LEFT + (period - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(value: float) -> float:
-        return MARGIN_TOP + (y_hi - value) / (y_hi - y_lo) * plot_h
+        return MARGIN_TOP + (y_hi - value) / y_span * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -115,10 +116,16 @@ def render_svg(
             f'transform="rotate(-90 16 {cy:.0f})">{y_label}</text>'
         )
 
+    # A polyline point is "x,y" with both coordinates as _coord prints them:
+    # each period's x is formatted once, and y is sy(v) written inline.
+    x_coords = {p: _coord(sx(p)) for p in periods}
     for i, name in enumerate(names):
         color = PALETTE[i % len(PALETTE)]
         points = " ".join(
-            f"{_coord(sx(p))},{_coord(sy(v))}" for p, v in series[name]
+            [
+                f"{x_coords[p]},{MARGIN_TOP + (y_hi - v) / y_span * plot_h:.2f}"
+                for p, v in series[name]
+            ]
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'

@@ -58,20 +58,6 @@ def render_run_summary(model: Model, result: RunResult) -> str:
     return header + _table(["component", "kind", "unit", "final value"], rows)
 
 
-def render_trajectories(model: Model, result: RunResult, names: list[str]) -> str:
-    """Period-by-period values for the named components."""
-    by_name = model.by_name
-    rows = []
-    for period in range(1, result.horizon + 1):
-        rows.append(
-            [str(period)] + [fmt_num(result.value(name, period)) for name in names]
-        )
-    headers = ["period"] + [
-        f"{name} ({by_name[name].unit})" if by_name[name].unit else name for name in names
-    ]
-    return _table(headers, rows)
-
-
 def render_cost(breakdown: CostBreakdown, label: str) -> str:
     rows = [
         ["storage", fmt_num(breakdown.storage_cost)],

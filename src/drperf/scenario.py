@@ -172,6 +172,20 @@ def _parse_pricing(node: object, system: SystemKind) -> ObjectStoreRates | Vault
     return VaultRates(**kwargs)
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """One line naming what the parser found, without its source snippet.
+
+    ``str()`` of a marked error quotes the offending lines under each mark,
+    and only the pure-Python loaders keep the text to quote.
+    """
+    if isinstance(exc, yaml.MarkedYAMLError):
+        text = ", ".join(part for part in (exc.context, exc.problem) if part)
+        if exc.problem_mark is not None:
+            text += f" at column {exc.problem_mark.column + 1}"
+        return text
+    return " ".join(str(exc).split())
+
+
 def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
     """Parse and validate a scenario document; referenced files must exist."""
     try:
@@ -179,7 +193,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
-        raise ParseError(f"invalid YAML: {exc}", line=line) from exc
+        raise ParseError(f"invalid YAML: {_yaml_problem(exc)}", line=line) from exc
     doc = _require_mapping(doc, "scenario")
     _take(
         doc,

@@ -103,12 +103,9 @@ def reference_run(model: Model) -> RunResult:
             trajectories[comp.name].append(current[comp.name])
         stock_prev = {c.name: current[c.name] for c in stocks}
 
-    series = {
-        name: tuple(enumerate(values, start=1)) for name, values in trajectories.items()
-    }
     return RunResult(
         model_name=model.name,
         digest=model.digest(),
         horizon=model.horizon,
-        series=series,
+        trajectories={name: tuple(values) for name, values in trajectories.items()},
     )

@@ -97,6 +97,25 @@ def test_invalid_scenario_content(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        'name: "x\n',
+        "name: a\n  bad: 1\nsystem: hybrid\n",
+        "name: a\n\tsystem: hybrid\n",
+        "name: a\nbia:\n  bad: [1, 2\n",
+    ],
+    ids=["unterminated-quote", "bad-indent", "tab-indent", "unclosed-flow-sequence"],
+)
+def test_invalid_yaml_is_one_error_line(text, tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert main(["simulate", str(bad)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: line ") and "invalid YAML: " in lines[0]
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])

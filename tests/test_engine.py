@@ -274,16 +274,33 @@ class TestRunResult:
 
     def test_bad_lookups(self):
         result = run(accumulator())
-        with pytest.raises(ModelError):
-            result.values("Nope")
-        with pytest.raises(ModelError):
-            result.value("Tank", 0)
-        with pytest.raises(ModelError):
-            result.value("Tank", 6)
+        for lookup in (
+            lambda: result.values("Nope"),
+            lambda: result.value("Nope", 1),
+            lambda: result.final("Nope"),
+            lambda: result.value("Tank", 0),
+            lambda: result.value("Tank", 6),
+        ):
+            with pytest.raises(ModelError):
+                lookup()
 
     def test_every_series_covers_the_horizon(self):
         result = run(accumulator())
         assert all(len(series) == 5 for series in result.series.values())
+
+    def test_series_is_a_read_only_view_of_every_component(self):
+        result = run(accumulator())
+        assert list(result.series) == ["Inflow", "Tank"]
+        assert len(result.series) == 2
+        with pytest.raises(TypeError):
+            result.series["Tank"] = ()
+
+    def test_series_pairs_each_period_with_its_value(self):
+        result = run(accumulator(inflow=(1.0, 0.5, 2.0)))
+        assert result.trajectories["Tank"] == (1.0, 1.5, 3.5, 3.5, 3.5)
+        for name in result.series:
+            pairs = tuple(zip(range(1, result.horizon + 1), result.values(name)))
+            assert result.series[name] == pairs
 
 
 class TestDigest:
@@ -371,6 +388,7 @@ class TestAgainstReferenceRun:
     def test_same_series_digest_and_conserved_stocks(self, model):
         result = run(model)
         reference = reference_run(model)
+        assert result.trajectories == reference.trajectories
         assert result.series == reference.series
         assert result.digest == reference.digest
         for comp in model.components:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from drperf.engine import run
+from drperf.engine import Kind, Model, ModelComponent, run
 from drperf.errors import DomainError
 from drperf.plot import emit_plot, render_svg
 from drperf.scenario import Evaluation
@@ -71,6 +71,43 @@ def test_golden_stock_chart(hybrid_scenario, golden):
         y_label="MB",
     )
     golden("hybrid_stocks.svg", svg)
+
+
+def test_golden_long_horizon_chart(golden):
+    """Over 16 periods the x axis gets 9 ticks; a series may end before the others."""
+    horizon = 40
+    model = Model(
+        name="three-stocks",
+        components=(
+            ModelComponent("Ingest", Kind.FLOW, unit="MB"),
+            ModelComponent("Batch", Kind.FLOW, unit="MB"),
+            ModelComponent(
+                "Tier", Kind.FLOW, unit="MB", expression=lambda v: 0.15 * v["Local"],
+                depends=("Local",),
+            ),
+            ModelComponent(
+                "Local", Kind.STOCK, unit="MB", inflows=("Ingest",), outflows=("Tier",)
+            ),
+            ModelComponent("Cloud", Kind.STOCK, unit="MB", initial=40.0, inflows=("Tier",)),
+            ModelComponent("Archive", Kind.STOCK, unit="MB", inflows=("Batch",)),
+        ),
+        horizon=horizon,
+        exogenous={
+            "Ingest": tuple(10.0 + (7 * p) % 13 for p in range(horizon)),
+            "Batch": tuple(120.0 if p % 10 == 9 else 0.0 for p in range(horizon)),
+        },
+    )
+    result = run(model)
+    svg = render_svg(
+        {
+            "Local": result.series["Local"],
+            "Cloud": result.series["Cloud"],
+            "Archive": result.series["Archive"][:25],
+        },
+        title="three-stocks",
+        y_label="MB",
+    )
+    golden("long_horizon.svg", svg)
 
 
 def test_cloud_transfer_peaks_at_the_measured_maximum(cloud_scenario):

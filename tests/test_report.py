@@ -17,7 +17,6 @@ from drperf.report import (
     render_projection,
     render_reliability,
     render_run_summary,
-    render_trajectories,
 )
 from drperf.scenario import Evaluation
 
@@ -80,12 +79,6 @@ class TestSingleReports:
         assert "MeanDailyThroughput" in text
         assert "54.2224" in text
         assert text.endswith("\n")
-
-    def test_trajectories_table(self, hybrid_scenario):
-        model = Evaluation(hybrid_scenario).basic_model
-        text = render_trajectories(model, run(model), ["LocalStorage", "CloudTier"])
-        assert "LocalStorage (MB)" in text
-        assert "352407" in text and "325451" in text
 
     def test_cost_table(self, hybrid_scenario):
         text = render_cost(Evaluation(hybrid_scenario).cost, hybrid_scenario.name)

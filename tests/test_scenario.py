@@ -199,3 +199,8 @@ class TestEvaluationHelpers:
                 assert result.final(name) == times[role][label]
             assert result.final("TotalServiceCostTestData") == evaluation.cost.total
             assert result.final("TestData") == evaluation.test_data_mb
+
+    def test_basic_model_storage_trajectories(self, hybrid_scenario):
+        result = run(Evaluation(hybrid_scenario).basic_model)
+        assert result.values("LocalStorage")[13:] == (352407.0, 325451.0)
+        assert result.values("CloudTier")[13:] == (0.0, 26956.0)
