@@ -90,7 +90,21 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first call.
+
+    Every call returns the same parser, so ``main`` pays for its seven
+    subparsers once per process.  It is shared: do not mutate it.  Reuse
+    is safe because ``parse_args`` returns a new namespace each time and
+    usage errors, ``--help`` and ``--version`` look up ``sys.stdout`` and
+    ``sys.stderr`` when they print.
+    """
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = _Parser(
         prog="drperf",
         description=(
@@ -152,6 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=_cmd_plot)
 
+    _parser = parser
     return parser
 
 

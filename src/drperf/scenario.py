@@ -77,6 +77,11 @@ class Scenario:
         return models.DEFAULT_TIERING_THRESHOLD_DAYS
 
     def resolve(self, relative: str) -> Path:
+        """Absolute path of a referenced file, as error messages name it.
+
+        Reading and checking use ``base_dir / relative`` as it is: resolving
+        costs one ``lstat`` per path component.
+        """
         return (self.base_dir / relative).resolve()
 
 
@@ -264,9 +269,9 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
         base_dir=Path(base_dir),
     )
     for label, relative in scenario.job_log_paths.items():
-        if not scenario.resolve(relative).is_file():
+        if not (scenario.base_dir / relative).is_file():
             raise ConfigError(f"job log {label!r} not found: {scenario.resolve(relative)}")
-    if not scenario.resolve(scenario.restore_samples_path).is_file():
+    if not (scenario.base_dir / scenario.restore_samples_path).is_file():
         raise ConfigError(
             f"restore samples not found: {scenario.resolve(scenario.restore_samples_path)}"
         )
@@ -275,7 +280,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
 
 def load_scenario(path: Path | str) -> Scenario:
     path = Path(path)
-    return parse_scenario(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    return parse_scenario(_read_text(path), base_dir=path.parent)
 
 
 def _clean(value):
@@ -311,11 +316,24 @@ def render_scenario(scenario: Scenario) -> str:
     return yaml.safe_dump(_clean(doc), sort_keys=False)
 
 
-def _read(path: Path, parse):
+def _read_text(path: Path) -> str:
+    """The file's text; bytes that are not UTF-8 are a ``ParseError`` naming the file."""
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        byte = exc.object[exc.start]
+        raise ParseError(
+            f"{path.resolve().name}: line {line}: not UTF-8 text (byte 0x{byte:02x})"
+        ) from exc
+
+
+def _read(path: Path, parse):
+    text = _read_text(path)
+    try:
+        return parse(text)
     except ParseError as exc:
-        raise ParseError(f"{path.name}: {exc}") from exc
+        raise ParseError(f"{path.resolve().name}: {exc}") from exc
 
 
 class Evaluation:
@@ -345,13 +363,13 @@ class Evaluation:
     @cached_property
     def job_logs(self) -> dict[str, tuple[JobSample, ...]]:
         return {
-            label: _read(self.scenario.resolve(relative), parse_job_log)
+            label: _read(self.scenario.base_dir / relative, parse_job_log)
             for label, relative in self.scenario.job_log_paths.items()
         }
 
     @cached_property
     def restore_samples(self) -> tuple[RestoreSample, ...]:
-        path = self.scenario.resolve(self.scenario.restore_samples_path)
+        path = self.scenario.base_dir / self.scenario.restore_samples_path
         return _read(path, parse_restore_samples)
 
     @cached_property

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import shutil
 import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
-from drperf import joblog
-from drperf.cli import main
+from drperf import __version__, cli, joblog
+from drperf.cli import build_parser, main
 from drperf.data import cloud_scenario_path, data_path, hybrid_scenario_path
 
 HYBRID = str(hybrid_scenario_path())
 CLOUD = str(cloud_scenario_path())
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def test_simulate(capsys):
@@ -97,23 +102,36 @@ def test_invalid_scenario_content(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "text",
+# (document, line the error names); each loader words the problem its own way.
+INVALID_YAML = pytest.mark.parametrize(
+    "text, line",
     [
-        'name: "x\n',
-        "name: a\n  bad: 1\nsystem: hybrid\n",
-        "name: a\n\tsystem: hybrid\n",
-        "name: a\nbia:\n  bad: [1, 2\n",
+        pytest.param('name: "x\n', 2, id="unterminated-quote"),
+        pytest.param("name: a\n  bad: 1\nsystem: hybrid\n", 2, id="bad-indent"),
+        pytest.param("name: a\n\tsystem: hybrid\n", 2, id="tab-indent"),
+        pytest.param("name: a\nbia:\n  bad: [1, 2\n", 4, id="unclosed-flow-sequence"),
     ],
-    ids=["unterminated-quote", "bad-indent", "tab-indent", "unclosed-flow-sequence"],
 )
-def test_invalid_yaml_is_one_error_line(text, tmp_path, capsys):
+
+
+@INVALID_YAML
+def test_invalid_yaml_is_one_error_line(text, line, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
     assert main(["simulate", str(bad)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: line ") and "invalid YAML: " in lines[0]
+    assert lines[0].startswith(f"error: line {line}: invalid YAML: ")
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@INVALID_YAML
+def test_invalid_yaml_is_one_error_line_under_libyaml(text, line, tmp_path, capsys, monkeypatch):
+    def c_safe_load(stream):
+        return yaml.load(stream, Loader=yaml.CSafeLoader)
+
+    monkeypatch.setattr(yaml, "safe_load", c_safe_load)
+    test_invalid_yaml_is_one_error_line(text, line, tmp_path, capsys)
 
 
 def test_usage_errors_exit_1(capsys):
@@ -146,12 +164,17 @@ def test_non_finite_test_volume_rejected(argv, capsys):
     assert err.startswith("error: test_data_mb must be finite") and err.count("\n") == 1
 
 
+def _hybrid_copy(tmp_path) -> Path:
+    """A copy of the hybrid reference scenario and its input files."""
+    for name in ("hybrid_reference.yaml", "hybrid_backup.csv", "hybrid_restore.csv"):
+        shutil.copy(data_path(name), tmp_path / name)
+    return tmp_path / "hybrid_reference.yaml"
+
+
 def _hybrid_with_volume(tmp_path, volume: str) -> str:
     """A copy of the hybrid reference scenario whose own test volume is ``volume``."""
-    for name in ("hybrid_backup.csv", "hybrid_restore.csv"):
-        shutil.copy(data_path(name), tmp_path / name)
-    text = data_path("hybrid_reference.yaml").read_text()
-    scenario = tmp_path / "scenario.yaml"
+    scenario = _hybrid_copy(tmp_path)
+    text = scenario.read_text()
     scenario.write_text(text.replace("test_data_mb: 531012", f"test_data_mb: {volume}"))
     return str(scenario)
 
@@ -222,3 +245,108 @@ def test_each_input_file_is_parsed_once(
     argv = [str(tmp_path / "chart.svg") if a == "OUT" else a for a in argv]
     assert main(argv) in (0, 2)
     assert calls == {"parse_job_log": job_log_files, "parse_restore_samples": restore_files}
+
+
+@pytest.mark.parametrize(
+    "command, name, old, line",
+    [
+        ("simulate", "hybrid_reference.yaml", b"name: hybrid-reference", 4),
+        ("project", "hybrid_backup.csv", b"2,25712", 3),
+        ("project", "hybrid_restore.csv", b"Archive", 3),
+    ],
+    ids=["scenario", "job-log", "restore-samples"],
+)
+def test_non_utf8_input_is_one_error_line(command, name, old, line, tmp_path, capsys):
+    scenario = _hybrid_copy(tmp_path)
+    target = tmp_path / name
+    data = target.read_bytes()
+    assert data.count(old) == 1
+    target.write_bytes(data.replace(old, old + b"\xe9"))
+    assert main([command, str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name}: line {line}: not UTF-8 text (byte 0xe9)\n"
+
+
+def test_relative_and_dotted_scenario_paths_read_the_same_files(monkeypatch, capsys):
+    golden = (GOLDEN_DIR / "comparison.txt").read_text(encoding="utf-8")
+    data_dir = Path(HYBRID).parent
+    assert main(["compare", HYBRID, CLOUD]) == 0
+    assert capsys.readouterr().out == golden
+    monkeypatch.chdir(data_dir.parent)
+    relative = [f"{data_dir.name}/{Path(p).name}" for p in (HYBRID, CLOUD)]
+    dotted = [f"{data_dir.name}/../{data_dir.name}/{Path(p).name}" for p in (HYBRID, CLOUD)]
+    for paths in (relative, dotted):
+        assert not Path(paths[0]).is_absolute()
+        assert main(["compare", *paths]) == 0
+        assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize(
+    "key, missing, message",
+    [
+        ("backup: hybrid_backup.csv", "backup: ../logs/missing.csv", "job log 'backup' not found"),
+        (
+            "restore_samples: hybrid_restore.csv",
+            "restore_samples: sub/../missing.csv",
+            "restore samples not found",
+        ),
+    ],
+    ids=["job-log", "restore-samples"],
+)
+def test_not_found_names_the_resolved_path(key, missing, message, tmp_path, monkeypatch, capsys):
+    deck = tmp_path / "deck"
+    deck.mkdir()
+    scenario = _hybrid_copy(deck)
+    scenario.write_text(scenario.read_text().replace(key, missing))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "deck/hybrid_reference.yaml"]) == 1
+    expected = (deck / missing.split(": ")[1]).resolve()
+    assert expected.is_absolute() and ".." not in expected.parts
+    assert capsys.readouterr().err == f"error: {message}: {expected}\n"
+
+
+def test_build_parser_returns_one_shared_parser():
+    assert build_parser() is build_parser()
+
+
+def test_plot_components_do_not_carry_over(tmp_path, capsys):
+    first, second = tmp_path / "first.svg", tmp_path / "second.svg"
+    assert main(["plot", HYBRID, "--component", "LocalStorage", "--out", str(first)]) == 0
+    assert main(["plot", HYBRID, "--component", "CloudTier", "--out", str(second)]) == 0
+    assert "LocalStorage" in first.read_text()
+    svg = second.read_text()
+    assert "CloudTier" in svg and "LocalStorage" not in svg
+
+
+def test_compare_format_does_not_carry_over(capsys):
+    assert main(["compare", HYBRID, CLOUD, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "comparison.csv").read_text(encoding="utf-8")
+    assert main(["compare", HYBRID, CLOUD]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "comparison.txt").read_text(encoding="utf-8")
+
+
+def test_usage_error_leaves_the_parser_as_built(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    # built while stderr goes elsewhere: usage errors still reach the current stderr
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["project", HYBRID]) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["project"])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: drperf project") and "error: the following arguments" in err
+    assert main(["project", HYBRID]) == 0
+    assert capsys.readouterr() == first
+
+
+def test_version_after_a_command_writes_to_the_current_stdout(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    with contextlib.redirect_stdout(io.StringIO()) as earlier:
+        assert main(["reliability", HYBRID]) == 0
+    assert "DataCenter" in earlier.getvalue()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr() == (f"drperf {__version__}\n", "")
