@@ -8,6 +8,7 @@ report.  Exit codes: 0 on success, 1 on any validation or input error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__, report
@@ -174,7 +175,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull, as the signal module's
+        # documentation shows, so that the final flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

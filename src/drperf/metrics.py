@@ -69,16 +69,10 @@ class RestoreSample:
 
 @dataclass(frozen=True)
 class ThroughputSummary:
-    """Per-sample throughputs plus two averaging strategies.
-
-    ``mean_arithmetic`` is the plain mean of the per-sample rates;
-    ``mean_aggregate`` is total data divided by total time.  Both always
-    lie between the per-sample minimum and maximum.
-    """
+    """Per-sample throughputs and their plain mean (between their minimum and maximum)."""
 
     per_sample: tuple[float, ...]
     mean_arithmetic: float
-    mean_aggregate: float
 
 
 def throughput(data_mb: float, duration_s: float) -> float:
@@ -91,20 +85,16 @@ def throughput(data_mb: float, duration_s: float) -> float:
 
 
 def summarize_throughput(samples: Sequence[JobSample]) -> ThroughputSummary:
-    """Summarize a job log into per-sample rates and both mean rates."""
+    """Summarize a job log into per-sample rates and their mean."""
     if not samples:
         raise DomainError("cannot summarize an empty job log")
     per_sample = tuple(throughput(s.data_mb, s.duration_s) for s in samples)
-    mean_arith = math.fsum(per_sample) / len(per_sample)
-    total_mb = math.fsum(s.data_mb for s in samples)
-    total_s = math.fsum(s.duration_s for s in samples)
-    mean_agg = total_mb / total_s
+    mean = math.fsum(per_sample) / len(per_sample)
     lo, hi = min(per_sample), max(per_sample)
     slack = 1e-9 * max(abs(lo), abs(hi), 1.0)
-    for name, mean in (("arithmetic", mean_arith), ("aggregate", mean_agg)):
-        if not (lo - slack <= mean <= hi + slack):
-            raise DomainError(f"{name} mean {mean} outside per-sample range [{lo}, {hi}]")
-    return ThroughputSummary(per_sample, mean_arith, mean_agg)
+    if not (lo - slack <= mean <= hi + slack):
+        raise DomainError(f"arithmetic mean {mean} outside per-sample range [{lo}, {hi}]")
+    return ThroughputSummary(per_sample, mean)
 
 
 def restore_time_per_mb(sample: RestoreSample) -> float:

@@ -2,7 +2,9 @@
 
 A scenario names the system kind, points at measured job logs and restore
 samples, and carries pricing, BIA targets, reliability components, and
-the optional test data volume.  ``parse_scenario(render_scenario(s))``
+the optional test data volume.  Its schema is the dataclasses it builds:
+each key is read by its field's declared type, and each record's
+``__post_init__`` holds its bounds.  ``parse_scenario(render_scenario(s))``
 reproduces ``s`` exactly; paths stay relative and resolve against the
 scenario's base directory at load time.  ``Evaluation`` derives every
 number of one scenario (model, rates, projection, cost, BIA verdicts)
@@ -13,27 +15,24 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+import types
+import typing
+from collections.abc import Callable, Mapping
+from dataclasses import MISSING, dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import yaml
 
 from . import costs, models
 from .bia import BiaTargets, ComplianceReport, MeasuredMetrics, evaluate
-from .costs import CostBreakdown, FeeTier, ObjectStoreRates, VaultRates
+from .costs import CostBreakdown, ObjectStoreRates, VaultRates
 from .engine import Model
 from .errors import ConfigError, ParseError
 from .joblog import parse_job_log, parse_restore_samples
 from .metrics import JobSample, Projection, Rate, RestoreSample, mb_to_gb, project
-from .reliability import (
-    DEFAULT_MISSION_HOURS,
-    ReliabilityComponent,
-    SeriesSystem,
-    default_recovery_chain,
-)
+from .reliability import SeriesSystem, default_recovery_chain
 
 
 class SystemKind(str, Enum):
@@ -55,15 +54,20 @@ class TransactionCounts:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to evaluate one protection system."""
+    """Everything needed to evaluate one protection system.
+
+    Each field but ``base_dir`` is a key of the scenario document;
+    ``base_dir`` is where the document was read, and ``compare=False`` keeps
+    it out of the document and of equality.
+    """
 
     name: str
     system: SystemKind
-    job_log_paths: Mapping[str, str]
-    restore_samples_path: str
+    job_logs: Mapping[str, str]
+    restore_samples: str
     pricing: ObjectStoreRates | VaultRates
     bia: BiaTargets
-    reliability: SeriesSystem
+    reliability: SeriesSystem = field(default_factory=default_recovery_chain)
     test_data_mb: float | None = None
     supplied_averages: Mapping[str, float] = field(default_factory=dict)
     frontend_gb: float = models.DEFAULT_FRONTEND_GB
@@ -85,96 +89,155 @@ class Scenario:
         return (self.base_dir / relative).resolve()
 
 
-_HYBRID_LOG_KEYS = ("backup",)
-_CLOUD_LOG_KEYS = ("job1", "job2")
+# What depends on the system: the pricing class, the job-log labels, the
+# supplied-average names, and the fields that only one system reads.
+_PRICING = {SystemKind.HYBRID: ObjectStoreRates, SystemKind.CLOUD_VAULT: VaultRates}
+_JOB_LOGS = {
+    SystemKind.HYBRID: frozenset({"backup"}),
+    SystemKind.CLOUD_VAULT: frozenset({"job1", "job2"}),
+}
+_AVERAGES = {
+    SystemKind.HYBRID: models.HYBRID_AVERAGE_NAMES,
+    SystemKind.CLOUD_VAULT: models.CLOUD_AVERAGE_NAMES,
+}
+_ONE_SYSTEM = {
+    "frontend_gb": SystemKind.CLOUD_VAULT,
+    "transactions": SystemKind.HYBRID,
+    "bia.cloud_tiering_threshold_days": SystemKind.HYBRID,
+}
+
+# Checks one document value and returns it as the field's type; the second
+# argument is the value's dotted path, which every error message starts with.
+Converter = Callable[[object, str], object]
 
 
-def _require_mapping(node: object, context: str) -> dict:
+def _to_float(value: object, path: str) -> float:
+    if type(value) is float:
+        if math.isfinite(value):
+            return value
+        raise ConfigError(f"{path} must be finite, got {value}")
+    if type(value) is int:  # not bool, whose type is its own
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path} is out of range, got {value}") from None
+    raise ConfigError(f"{path} must be a number, got {value!r}")
+
+
+def _to_int(value: object, path: str) -> int:
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{path} must be an integer, got {value!r}")
+
+
+def _to_str(value: object, path: str) -> str:
+    if type(value) is not str:
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    if not value.isprintable():  # a newline or a NUL would break an error line or a path
+        raise ConfigError(f"{path} must be one line of printable text, got {value!r}")
+    return value
+
+
+_SCALARS: dict[type, Converter] = {float: _to_float, int: _to_int, str: _to_str}
+
+
+def _mapping(node: object, path: str) -> dict:
     if not isinstance(node, dict):
-        raise ConfigError(f"{context} must be a mapping, got {type(node).__name__}")
+        raise ConfigError(f"{path} must be a mapping, got {type(node).__name__}")
     return node
 
 
-def _take(node: dict, context: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    unknown = sorted(set(node) - set(required) - set(optional))
+def _check_keys(node: dict, path: str, known, required: frozenset = frozenset()) -> None:
+    if node.keys() <= known and required <= node.keys():
+        return
+    unknown = node.keys() - known
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(node))
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=str)}")
+    missing = required.difference(node)
     if missing:
-        raise ConfigError(f"{context}: missing keys {missing}")
+        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
-def _parse_bia(node: object) -> BiaTargets:
-    node = _require_mapping(node, "bia")
-    _take(
-        node,
-        "bia",
-        required=("agent",),
-        optional=(
-            "backup_frequency_days",
-            "backup_retention_days",
-            "recovery_points_scheme",
-            "cloud_tiering_threshold_days",
-            "rpo_target_days",
-            "rto_target_h",
-            "wrt_h",
-            "max_data_loss_mb",
-        ),
+def _converter(tp) -> Converter | None:
+    """The converter for values of the declared type ``tp``.
+
+    ``X | None`` converts as ``X``: a null is read as absent, and only
+    fields that default to None accept it.  A union of records
+    (``Scenario.pricing``) has none: the caller picks its class.
+    """
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union or origin is types.UnionType:
+        members = [arg for arg in args if arg is not type(None)]
+        return _converter(members[0]) if len(members) == 1 else None
+    if origin is tuple:  # tuple[Record, ...]
+        item = _converter(args[0])
+
+        def convert_tuple(value, path):
+            if type(value) is not list:
+                raise ConfigError(f"{path} must be a list, got {value!r}")
+            return tuple([item(v, f"{path}[{i}]") for i, v in enumerate(value)])
+
+        return convert_tuple
+    if origin is Mapping:  # Mapping[str, X]; the caller checks the keys
+        item = _converter(args[1])
+        return lambda value, path: {
+            k: item(v, f"{path}.{k}") for k, v in _mapping(value, path).items()
+        }
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        known = ", ".join(member.value for member in tp)
+
+        def convert_enum(value, path):
+            try:
+                return tp(value)
+            except (ValueError, TypeError):
+                raise ConfigError(f"unknown {path} {value!r}; expected one of {known}") from None
+
+        return convert_enum
+    if dataclasses.is_dataclass(tp):
+        return lambda value, path: tp(**_values(tp, value, path))
+    raise TypeError(f"no scenario converter for {tp!r}")
+
+
+@cache
+def _schema(cls) -> tuple[dict[str, Converter | None], frozenset[str]]:
+    """A record class's converter per document field, and its fields without a default."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.compare]
+    converters = {f.name: _converter(hints[f.name]) for f in fields}
+    required = frozenset(
+        f.name
+        for f in fields
+        if converters[f.name] and f.default is MISSING and f.default_factory is MISSING
     )
-    return BiaTargets(**node)
+    return converters, required
 
 
-def _parse_reliability(node: object) -> SeriesSystem:
-    if node is None:
-        return default_recovery_chain()
-    node = _require_mapping(node, "reliability")
-    _take(node, "reliability", required=("components",), optional=("mission_h",))
-    raw = node["components"]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("reliability.components must be a non-empty list")
-    components = []
-    for i, entry in enumerate(raw):
-        entry = _require_mapping(entry, f"reliability.components[{i}]")
-        _take(
-            entry,
-            f"reliability.components[{i}]",
-            required=("name",),
-            optional=("mtbf_h", "sla", "sla_period_h"),
-        )
-        components.append(ReliabilityComponent(**entry))
-    return SeriesSystem(
-        components=tuple(components),
-        mission_h=float(node.get("mission_h", DEFAULT_MISSION_HOURS)),
-    )
+def _values(cls, node: object, path: str) -> dict:
+    """A ``cls`` record's field values read from the mapping ``node``.
+
+    A null means absent for a field with a default; a field with no converter
+    is left to the caller.
+    """
+    converters, required = _schema(cls)
+    context = path or "scenario"
+    node = _mapping(node, context)
+    _check_keys(node, context, converters.keys(), required)
+    prefix = f"{path}." if path else ""
+    values = {}
+    for key, value in node.items():
+        convert = converters[key]
+        if convert is not None and (value is not None or key in required):
+            values[key] = convert(value, prefix + key)
+    return values
 
 
-def _parse_pricing(node: object, system: SystemKind) -> ObjectStoreRates | VaultRates:
-    if node is None:
-        return ObjectStoreRates() if system is SystemKind.HYBRID else VaultRates()
-    node = _require_mapping(node, "pricing")
-    if system is SystemKind.HYBRID:
-        _take(
-            node,
-            "pricing (object store)",
-            required=(),
-            optional=("per_gb_month", "per_10k_ingress_egress", "per_10k_listing"),
-        )
-        return ObjectStoreRates(**node)
-    _take(
-        node,
-        "pricing (vault)",
-        required=(),
-        optional=("per_gb_month", "instance_fee_tiers", "block_gb", "block_fee"),
-    )
-    kwargs = dict(node)
-    if "instance_fee_tiers" in kwargs:
-        tiers = []
-        for i, tier in enumerate(kwargs["instance_fee_tiers"]):
-            tier = _require_mapping(tier, f"pricing.instance_fee_tiers[{i}]")
-            _take(tier, f"pricing.instance_fee_tiers[{i}]", required=("upper_gb", "fee"))
-            tiers.append(FeeTier(upper_gb=float(tier["upper_gb"]), fee=float(tier["fee"])))
-        kwargs["instance_fee_tiers"] = tuple(tiers)
-    return VaultRates(**kwargs)
+def _gives(doc: dict, dotted: str) -> bool:
+    head, _, rest = dotted.partition(".")
+    return doc.get(head) is not None and (not rest or _gives(doc[head], rest))
 
 
 def _yaml_problem(exc: yaml.YAMLError) -> str:
@@ -199,82 +262,25 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         raise ParseError(f"invalid YAML: {_yaml_problem(exc)}", line=line) from exc
-    doc = _require_mapping(doc, "scenario")
-    _take(
-        doc,
-        "scenario",
-        required=("name", "system", "job_logs", "restore_samples", "bia"),
-        optional=(
-            "pricing",
-            "reliability",
-            "test_data_mb",
-            "supplied_averages",
-            "frontend_gb",
-            "transactions",
-        ),
-    )
-    try:
-        system = SystemKind(doc["system"])
-    except ValueError:
-        known = ", ".join(k.value for k in SystemKind)
-        raise ConfigError(f"unknown system {doc['system']!r}; expected one of {known}") from None
-
-    log_keys = _HYBRID_LOG_KEYS if system is SystemKind.HYBRID else _CLOUD_LOG_KEYS
-    logs = _require_mapping(doc["job_logs"], "job_logs")
-    _take(logs, "job_logs", required=log_keys)
-    job_log_paths = {k: str(v) for k, v in logs.items()}
-
-    if system is SystemKind.HYBRID:
-        for key in ("frontend_gb",):
-            if key in doc:
-                raise ConfigError(f"{key} applies only to cloud-vault scenarios")
-    else:
-        if "transactions" in doc:
-            raise ConfigError("transactions apply only to hybrid scenarios")
-
-    bia = _parse_bia(doc["bia"])
-    if system is not SystemKind.HYBRID and bia.cloud_tiering_threshold_days is not None:
-        raise ConfigError("bia.cloud_tiering_threshold_days applies only to hybrid scenarios")
-
-    transactions = TransactionCounts()
-    if "transactions" in doc:
-        node = _require_mapping(doc["transactions"], "transactions")
-        _take(node, "transactions", required=(), optional=("ingress_egress_ops", "listing_ops"))
-        transactions = TransactionCounts(**node)
-
-    supplied = {}
-    if "supplied_averages" in doc and doc["supplied_averages"] is not None:
-        node = _require_mapping(doc["supplied_averages"], "supplied_averages")
-        allowed = (
-            models.HYBRID_AVERAGE_NAMES
-            if system is SystemKind.HYBRID
-            else models.CLOUD_AVERAGE_NAMES
-        )
-        _take(node, "supplied_averages", required=(), optional=tuple(sorted(allowed)))
-        supplied = {k: float(v) for k, v in node.items()}
-
-    test_data_mb = doc.get("test_data_mb")
-    scenario = Scenario(
-        name=str(doc["name"]),
-        system=system,
-        job_log_paths=job_log_paths,
-        restore_samples_path=str(doc["restore_samples"]),
-        pricing=_parse_pricing(doc.get("pricing"), system),
-        bia=bia,
-        reliability=_parse_reliability(doc.get("reliability")),
-        test_data_mb=float(test_data_mb) if test_data_mb is not None else None,
-        supplied_averages=supplied,
-        frontend_gb=float(doc.get("frontend_gb", models.DEFAULT_FRONTEND_GB)),
-        transactions=transactions,
-        base_dir=Path(base_dir),
-    )
-    for label, relative in scenario.job_log_paths.items():
+    values = _values(Scenario, doc, "")
+    system = values["system"]
+    for dotted, owner in _ONE_SYSTEM.items():
+        if owner is not system and _gives(doc, dotted):
+            raise ConfigError(f"{dotted} applies only to {owner.value} scenarios")
+    labels = _JOB_LOGS[system]
+    _check_keys(values["job_logs"], "job_logs", labels, labels)
+    if "supplied_averages" in values:
+        _check_keys(values["supplied_averages"], "supplied_averages", _AVERAGES[system])
+    pricing = doc.get("pricing")
+    rates = _PRICING[system]
+    values["pricing"] = rates(**_values(rates, {} if pricing is None else pricing, "pricing"))
+    scenario = Scenario(**values, base_dir=Path(base_dir))
+    for label, relative in scenario.job_logs.items():
         if not (scenario.base_dir / relative).is_file():
             raise ConfigError(f"job log {label!r} not found: {scenario.resolve(relative)}")
-    if not (scenario.base_dir / scenario.restore_samples_path).is_file():
-        raise ConfigError(
-            f"restore samples not found: {scenario.resolve(scenario.restore_samples_path)}"
-        )
+    if not (scenario.base_dir / scenario.restore_samples).is_file():
+        missing = scenario.resolve(scenario.restore_samples)
+        raise ConfigError(f"restore samples not found: {missing}")
     return scenario
 
 
@@ -283,37 +289,30 @@ def load_scenario(path: Path | str) -> Scenario:
     return parse_scenario(_read_text(path), base_dir=path.parent)
 
 
-def _clean(value):
-    """Drop None entries so rendered documents stay minimal."""
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items() if v is not None}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
+def _plain(value):
+    """``value`` as YAML-ready data: records as mappings without their null fields."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _plain(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.compare and getattr(value, f.name) is not None
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
     return value
 
 
 def render_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario to canonical YAML (keys in document order)."""
-    doc: dict = {
-        "name": scenario.name,
-        "system": scenario.system.value,
-        "job_logs": dict(scenario.job_log_paths),
-        "restore_samples": scenario.restore_samples_path,
-        "test_data_mb": scenario.test_data_mb,
-        "pricing": dataclasses.asdict(scenario.pricing),
-        "bia": dataclasses.asdict(scenario.bia),
-        "reliability": {
-            "mission_h": scenario.reliability.mission_h,
-            "components": [dataclasses.asdict(c) for c in scenario.reliability.components],
-        },
-    }
-    if scenario.supplied_averages:
-        doc["supplied_averages"] = dict(scenario.supplied_averages)
-    if scenario.system is SystemKind.HYBRID:
-        doc["transactions"] = dataclasses.asdict(scenario.transactions)
-    else:
-        doc["frontend_gb"] = scenario.frontend_gb
-    return yaml.safe_dump(_clean(doc), sort_keys=False)
+    """Serialize a scenario to canonical YAML, without the other system's fields."""
+    doc = _plain(scenario)
+    for name, owner in _ONE_SYSTEM.items():
+        if owner is not scenario.system:
+            doc.pop(name, None)
+    return yaml.safe_dump(doc, sort_keys=False)
 
 
 def _read_text(path: Path) -> str:
@@ -364,12 +363,12 @@ class Evaluation:
     def job_logs(self) -> dict[str, tuple[JobSample, ...]]:
         return {
             label: _read(self.scenario.base_dir / relative, parse_job_log)
-            for label, relative in self.scenario.job_log_paths.items()
+            for label, relative in self.scenario.job_logs.items()
         }
 
     @cached_property
     def restore_samples(self) -> tuple[RestoreSample, ...]:
-        path = self.scenario.base_dir / self.scenario.restore_samples_path
+        path = self.scenario.base_dir / self.scenario.restore_samples
         return _read(path, parse_restore_samples)
 
     @cached_property

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -197,6 +200,109 @@ def test_cost_rejects_non_positive_volume_flag(scenario, volume, capsys):
 def test_cost_rejects_non_positive_scenario_volume(volume, tmp_path, capsys):
     assert main(["cost", _hybrid_with_volume(tmp_path, volume)]) == 1
     assert capsys.readouterr().err == f"error: test_data_mb must be > 0, got {float(volume)}\n"
+
+
+def _scenario_copy(tmp_path, system: str) -> Path:
+    """A copy of a bundled reference scenario (``hybrid`` or ``cloud``) and its input files."""
+    if system == "hybrid":
+        return _hybrid_copy(tmp_path)
+    for name in ("cloud_reference.yaml", "cloud_job1.csv", "cloud_job2.csv", "cloud_restore.csv"):
+        shutil.copy(data_path(name), tmp_path / name)
+    return tmp_path / "cloud_reference.yaml"
+
+
+def _set(doc: dict, dotted: str, value) -> None:
+    """Set the value at a path such as ``reliability.components[0].mtbf_h``."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", dotted)]
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+# (system, command, field path, YAML value, the error after "error: <field path> ")
+MALFORMED_FIELDS = [
+    ("hybrid", "project", "test_data_mb", "abc", "must be a number, got 'abc'"),
+    ("cloud", "bia-check", "bia.rto_target_h", "five", "must be a number, got 'five'"),
+    ("hybrid", "reliability", "reliability.components[0].mtbf_h", "lots",
+     "must be a number, got 'lots'"),
+    ("hybrid", "cost", "transactions.ingress_egress_ops", "many",
+     "must be an integer, got 'many'"),
+    ("hybrid", "simulate", "bia.cloud_tiering_threshold_days", "2.5",
+     "must be an integer, got 2.5"),
+    ("cloud", "cost", "pricing.instance_fee_tiers", "5", "must be a list, got 5"),
+    ("hybrid", "cost", "pricing.per_gb_month", ".nan", "must be finite, got nan"),
+    ("cloud", "cost", "pricing.block_gb", "true", "must be a number, got True"),
+    ("hybrid", "cost", "transactions.listing_ops", "1.5", "must be an integer, got 1.5"),
+    ("hybrid", "compare", "name", "[a, b]", "must be a string, got ['a', 'b']"),
+    ("cloud", "cost", "frontend_gb", "big", "must be a number, got 'big'"),
+    ("hybrid", "reliability", "reliability.mission_h", "long", "must be a number, got 'long'"),
+    ("cloud", "reliability", "reliability.mission_h", ".inf", "must be finite, got inf"),
+    ("cloud", "project", "supplied_averages.AvgJob1Throughput", "fast",
+     "must be a number, got 'fast'"),
+    ("cloud", "project", "supplied_averages.AvgJob1Throughput", ".nan", "must be finite, got nan"),
+    ("hybrid", "project", "test_data_mb", "true", "must be a number, got True"),
+    ("hybrid", "bia-check", "bia.rto_target_h", ".nan", "must be finite, got nan"),
+    ("hybrid", "bia-check", "bia.wrt_h", ".nan", "must be finite, got nan"),
+    ("cloud", "bia-check", "bia.max_data_loss_mb", ".inf", "must be finite, got inf"),
+    ("hybrid", "bia-check", "bia.backup_retention_days", "2.5", "must be an integer, got 2.5"),
+    ("cloud", "bia-check", "bia.backup_frequency_days", ".inf", "must be finite, got inf"),
+    ("hybrid", "reliability", "reliability.components[1].mtbf_h", ".inf",
+     "must be finite, got inf"),
+    ("cloud", "reliability", "reliability.components[2].sla_period_h", ".inf",
+     "must be finite, got inf"),
+    ("hybrid", "bia-check", "bia.agent", "[x]", "must be a string, got ['x']"),
+    ("cloud", "bia-check", "bia.recovery_points_scheme", "{a: 1}",
+     "must be a string, got {'a': 1}"),
+    ("hybrid", "simulate", "job_logs.backup", "[a]", "must be a string, got ['a']"),
+    ("cloud", "simulate", "restore_samples", "5", "must be a string, got 5"),
+    ("hybrid", "simulate", "job_logs.backup", '"a\\nb.csv"',
+     "must be one line of printable text, got 'a\\nb.csv'"),
+]
+
+
+@pytest.mark.parametrize(
+    "system, command, dotted, value, message",
+    MALFORMED_FIELDS,
+    ids=[f"{system}-{dotted}={value}" for system, _, dotted, value, _ in MALFORMED_FIELDS],
+)
+def test_malformed_field_is_one_error_line_naming_it(
+    system, command, dotted, value, message, tmp_path, capsys
+):
+    scenario = _scenario_copy(tmp_path, system)
+    doc = yaml.safe_load(scenario.read_text())
+    _set(doc, dotted, yaml.safe_load(value))
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    argv = [command, str(scenario)] + ([HYBRID] if command == "compare" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {dotted} {message}\n")
+
+
+def test_int_and_float_spellings_give_one_model(tmp_path, capsys):
+    # A float field holds a float, so 500 and 500.0 are one configuration and one digest.
+    scenario = _scenario_copy(tmp_path, "cloud")
+    text = scenario.read_text()
+    assert main(["simulate", str(scenario)]) == 0
+    as_written = capsys.readouterr()
+    scenario.write_text(text.replace("block_gb: 500", "block_gb: 500.0"))
+    assert main(["simulate", str(scenario)]) == 0
+    assert capsys.readouterr() == as_written
+
+
+def test_closed_stdout_exits_1_quietly():
+    """A reader that has gone: exit 1, nothing on stderr, buffered or not."""
+    src = str(Path(cli.__file__).parents[1])
+    for unbuffered in ("1", ""):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "drperf.cli", "compare", HYBRID, CLOUD],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
 
 
 # (command line, job-log files, restore-sample files); OUT is the plot's output path.
