@@ -30,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; let ``--help`` and ``--version`` on
+        # stdout fail as a command's output does, so a gone reader exits 1.
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _cmd_simulate(args) -> int:
     model = Evaluation(load_scenario(args.scenario)).basic_model
@@ -173,8 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # --help and --version print, then exit
+            raise
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code

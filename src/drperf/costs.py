@@ -67,8 +67,12 @@ class VaultRates:
         if self.block_gb <= 0 or self.block_fee < 0:
             raise DomainError("block_gb must be > 0 and block_fee >= 0")
         # The fee just past the last flat tier must not drop below that tier.
-        past_last = math.ceil(math.nextafter(bounds[-1], math.inf) / self.block_gb)
-        if past_last * self.block_fee < fees[-1]:
+        past_last = math.nextafter(bounds[-1], math.inf) / self.block_gb
+        if not math.isfinite(past_last):
+            raise DomainError(
+                f"block_gb {self.block_gb} is too small for the last tier bound {bounds[-1]}"
+            )
+        if math.ceil(past_last) * self.block_fee < fees[-1]:
             raise DomainError("block fees drop below the last flat tier fee")
 
 
@@ -117,7 +121,10 @@ def vault_instance_fee(frontend_gb: float, rates: VaultRates | None = None) -> f
     for tier in rates.instance_fee_tiers:
         if frontend_gb <= tier.upper_gb:
             return tier.fee
-    return math.ceil(frontend_gb / rates.block_gb) * rates.block_fee
+    blocks = frontend_gb / rates.block_gb
+    if not math.isfinite(blocks):
+        raise DomainError(f"frontend_gb {frontend_gb} is too large for blocks of {rates.block_gb} GB")
+    return math.ceil(blocks) * rates.block_fee
 
 
 def cloud_vault_cost(

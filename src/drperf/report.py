@@ -11,14 +11,17 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .bia import ComplianceReport
-from .costs import CostBreakdown
-from .engine import Model, RunResult
 from .errors import ConfigError
 from .metrics import Projection, Rate, RateKind, RateRole, seconds_to_hours
-from .reliability import SeriesSystem
-from .scenario import Evaluation, Scenario
+
+if TYPE_CHECKING:
+    from .bia import ComplianceReport
+    from .costs import CostBreakdown
+    from .engine import Model, RunResult
+    from .reliability import SeriesSystem
+    from .scenario import Scenario
 
 
 def fmt_num(value: float) -> str:
@@ -164,6 +167,8 @@ class ComparisonReport:
 
 def compile_column(scenario: Scenario, test_data_mb: float | None = None) -> SystemColumn:
     """Evaluate one scenario into a comparison column."""
+    from .scenario import Evaluation  # here, so importing report does not load YAML
+
     evaluation = Evaluation(scenario, test_data_mb)
     volume = evaluation.test_data_mb
     return SystemColumn(

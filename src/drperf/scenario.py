@@ -29,7 +29,7 @@ from . import costs, models
 from .bia import BiaTargets, ComplianceReport, MeasuredMetrics, evaluate
 from .costs import CostBreakdown, ObjectStoreRates, VaultRates
 from .engine import Model
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DomainError, ParseError
 from .joblog import parse_job_log, parse_restore_samples
 from .metrics import JobSample, Projection, Rate, RestoreSample, mb_to_gb, project
 from .reliability import SeriesSystem, default_recovery_chain
@@ -198,7 +198,7 @@ def _converter(tp) -> Converter | None:
 
         return convert_enum
     if dataclasses.is_dataclass(tp):
-        return lambda value, path: tp(**_values(tp, value, path))
+        return lambda value, path: _record(tp, value, path)
     raise TypeError(f"no scenario converter for {tp!r}")
 
 
@@ -233,6 +233,22 @@ def _values(cls, node: object, path: str) -> dict:
         if convert is not None and (value is not None or key in required):
             values[key] = convert(value, prefix + key)
     return values
+
+
+def _record(cls, node: object, path: str):
+    """The ``cls`` record read from the mapping ``node``.
+
+    A bound error from the record's ``__post_init__`` is raised again with
+    ``path`` in front: joined by a dot when the message starts with one of
+    the record's fields, by a colon otherwise.
+    """
+    values = _values(cls, node, path)
+    try:
+        return cls(**values)
+    except (ConfigError, DomainError) as exc:
+        message = str(exc)
+        joint = "." if message.partition(" ")[0] in _schema(cls)[0] else ": "
+        raise type(exc)(f"{path}{joint}{message}") from None
 
 
 def _gives(doc: dict, dotted: str) -> bool:
@@ -273,7 +289,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
         _check_keys(values["supplied_averages"], "supplied_averages", _AVERAGES[system])
     pricing = doc.get("pricing")
     rates = _PRICING[system]
-    values["pricing"] = rates(**_values(rates, {} if pricing is None else pricing, "pricing"))
+    values["pricing"] = _record(rates, {} if pricing is None else pricing, "pricing")
     scenario = Scenario(**values, base_dir=Path(base_dir))
     for label, relative in scenario.job_logs.items():
         if not (scenario.base_dir / relative).is_file():

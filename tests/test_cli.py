@@ -257,6 +257,11 @@ MALFORMED_FIELDS = [
     ("cloud", "simulate", "restore_samples", "5", "must be a string, got 5"),
     ("hybrid", "simulate", "job_logs.backup", '"a\\nb.csv"',
      "must be one line of printable text, got 'a\\nb.csv'"),
+    # bounds checked by the record itself
+    ("hybrid", "reliability", "reliability.mission_h", "-1", "must be >= 0, got -1.0"),
+    ("cloud", "bia-check", "bia.backup_frequency_days", "0", "must be > 0, got 0.0"),
+    ("cloud", "cost", "pricing.block_gb", "1.0e-320",
+     "1e-320 is too small for the last tier bound 500.0"),
 ]
 
 
@@ -277,6 +282,19 @@ def test_malformed_field_is_one_error_line_naming_it(
     assert capsys.readouterr() == ("", f"error: {dotted} {message}\n")
 
 
+def test_vault_fee_too_many_blocks_is_one_error_line(tmp_path, capsys):
+    # The walker accepts the finite frontend; only the fee's block count overflows.
+    scenario = _scenario_copy(tmp_path, "cloud")
+    doc = yaml.safe_load(scenario.read_text())
+    doc.update(test_data_mb=None, frontend_gb=1.0e308)
+    doc["pricing"]["block_gb"] = 0.5
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["cost", str(scenario)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: frontend_gb 1e+308 is too large for blocks of 0.5 GB\n"
+    )
+
+
 def test_int_and_float_spellings_give_one_model(tmp_path, capsys):
     # A float field holds a float, so 500 and 500.0 are one configuration and one digest.
     scenario = _scenario_copy(tmp_path, "cloud")
@@ -291,18 +309,19 @@ def test_int_and_float_spellings_give_one_model(tmp_path, capsys):
 def test_closed_stdout_exits_1_quietly():
     """A reader that has gone: exit 1, nothing on stderr, buffered or not."""
     src = str(Path(cli.__file__).parents[1])
-    for unbuffered in ("1", ""):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "drperf.cli", "compare", HYBRID, CLOUD],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
-            )
-        finally:
-            os.close(write_end)
-        assert (done.returncode, done.stderr) == (1, "")
+    for argv in (["compare", HYBRID, CLOUD], ["--help"], ["--version"]):
+        for unbuffered in ("1", ""):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "drperf.cli", *argv],
+                    stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+                )
+            finally:
+                os.close(write_end)
+            assert (done.returncode, done.stderr) == (1, ""), (argv, unbuffered)
 
 
 # (command line, job-log files, restore-sample files); OUT is the plot's output path.

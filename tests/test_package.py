@@ -1,0 +1,51 @@
+"""The package's exports and what importing its modules loads."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import drperf
+
+# What the engine, report and plot modules must not pull in: YAML and the scenario layers.
+NOT_LOADED = ("yaml", "drperf.scenario", "drperf.models", "drperf.joblog")
+
+
+def test_engine_report_and_plot_do_not_load_yaml_or_scenarios():
+    src = str(Path(drperf.__file__).parents[1])
+    code = (
+        "import sys; import drperf.engine, drperf.report, drperf.plot; "
+        f"print(sorted(m for m in {NOT_LOADED!r} if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_every_export_is_its_defining_modules_object():
+    for name in drperf.__all__:
+        if name != "__version__":
+            value = getattr(drperf, name)
+            assert value.__module__.startswith("drperf."), name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace: dict = {}
+    exec("from drperf import *", namespace)
+    assert set(drperf.__all__) <= namespace.keys()
+    assert set(drperf.__all__) <= set(dir(drperf))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        drperf.no_such_name
+    with pytest.raises(ImportError):
+        exec("from drperf import no_such_name", {})

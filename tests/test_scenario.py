@@ -6,7 +6,7 @@ import pytest
 
 from drperf.costs import ObjectStoreRates, VaultRates
 from drperf.engine import run
-from drperf.errors import ConfigError, ParseError
+from drperf.errors import ConfigError, DomainError, ParseError
 from drperf.scenario import (
     Evaluation,
     SystemKind,
@@ -129,6 +129,26 @@ class TestParseScenario:
         text = MINIMAL_HYBRID + "supplied_averages:\n  AvgJob1Throughput: 2.0\n"
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
+
+    @pytest.mark.parametrize(
+        "extra, error, message",
+        [
+            ("transactions:\n  listing_ops: -1\n", ConfigError,
+             "transactions: transaction counts must be >= 0"),
+            ("reliability:\n  components: []\n", DomainError,
+             "reliability: a series system needs at least one component"),
+            ("reliability:\n  components:\n    - name: Disk\n      mtbf_h: -2\n", DomainError,
+             "reliability.components[0]: component 'Disk': mtbf_h must be > 0, got -2.0"),
+        ],
+        ids=["transactions", "no-components", "component"],
+    )
+    def test_record_bound_error_names_the_record_path(
+        self, hybrid_scenario, extra, error, message
+    ):
+        # a message that does not start with a field name gets the path and a colon
+        with pytest.raises(error) as excinfo:
+            parse_scenario(MINIMAL_HYBRID + extra, base_dir=self.base_dir(hybrid_scenario))
+        assert str(excinfo.value) == message
 
 
 class TestEvaluationHelpers:
