@@ -65,7 +65,7 @@ _EXPORTS = {
         "summarize_throughput",
         "throughput",
     ),
-    "models": ("build_cloud_basic", "build_hybrid_basic", "extend_with_test_data"),
+    "models": ("SystemKind", "build_cloud_basic", "build_hybrid_basic", "extend_with_test_data"),
     "plot": ("emit_plot",),
     "reliability": (
         "ReliabilityComponent",
@@ -74,7 +74,7 @@ _EXPORTS = {
         "series_reliability",
         "sla_to_mtbf",
     ),
-    "scenario": ("Scenario", "SystemKind", "load_scenario", "parse_scenario", "render_scenario"),
+    "scenario": ("Scenario", "load_scenario", "parse_scenario", "render_scenario"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

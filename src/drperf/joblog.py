@@ -4,7 +4,7 @@ Job logs are CSV with header ``day,data_mb,duration_s`` (or
 ``duration_min``, converted to seconds at parse time).  Restore samples
 use ``tier,data_mb,duration_s`` with one row per sampled restore.  Both
 formats round-trip: ``parse(render(samples)) == samples``.  Numeric cells
-must be finite.
+must be finite, and so must a duration once converted to seconds.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ def parse_job_log(text: str) -> tuple[JobSample, ...]:
             raise ParseError(f"day must be an integer, got {cells[0]!r}", line=lineno)
         data_mb = _number(cells[1], "data_mb", lineno)
         duration = _number(cells[2], header[2], lineno) * scale
+        if not math.isfinite(duration):  # minutes too many to hold in seconds
+            raise ParseError(f"{header[2]} value {cells[2]!r} overflows in seconds", line=lineno)
         try:
             sample = JobSample(day=int(day_f), data_mb=data_mb, duration_s=duration)
         except DomainError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Mapping, Sequence
+from enum import Enum
 
 from . import costs, metrics
 from .costs import CostBreakdown, ObjectStoreRates, VaultRates
@@ -31,12 +32,57 @@ DEFAULT_TIERING_THRESHOLD_DAYS = 14
 # cost requires the lowest fee tier, hence this documented default.
 DEFAULT_FRONTEND_GB = 50.0
 
-HYBRID_AVERAGE_NAMES = frozenset(
-    {"MeanDailyThroughput", "RestoreTimePerMbLocal", "RestoreTimePerMbArchive"}
-)
-CLOUD_AVERAGE_NAMES = frozenset(
-    {"AvgJob1Throughput", "AvgJob2Throughput", "RecoveryThroughput"}
-)
+
+class SystemKind(str, Enum):
+    HYBRID = "hybrid"
+    CLOUD_VAULT = "cloud-vault"
+
+
+# Each system's projection rates: the rate's label, the model average it
+# reads (a constant of the basic model, which a scenario may supply
+# instead), its kind and role, and the what-if converter of the extended
+# model that holds its projected time.
+_RATES = {
+    SystemKind.HYBRID: (
+        ("Backup", "MeanDailyThroughput", RateKind.THROUGHPUT, RateRole.BACKUP,
+         "BackupTimeTestData"),
+        ("Local", "RestoreTimePerMbLocal", RateKind.SECONDS_PER_MB, RateRole.RESTORE,
+         "RestoreTimeLocalTestData"),
+        ("Archive", "RestoreTimePerMbArchive", RateKind.SECONDS_PER_MB, RateRole.RESTORE,
+         "RestoreTimeArchiveTestData"),
+    ),
+    SystemKind.CLOUD_VAULT: (
+        ("Job1", "AvgJob1Throughput", RateKind.THROUGHPUT, RateRole.BACKUP,
+         "BackupTimeJob1TestData"),
+        ("Job2", "AvgJob2Throughput", RateKind.THROUGHPUT, RateRole.BACKUP,
+         "BackupTimeJob2TestData"),
+        ("Vault", "RecoveryThroughput", RateKind.THROUGHPUT, RateRole.RESTORE,
+         "RecoveryTimeTestData"),
+    ),
+}
+
+
+def check_supplied_averages(system: SystemKind, averages: Mapping[str, float]) -> None:
+    """Reject averages that a ``system`` model does not have, and values not > 0."""
+    names = [average for _, average, _, _, _ in _RATES[system]]
+    unknown = averages.keys() - set(names)
+    if unknown:
+        raise ConfigError(
+            f"supplied_averages: unknown keys {sorted(unknown, key=str)}; "
+            f"a {system.value} model has {names}"
+        )
+    for name, value in averages.items():
+        if not value > 0:
+            raise ConfigError(f"supplied_averages.{name} must be > 0, got {value}")
+
+
+def _system_of(model: Model) -> SystemKind:
+    try:
+        return SystemKind(model.meta.get("system"))
+    except ValueError:
+        raise ConfigError(
+            f"model {model.name!r} is of unknown system {model.meta.get('system')!r}"
+        ) from None
 
 
 def _constant(name: str, value: float, unit: str) -> ModelComponent:
@@ -45,6 +91,14 @@ def _constant(name: str, value: float, unit: str) -> ModelComponent:
         kind=Kind.CONVERTER,
         unit=unit,
         expression=lambda v, _value=float(value): _value,
+    )
+
+
+def _averages(system: SystemKind, averages: Mapping[str, float]) -> tuple[ModelComponent, ...]:
+    """The constants holding a system's averages, in the units of their rate kinds."""
+    return tuple(
+        _constant(average, averages[average], kind.value)
+        for _, average, kind, _, _ in _RATES[system]
     )
 
 
@@ -155,9 +209,7 @@ def build_hybrid_basic(
         ModelComponent("RestoreDurationLocal", Kind.CONVERTER, unit="s"),
         ModelComponent("RestoreDataArchive", Kind.CONVERTER, unit="MB"),
         ModelComponent("RestoreDurationArchive", Kind.CONVERTER, unit="s"),
-        _constant("MeanDailyThroughput", averages["MeanDailyThroughput"], "MB/s"),
-        _constant("RestoreTimePerMbLocal", averages["RestoreTimePerMbLocal"], "s/MB"),
-        _constant("RestoreTimePerMbArchive", averages["RestoreTimePerMbArchive"], "s/MB"),
+        *_averages(SystemKind.HYBRID, averages),
         _constant("MonthlyServiceCost", monthly_cost, "USD/month"),
     )
     exogenous = {
@@ -170,7 +222,7 @@ def build_hybrid_basic(
         "RestoreDurationArchive": _event_series(horizon, horizon, archive.duration_s),
     }
     meta = {
-        "system": "hybrid",
+        "system": SystemKind.HYBRID.value,
         "extended": False,
         "tiering_threshold_days": tiering_threshold_days,
         "pricing": dataclasses.asdict(rates),
@@ -243,9 +295,7 @@ def build_cloud_basic(
         ModelComponent("RecoveryVault", Kind.STOCK, unit="MB", inflows=("DailyTransfer",)),
         ModelComponent("RestoreData", Kind.CONVERTER, unit="MB"),
         ModelComponent("RestoreDuration", Kind.CONVERTER, unit="s"),
-        _constant("AvgJob1Throughput", averages["AvgJob1Throughput"], "MB/s"),
-        _constant("AvgJob2Throughput", averages["AvgJob2Throughput"], "MB/s"),
-        _constant("RecoveryThroughput", averages["RecoveryThroughput"], "MB/s"),
+        *_averages(SystemKind.CLOUD_VAULT, averages),
         _constant("MonthlyServiceCost", monthly_cost, "USD/month"),
     )
     pad = (0.0,) * (horizon - CLOUD_BACKUP_DAYS)
@@ -258,7 +308,7 @@ def build_cloud_basic(
         "RestoreDuration": _event_series(horizon, horizon, restore_sample.duration_s),
     }
     meta = {
-        "system": "cloud-vault",
+        "system": SystemKind.CLOUD_VAULT.value,
         "extended": False,
         "frontend_gb": frontend_gb,
         "pricing": dataclasses.asdict(rates),
@@ -275,21 +325,6 @@ def build_cloud_basic(
     )
 
 
-# The what-if converters of each system and the projection label each holds.
-_EXTENSION_TIMES = {
-    "hybrid": (
-        ("BackupTimeTestData", "Backup"),
-        ("RestoreTimeLocalTestData", "Local"),
-        ("RestoreTimeArchiveTestData", "Archive"),
-    ),
-    "cloud-vault": (
-        ("BackupTimeJob1TestData", "Job1"),
-        ("BackupTimeJob2TestData", "Job2"),
-        ("RecoveryTimeTestData", "Vault"),
-    ),
-}
-
-
 def extend_with_test_data(model: Model, projection: Projection, cost: CostBreakdown) -> Model:
     """Add what-if converters for a test data volume to a basic model.
 
@@ -297,18 +332,18 @@ def extend_with_test_data(model: Model, projection: Projection, cost: CostBreakd
     monthly cost of protecting the volume, exactly as given.  Every
     original component keeps its exact trajectory.
     """
-    system = model.meta.get("system")
-    if system not in _EXTENSION_TIMES:
-        raise ConfigError(f"cannot extend model {model.name!r}: unknown system {system!r}")
+    system = _system_of(model)
     if model.meta.get("extended"):
         raise ConfigError(f"model {model.name!r} is already extended")
     times = {**projection.backup_times_s, **projection.restore_times_s}
-    missing = [label for _, label in _EXTENSION_TIMES[system] if label not in times]
+    missing = [label for label, *_ in _RATES[system] if label not in times]
     if missing:
-        raise ConfigError(f"projection for {system} model {model.name!r} lacks times {missing}")
+        raise ConfigError(
+            f"projection for {system.value} model {model.name!r} lacks times {missing}"
+        )
     extra = (
         (_constant("TestData", projection.test_data_mb, "MB"),)
-        + tuple(_constant(name, times[label], "s") for name, label in _EXTENSION_TIMES[system])
+        + tuple(_constant(what_if, times[label], "s") for label, *_, what_if in _RATES[system])
         + (_constant("TotalServiceCostTestData", cost.total, "USD/month"),)
     )
     meta = dict(model.meta)
@@ -326,34 +361,12 @@ def projection_rates(
     model: Model, supplied_averages: Mapping[str, float] | None = None
 ) -> tuple[Rate, ...]:
     """The model's average rates, overridden by ``supplied_averages``, as projection inputs."""
-    system = model.meta.get("system")
-    if system == "hybrid":
-        allowed = HYBRID_AVERAGE_NAMES
-        entries = (
-            ("Backup", "MeanDailyThroughput", RateKind.THROUGHPUT, RateRole.BACKUP),
-            ("Local", "RestoreTimePerMbLocal", RateKind.SECONDS_PER_MB, RateRole.RESTORE),
-            ("Archive", "RestoreTimePerMbArchive", RateKind.SECONDS_PER_MB, RateRole.RESTORE),
-        )
-    elif system == "cloud-vault":
-        allowed = CLOUD_AVERAGE_NAMES
-        entries = (
-            ("Job1", "AvgJob1Throughput", RateKind.THROUGHPUT, RateRole.BACKUP),
-            ("Job2", "AvgJob2Throughput", RateKind.THROUGHPUT, RateRole.BACKUP),
-            ("Vault", "RecoveryThroughput", RateKind.THROUGHPUT, RateRole.RESTORE),
-        )
-    else:
-        raise ConfigError(f"model {model.name!r} has no projection rates")
-    supplied_averages = supplied_averages or {}
-    averages = dict(model.meta["averages"])
-    for name, value in supplied_averages.items():
-        if name not in allowed:
-            raise ConfigError(
-                f"unknown supplied average {name!r}; expected one of {sorted(allowed)}"
-            )
-        if value <= 0:
-            raise ConfigError(f"supplied average {name!r} must be > 0, got {value}")
-        averages[name] = float(value)
+    system = _system_of(model)
+    supplied = supplied_averages or {}
+    check_supplied_averages(system, supplied)
+    averages = model.meta["averages"]
     return tuple(
-        Rate(label, averages[key], kind, role, supplied=key in supplied_averages)
-        for label, key, kind, role in entries
+        Rate(label, float(supplied.get(average, averages[average])), kind, role,
+             supplied=average in supplied)
+        for label, average, kind, role, _ in _RATES[system]
     )

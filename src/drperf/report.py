@@ -223,53 +223,38 @@ def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str
                     seen.append(r.label)
         return seen
 
-    for label in rate_labels(RateRole.BACKUP):
-        row(
-            f"backup throughput {label} (MB/s)",
-            {
-                c.scenario_name: fmt_num(r.value)
-                for c in columns
-                for r in c.rates
-                if r.role is RateRole.BACKUP and r.label == label
-            },
-        )
-    for label in rate_labels(RateRole.RESTORE):
-        row(
-            f"restore time per MB {label} (s/MB)",
-            {
-                c.scenario_name: fmt_num(_restore_per_mb(r))
-                for c in columns
-                for r in c.rates
-                if r.role is RateRole.RESTORE and r.label == label
-            },
-        )
+    def rate_rows(title, value, among=columns) -> None:
+        """One row per rate label, backup rates first; ``value(column, rate)`` fills a cell."""
+        for role in RateRole:
+            for label in rate_labels(role):
+                row(
+                    title(role, label),
+                    {
+                        c.scenario_name: fmt_num(value(c, r))
+                        for c in among
+                        for r in c.rates
+                        if r.role is role and r.label == label
+                    },
+                )
 
-    def projection_labels(pick) -> list[str]:
-        seen: list[str] = []
-        for c in columns:
-            if c.projection is not None:
-                for label in pick(c.projection):
-                    if label not in seen:
-                        seen.append(label)
-        return seen
-
-    for label in projection_labels(lambda p: p.backup_times_s):
-        row(
-            f"projected backup time {label} (h)",
-            {
-                c.scenario_name: fmt_num(seconds_to_hours(c.projection.backup_times_s[label]))
-                for c in columns
-                if c.projection is not None and label in c.projection.backup_times_s
-            },
-        )
-    for label in projection_labels(lambda p: p.restore_times_s):
-        row(
-            f"projected restore time {label} (h)",
-            {
-                c.scenario_name: fmt_num(seconds_to_hours(c.projection.restore_times_s[label]))
-                for c in columns
-                if c.projection is not None and label in c.projection.restore_times_s
-            },
+    rate_rows(
+        lambda role, label: (
+            f"backup throughput {label} (MB/s)"
+            if role is RateRole.BACKUP
+            else f"restore time per MB {label} (s/MB)"
+        ),
+        lambda c, r: r.value if r.role is RateRole.BACKUP else _restore_per_mb(r),
+    )
+    # A projection holds one time per rate, under the rate's own label and role.
+    projected = [c for c in columns if c.projection is not None]
+    if projected:
+        rate_rows(
+            lambda role, label: f"projected {role.value} time {label} (h)",
+            lambda c, r: seconds_to_hours(
+                (c.projection.backup_times_s if r.role is RateRole.BACKUP
+                 else c.projection.restore_times_s)[r.label]
+            ),
+            projected,
         )
 
     row("monthly cost (USD)", {c.scenario_name: fmt_num(c.cost.total) for c in columns})

@@ -32,12 +32,8 @@ from .engine import Model
 from .errors import ConfigError, DomainError, ParseError
 from .joblog import parse_job_log, parse_restore_samples
 from .metrics import JobSample, Projection, Rate, RestoreSample, mb_to_gb, project
+from .models import SystemKind
 from .reliability import SeriesSystem, default_recovery_chain
-
-
-class SystemKind(str, Enum):
-    HYBRID = "hybrid"
-    CLOUD_VAULT = "cloud-vault"
 
 
 @dataclass(frozen=True)
@@ -89,16 +85,12 @@ class Scenario:
         return (self.base_dir / relative).resolve()
 
 
-# What depends on the system: the pricing class, the job-log labels, the
-# supplied-average names, and the fields that only one system reads.
+# What depends on the system besides its rates (``models``): the pricing
+# class, the job-log labels, and the fields that only one system reads.
 _PRICING = {SystemKind.HYBRID: ObjectStoreRates, SystemKind.CLOUD_VAULT: VaultRates}
 _JOB_LOGS = {
     SystemKind.HYBRID: frozenset({"backup"}),
     SystemKind.CLOUD_VAULT: frozenset({"job1", "job2"}),
-}
-_AVERAGES = {
-    SystemKind.HYBRID: models.HYBRID_AVERAGE_NAMES,
-    SystemKind.CLOUD_VAULT: models.CLOUD_AVERAGE_NAMES,
 }
 _ONE_SYSTEM = {
     "frontend_gb": SystemKind.CLOUD_VAULT,
@@ -286,7 +278,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
     labels = _JOB_LOGS[system]
     _check_keys(values["job_logs"], "job_logs", labels, labels)
     if "supplied_averages" in values:
-        _check_keys(values["supplied_averages"], "supplied_averages", _AVERAGES[system])
+        models.check_supplied_averages(system, values["supplied_averages"])
     pricing = doc.get("pricing")
     rates = _PRICING[system]
     values["pricing"] = _record(rates, {} if pricing is None else pricing, "pricing")

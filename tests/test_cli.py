@@ -28,6 +28,13 @@ def test_simulate(capsys):
     assert "54.2224" in out
 
 
+@pytest.mark.parametrize("system, scenario", [("hybrid", HYBRID), ("cloud", CLOUD)])
+def test_simulate_golden(system, scenario, golden, capsys):
+    # pins each bundled model's digest and every component's final value
+    assert main(["simulate", scenario]) == 0
+    golden(f"simulate_{system}.txt", capsys.readouterr().out)
+
+
 def test_project(capsys):
     assert main(["project", HYBRID]) == 0
     out = capsys.readouterr().out
@@ -262,6 +269,11 @@ MALFORMED_FIELDS = [
     ("cloud", "bia-check", "bia.backup_frequency_days", "0", "must be > 0, got 0.0"),
     ("cloud", "cost", "pricing.block_gb", "1.0e-320",
      "1e-320 is too small for the last tier bound 500.0"),
+    # supplied averages are checked where the scenario is parsed, for every command
+    ("cloud", "simulate", "supplied_averages.AvgJob1Throughput", "-1", "must be > 0, got -1.0"),
+    ("cloud", "reliability", "supplied_averages.AvgJob1Throughput", "-1.0",
+     "must be > 0, got -1.0"),
+    ("cloud", "cost", "supplied_averages.RecoveryThroughput", "0", "must be > 0, got 0.0"),
 ]
 
 
@@ -391,6 +403,18 @@ def test_non_utf8_input_is_one_error_line(command, name, old, line, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {name}: line {line}: not UTF-8 text (byte 0xe9)\n"
+
+
+def test_job_log_duration_overflowing_in_seconds_is_one_error_line(tmp_path, capsys):
+    scenario = _hybrid_copy(tmp_path)
+    log = tmp_path / "hybrid_backup.csv"
+    text = log.read_text()
+    assert text.count("2,25712,10.633") == 1
+    log.write_text(text.replace("2,25712,10.633", "2,25712,1e307"))
+    assert main(["project", str(scenario)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: hybrid_backup.csv: line 3: duration_min value '1e307' overflows in seconds\n"
+    )
 
 
 def test_relative_and_dotted_scenario_paths_read_the_same_files(monkeypatch, capsys):

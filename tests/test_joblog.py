@@ -71,6 +71,12 @@ class TestParseJobLog:
             parse_job_log(f"day,data_mb,duration_s\n{row}\n")
         assert excinfo.value.line == 2
 
+    def test_minutes_that_overflow_in_seconds_rejected(self):
+        text = "day,data_mb,duration_min\n1,10,8.75\n2,10,1e307\n"
+        with pytest.raises(ParseError, match="duration_min value '1e307' overflows") as excinfo:
+            parse_job_log(text)
+        assert excinfo.value.line == 3
+
 
 finite_mb = st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False)
 finite_duration = st.floats(0.001, 1e9, allow_nan=False, allow_infinity=False)

@@ -15,6 +15,8 @@ from drperf.metrics import (
     project,
 )
 from drperf.models import (
+    _RATES,
+    SystemKind,
     build_cloud_basic,
     build_hybrid_basic,
     extend_with_test_data,
@@ -204,12 +206,29 @@ class TestProjectionRates:
 
     def test_bad_supplied_averages_rejected(self, hybrid_log, hybrid_restores):
         basic = build_hybrid_basic(hybrid_log, hybrid_restores)
-        with pytest.raises(ConfigError, match="unknown supplied average"):
+        with pytest.raises(ConfigError, match=r"supplied_averages: unknown keys \['NoSuchAverage'\]"):
             projection_rates(basic, {"NoSuchAverage": 1.0})
-        with pytest.raises(ConfigError, match="must be > 0"):
+        with pytest.raises(ConfigError, match="MeanDailyThroughput must be > 0"):
             projection_rates(basic, {"MeanDailyThroughput": 0.0})
-        with pytest.raises(ConfigError, match="must be > 0"):
+        with pytest.raises(ConfigError, match="RestoreTimePerMbLocal must be > 0"):
             projection_rates(basic, {"RestoreTimePerMbLocal": -1.0})
+
+    def test_rate_table_names_model_components(
+        self, hybrid_log, hybrid_restores, cloud_logs, cloud_restore
+    ):
+        basics = {
+            SystemKind.HYBRID: build_hybrid_basic(hybrid_log, hybrid_restores),
+            SystemKind.CLOUD_VAULT: build_cloud_basic(*cloud_logs, cloud_restore),
+        }
+        assert basics.keys() == _RATES.keys()
+        for system, basic in basics.items():
+            assert basic.meta["system"] == system.value
+            components = {c.name: c for c in basic.components}
+            extended = {c.name for c in extend(basic, 1000).components}
+            for _, average, kind, _, what_if in _RATES[system]:
+                assert components[average].unit == kind.value
+                assert average in basic.meta["averages"]
+                assert what_if in extended and what_if not in components
 
 
 class TestRandomLogProperties:

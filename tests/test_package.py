@@ -37,6 +37,12 @@ def test_every_export_is_its_defining_modules_object():
             assert getattr(sys.modules[value.__module__], name) is value, name
 
 
+def test_system_kind_is_one_object_under_every_name():
+    from drperf import models, scenario
+
+    assert drperf.SystemKind is models.SystemKind is scenario.SystemKind
+
+
 def test_star_import_and_dir_list_every_export():
     namespace: dict = {}
     exec("from drperf import *", namespace)
