@@ -44,12 +44,7 @@ _EXPORTS = {
     ),
     "engine": ("Kind", "Model", "ModelComponent", "RunResult", "run"),
     "errors": ("ConfigError", "DomainError", "ModelError", "ParseError", "ToolkitError"),
-    "joblog": (
-        "parse_job_log",
-        "parse_restore_samples",
-        "render_job_log",
-        "render_restore_samples",
-    ),
+    "joblog": ("parse_job_log", "parse_restore_samples"),
     "metrics": (
         "JobSample",
         "Projection",

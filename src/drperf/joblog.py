@@ -2,16 +2,15 @@
 
 Job logs are CSV with header ``day,data_mb,duration_s`` (or
 ``duration_min``, converted to seconds at parse time).  Restore samples
-use ``tier,data_mb,duration_s`` with one row per sampled restore.  Both
-formats round-trip: ``parse(render(samples)) == samples``.  Numeric cells
-must be finite, and so must a duration once converted to seconds.
+use ``tier,data_mb,duration_s`` with one row per sampled restore.
+Numeric cells must be finite, and so must a duration once converted to
+seconds.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
 
 from .errors import DomainError, ParseError
 from .metrics import JobSample, RestoreSample, Tier
@@ -85,14 +84,6 @@ def parse_job_log(text: str) -> tuple[JobSample, ...]:
     return tuple(samples)
 
 
-def render_job_log(samples: Sequence[JobSample]) -> str:
-    """Serialize a job log to canonical CSV (durations in seconds)."""
-    lines = [",".join(JOB_HEADER)]
-    for s in samples:
-        lines.append(f"{s.day},{s.data_mb!r},{s.duration_s!r}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_restore_samples(text: str) -> tuple[RestoreSample, ...]:
     """Parse sampled restores; the tier column must name a known tier."""
     rows = _rows(text)
@@ -119,11 +110,3 @@ def parse_restore_samples(text: str) -> tuple[RestoreSample, ...]:
     if not samples:
         raise ParseError("no samples")
     return tuple(samples)
-
-
-def render_restore_samples(samples: Sequence[RestoreSample]) -> str:
-    """Serialize restore samples to canonical CSV."""
-    lines = [",".join(RESTORE_HEADER)]
-    for s in samples:
-        lines.append(f"{s.source_tier.value},{s.data_mb!r},{s.duration_s!r}")
-    return "\n".join(lines) + "\n"

@@ -162,7 +162,7 @@ class Projection:
 
 
 def project(test_data_mb: float, rates: Iterable[Rate]) -> Projection:
-    """Project backup/restore times for ``test_data_mb`` from average rates."""
+    """Project backup/restore times for ``test_data_mb`` from average rates; each must be finite."""
     if test_data_mb <= 0:
         raise DomainError(f"test_data_mb must be > 0, got {test_data_mb}")
     basis = tuple(rates)
@@ -176,5 +176,11 @@ def project(test_data_mb: float, rates: Iterable[Rate]) -> Projection:
         bucket = backup if rate.role is RateRole.BACKUP else restore
         if rate.label in bucket:
             raise DomainError(f"duplicate {rate.role.value} rate {rate.label!r}")
-        bucket[rate.label] = rate.time_s(test_data_mb)
+        seconds = rate.time_s(test_data_mb)
+        if not math.isfinite(seconds):  # a throughput near zero, or s/MB times a huge volume
+            raise DomainError(
+                f"rate {rate.label!r} of {rate.value} {rate.kind.value} gives a"
+                f" {rate.role.value} time of {seconds} s for {test_data_mb} MB"
+            )
+        bucket[rate.label] = seconds
     return Projection(test_data_mb, backup, restore, basis)

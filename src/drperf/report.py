@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -21,7 +22,7 @@ if TYPE_CHECKING:
     from .costs import CostBreakdown
     from .engine import Model, RunResult
     from .reliability import SeriesSystem
-    from .scenario import Scenario
+    from .scenario import Evaluation, Scenario
 
 
 def fmt_num(value: float) -> str:
@@ -132,25 +133,10 @@ def render_compliance(report: ComplianceReport) -> str:
 
 
 @dataclass(frozen=True)
-class SystemColumn:
-    """One scenario's numbers, ready to sit in a comparison column."""
-
-    scenario_name: str
-    system: str
-    test_data_mb: float | None
-    rates: tuple[Rate, ...]
-    projection: Projection | None
-    cost: CostBreakdown
-    reliability_value: float
-    mission_h: float
-    compliance: ComplianceReport | None
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
-    """Columns compared on an identical test data volume."""
+    """Evaluations compared on an identical test data volume."""
 
-    columns: tuple[SystemColumn, ...]
+    columns: tuple[Evaluation, ...]
 
     def __post_init__(self):
         if not self.columns:
@@ -160,122 +146,83 @@ class ComparisonReport:
             raise ConfigError(
                 f"scenarios must share one test_data_mb, got {sorted(volumes, key=str)}"
             )
-        names = [c.scenario_name for c in self.columns]
+        names = [c.scenario.name for c in self.columns]
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate scenario names: {names}")
-
-
-def compile_column(scenario: Scenario, test_data_mb: float | None = None) -> SystemColumn:
-    """Evaluate one scenario into a comparison column."""
-    from .scenario import Evaluation  # here, so importing report does not load YAML
-
-    evaluation = Evaluation(scenario, test_data_mb)
-    volume = evaluation.test_data_mb
-    return SystemColumn(
-        scenario_name=scenario.name,
-        system=scenario.system.value,
-        test_data_mb=volume,
-        rates=evaluation.rates,
-        projection=evaluation.projection if volume is not None else None,
-        compliance=evaluation.compliance if volume is not None else None,
-        cost=evaluation.cost,
-        reliability_value=scenario.reliability.system_reliability(),
-        mission_h=scenario.reliability.mission_h,
-    )
 
 
 def compile_comparison(
     scenarios: list[Scenario], test_data_mb: float | None = None
 ) -> ComparisonReport:
-    return ComparisonReport(
-        columns=tuple(compile_column(s, test_data_mb) for s in scenarios)
-    )
+    """Each scenario evaluated at the shared volume; fields are derived as rows render."""
+    from .scenario import Evaluation  # here, so importing report does not load YAML
+
+    return ComparisonReport(tuple(Evaluation(s, test_data_mb) for s in scenarios))
 
 
-def _restore_per_mb(rate: Rate) -> float:
-    return rate.value if rate.kind is RateKind.SECONDS_PER_MB else 1.0 / rate.value
+def _cells(values: Iterable[float | None]) -> list[str]:
+    return ["-" if v is None else fmt_num(v) for v in values]
+
+
+def _measured(rate: Rate) -> float:
+    """A backup rate as it is, a restore rate as seconds per MB."""
+    if rate.role is RateRole.BACKUP or rate.kind is RateKind.SECONDS_PER_MB:
+        return rate.value
+    return 1.0 / rate.value
+
+
+def _projected_h(evaluation: Evaluation, role: RateRole, label: str) -> float:
+    projection = evaluation.projection
+    times = projection.backup_times_s if role is RateRole.BACKUP else projection.restore_times_s
+    return seconds_to_hours(times[label])
 
 
 def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str]]]:
     columns = report.columns
-    headers = ["metric"] + [c.scenario_name for c in columns]
-
-    rows: list[list[str]] = []
-
-    def row(label: str, cells: dict[str, str]) -> None:
-        rows.append([label] + [cells.get(c.scenario_name, "-") for c in columns])
-
-    row("system", {c.scenario_name: c.system for c in columns})
-    row(
-        "test data (MB)",
-        {
-            c.scenario_name: fmt_num(c.test_data_mb)
-            for c in columns
-            if c.test_data_mb is not None
-        },
+    volume = columns[0].test_data_mb
+    rates = [{(r.role, r.label): r for r in c.rates} for c in columns]  # per column, by key
+    # One key per rate row: backup rates first, labels in the order the columns give them.
+    keys = dict.fromkeys(
+        key for role in RateRole for by_key in rates for key in by_key if key[0] is role
     )
-
-    def rate_labels(role: RateRole) -> list[str]:
-        seen: list[str] = []
-        for c in columns:
-            for r in c.rates:
-                if r.role is role and r.label not in seen:
-                    seen.append(r.label)
-        return seen
-
-    def rate_rows(title, value, among=columns) -> None:
-        """One row per rate label, backup rates first; ``value(column, rate)`` fills a cell."""
-        for role in RateRole:
-            for label in rate_labels(role):
-                row(
-                    title(role, label),
-                    {
-                        c.scenario_name: fmt_num(value(c, r))
-                        for c in among
-                        for r in c.rates
-                        if r.role is role and r.label == label
-                    },
-                )
-
-    rate_rows(
-        lambda role, label: (
+    rows = [
+        ["system", *(c.scenario.system.value for c in columns)],
+        ["test data (MB)", *_cells(volume for _ in columns)],
+    ]
+    for key in keys:
+        role, label = key
+        title = (
             f"backup throughput {label} (MB/s)"
             if role is RateRole.BACKUP
             else f"restore time per MB {label} (s/MB)"
-        ),
-        lambda c, r: r.value if r.role is RateRole.BACKUP else _restore_per_mb(r),
-    )
-    # A projection holds one time per rate, under the rate's own label and role.
-    projected = [c for c in columns if c.projection is not None]
-    if projected:
-        rate_rows(
-            lambda role, label: f"projected {role.value} time {label} (h)",
-            lambda c, r: seconds_to_hours(
-                (c.projection.backup_times_s if r.role is RateRole.BACKUP
-                 else c.projection.restore_times_s)[r.label]
-            ),
-            projected,
         )
-
-    row("monthly cost (USD)", {c.scenario_name: fmt_num(c.cost.total) for c in columns})
-    row("mission window (h)", {c.scenario_name: fmt_num(c.mission_h) for c in columns})
-    row(
-        "system reliability",
-        {c.scenario_name: fmt_num(c.reliability_value) for c in columns},
-    )
-    row(
-        "BIA compliance",
-        {
-            c.scenario_name: (
-                "PASS"
-                if c.compliance.compliant
-                else f"FAIL ({len(c.compliance.failures)} of {len(c.compliance.verdicts)})"
+        cells = _cells(_measured(by_key[key]) if key in by_key else None for by_key in rates)
+        rows.append([title, *cells])
+    if volume is not None:
+        # A projection holds one time per rate, under the rate's own label and role.
+        for role, label in keys:
+            cells = _cells(
+                _projected_h(c, role, label) if (role, label) in by_key else None
+                for c, by_key in zip(columns, rates)
             )
-            for c in columns
-            if c.compliance is not None
-        },
-    )
-    return headers, rows
+            rows.append([f"projected {role.value} time {label} (h)", *cells])
+    chains = [c.scenario.reliability for c in columns]
+    rows += [
+        ["monthly cost (USD)", *_cells(c.cost.total for c in columns)],
+        ["mission window (h)", *_cells(chain.mission_h for chain in chains)],
+        ["system reliability", *_cells(chain.system_reliability() for chain in chains)],
+        ["BIA compliance", *map(_verdict, columns)],
+    ]
+    return ["metric", *(c.scenario.name for c in columns)], rows
+
+
+def _verdict(evaluation: Evaluation) -> str:
+    if evaluation.test_data_mb is None:
+        return "-"
+    compliance = evaluation.compliance
+    if compliance.compliant:
+        return "PASS"
+    return f"FAIL ({len(compliance.failures)} of {len(compliance.verdicts)})"
 
 
 def render_comparison(report: ComparisonReport) -> str:

@@ -70,6 +70,10 @@ class Scenario:
     transactions: TransactionCounts = TransactionCounts()
     base_dir: Path = field(default=Path("."), compare=False)
 
+    def __post_init__(self):
+        if self.test_data_mb is not None and not self.test_data_mb > 0:
+            raise ConfigError(f"test_data_mb must be > 0, got {self.test_data_mb}")
+
     @property
     def tiering_threshold_days(self) -> int:
         if self.bia.cloud_tiering_threshold_days is not None:

@@ -35,6 +35,15 @@ def test_simulate_golden(system, scenario, golden, capsys):
     golden(f"simulate_{system}.txt", capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("system, scenario", [("hybrid", HYBRID), ("cloud", CLOUD)])
+@pytest.mark.parametrize(
+    "command, code", [("project", 0), ("cost", 0), ("reliability", 0), ("bia-check", 2)]
+)
+def test_single_scenario_golden(command, code, system, scenario, golden, capsys):
+    assert main([command, scenario]) == code
+    golden(f"{command.replace('-', '_')}_{system}.txt", capsys.readouterr().out)
+
+
 def test_project(capsys):
     assert main(["project", HYBRID]) == 0
     out = capsys.readouterr().out
@@ -205,8 +214,11 @@ def test_cost_rejects_non_positive_volume_flag(scenario, volume, capsys):
 
 @pytest.mark.parametrize("volume", ["0", "-5"])
 def test_cost_rejects_non_positive_scenario_volume(volume, tmp_path, capsys):
-    assert main(["cost", _hybrid_with_volume(tmp_path, volume)]) == 1
-    assert capsys.readouterr().err == f"error: test_data_mb must be > 0, got {float(volume)}\n"
+    scenario = _hybrid_with_volume(tmp_path, volume)
+    # the scenario's own volume is checked when it is parsed, so an override does not hide it
+    for argv in (["cost", scenario], ["cost", scenario, "--test-data-mb", "100"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: test_data_mb must be > 0, got {float(volume)}\n"
 
 
 def _scenario_copy(tmp_path, system: str) -> Path:
@@ -274,6 +286,8 @@ MALFORMED_FIELDS = [
     ("cloud", "reliability", "supplied_averages.AvgJob1Throughput", "-1.0",
      "must be > 0, got -1.0"),
     ("cloud", "cost", "supplied_averages.RecoveryThroughput", "0", "must be > 0, got 0.0"),
+    # the scenario's own volume is checked where it is parsed, for every command
+    ("hybrid", "reliability", "test_data_mb", "-5", "must be > 0, got -5.0"),
 ]
 
 
@@ -292,6 +306,21 @@ def test_malformed_field_is_one_error_line_naming_it(
     argv = [command, str(scenario)] + ([HYBRID] if command == "compare" else [])
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {dotted} {message}\n")
+
+
+@pytest.mark.parametrize("command", ["project", "bia-check", "compare"])
+def test_non_finite_projected_time_is_one_error_line(command, tmp_path, capsys):
+    # Finite and > 0, so the scenario parses; the time it projects overflows.  A
+    # rate computed from the CSVs can do the same, so the error names the rate.
+    scenario = _scenario_copy(tmp_path, "cloud")
+    doc = yaml.safe_load(scenario.read_text())
+    _set(doc, "supplied_averages.AvgJob1Throughput", 1.0e-320)
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    argv = [command, str(scenario)] + ([HYBRID] if command == "compare" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: rate 'Job1' of 1e-320 MB/s gives a backup time of inf s for 531012.0 MB\n"
+    )
 
 
 def test_vault_fee_too_many_blocks_is_one_error_line(tmp_path, capsys):

@@ -1,9 +1,10 @@
-"""The input contract under generated scenario mutations.
+"""The input contract under generated mutations of the bundled inputs.
 
-One field of a bundled scenario is replaced by a generated YAML value and a
-subcommand runs on the result: it exits 0, 1 or 2, never with a traceback;
-exit 1 is exactly one ``error:`` line; output is the same on a second run;
-and a mutant that parses renders back to itself.
+One field of a bundled scenario is replaced by a generated YAML value, or
+one cell or the header of a bundled job log or restore CSV by generated
+text, and a subcommand runs on the result: it exits 0, 1 or 2, never with
+a traceback; exit 1 is exactly one ``error:`` line; output is the same on
+a second run; and a scenario mutant that parses renders back to itself.
 """
 
 from __future__ import annotations
@@ -51,6 +52,19 @@ VALUES = st.one_of(
 )
 
 
+CSV_TEXTS = {name: data_path(name).read_text() for names in FILES.values() for name in names[1:]}
+CELLS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.sampled_from(["", "nan", "-inf", "1e308", "1e-320", "-1", "0", "2.5", "Tape", "Vault"]),
+    st.floats().map(repr),
+    st.integers(-10, 10**6).map(str),
+)
+HEADER_CELLS = st.one_of(
+    st.sampled_from(["day", "data_mb", "duration_s", "duration_min", "tier", " DAY ", "Data_MB"]),
+    CELLS,
+)
+
+
 def _paths(node, prefix=()):
     """Every key path in a loaded document, containers included."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -84,11 +98,46 @@ def mutants(draw):
     return system, yaml.safe_dump(doc, sort_keys=False)
 
 
+@st.composite
+def csv_mutants(draw):
+    """(system, file name, CSV text) of a bundled CSV with one cell or the header replaced.
+
+    Cells are joined without quoting, so a generated comma, quote or line
+    break changes the row structure too.
+    """
+    system = draw(st.sampled_from(sorted(FILES)))
+    name = draw(st.sampled_from(FILES[system][1:]))
+    rows = [line.split(",") for line in CSV_TEXTS[name].splitlines()]
+    row = draw(st.integers(0, len(rows) - 1))
+    if row == 0 and draw(st.booleans()):
+        rows[0] = draw(st.lists(HEADER_CELLS, max_size=4))
+    else:
+        rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(CELLS)
+    return system, name, "".join(",".join(cells) + "\n" for cells in rows)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _keeps_the_contract(decks, system, scenario, command):
+    """Run ``command`` on ``scenario`` twice and check the contract."""
+    argv = [command, str(scenario)]
+    if command == "compare":
+        other = "cloud" if system == "hybrid" else "hybrid"
+        argv.append(str(decks[other] / FILES[other][0]))
+    elif command == "plot":
+        argv += ["--component", PLOTTED[system], "--out", str(decks[system] / "mutant.svg")]
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert _run(argv) == (code, out, err)
 
 
 @settings(
@@ -97,22 +146,23 @@ def _run(argv):
 @given(mutant=mutants(), command=st.sampled_from(COMMANDS))
 def test_mutated_field_keeps_the_contract(decks, mutant, command):
     system, text = mutant
-    directory = decks[system]
-    scenario = directory / "mutant.yaml"
+    scenario = decks[system] / "mutant.yaml"
     scenario.write_text(text, encoding="utf-8")
-    argv = [command, str(scenario)]
-    if command == "compare":
-        other = "cloud" if system == "hybrid" else "hybrid"
-        argv.append(str(decks[other] / FILES[other][0]))
-    elif command == "plot":
-        argv += ["--component", PLOTTED[system], "--out", str(directory / "mutant.svg")]
-    code, out, err = _run(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 1:
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err
-    assert _run(argv) == (code, out, err)
+    _keeps_the_contract(decks, system, scenario, command)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(mutant=csv_mutants(), command=st.sampled_from(COMMANDS))
+def test_mutated_csv_keeps_the_contract(decks, mutant, command):
+    system, name, text = mutant
+    path = decks[system] / name
+    path.write_text(text, encoding="utf-8")
+    try:
+        _keeps_the_contract(decks, system, decks[system] / FILES[system][0], command)
+    finally:
+        shutil.copy(data_path(name), path)  # the other tests read the bundled bytes
 
 
 @settings(

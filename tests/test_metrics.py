@@ -147,6 +147,15 @@ class TestProject:
         with pytest.raises(DomainError):
             project(10.0, dupes)
 
+    def test_non_finite_time_rejected_naming_the_rate(self):
+        tiny = Rate("Job1", 1e-320, RateKind.THROUGHPUT, RateRole.BACKUP)
+        message = "rate 'Job1' of 1e-320 MB/s gives a backup time of inf s"
+        with pytest.raises(DomainError, match=message):
+            project(531012.0, [tiny])
+        slow = Rate("Vault", 10.0, RateKind.SECONDS_PER_MB, RateRole.RESTORE)
+        with pytest.raises(DomainError, match="rate 'Vault' .* restore time of inf s"):
+            project(1e308, [slow])
+
     @given(st.floats(0.001, 1e9))
     def test_linearity(self, volume):
         one = project(volume, self.rates())

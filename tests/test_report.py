@@ -7,7 +7,6 @@ import pytest
 from drperf.engine import run
 from drperf.errors import ConfigError
 from drperf.report import (
-    compile_column,
     compile_comparison,
     fmt_num,
     render_comparison,
@@ -67,7 +66,7 @@ class TestComparison:
             compile_comparison([])
 
     def test_volume_override(self, hybrid_scenario):
-        column = compile_column(hybrid_scenario, test_data_mb=1000.0)
+        (column,) = compile_comparison([hybrid_scenario], test_data_mb=1000.0).columns
         assert column.test_data_mb == 1000.0
         assert column.projection.test_data_mb == 1000.0
 
