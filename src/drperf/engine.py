@@ -16,12 +16,17 @@ dependencies, so an undeclared read fails loudly.
 that allocates no dict and no scope:
 
 - Each expression has one scope, a dict holding exactly its declared
-  dependencies, passed to it as a read-only ``MappingProxyType``.  Each
-  stock has a plain dict holding its own level and its flows.
-- A readers table lists, per name, the dicts that hold that name.  Every
-  value, once computed (an input, a converter, a flow, or a stock after its
-  update), is stored into each of them, so a scope always holds current
-  values by the time its expression runs.
+  dependencies, passed to it as a read-only ``MappingProxyType``.
+- Each stock has two slot lists, ``ins`` and ``outs``, with one slot per
+  entry of its ``inflows`` and ``outflows`` (a flow named twice fills two
+  slots).  Its level is the last element of its own trajectory list, which
+  starts with the initial value; that value is dropped before the result
+  is built.  A stock updates as ``level + sum(ins) - sum(outs)``.
+- A readers table lists, per name, the ``(container, key)`` pairs that
+  hold that name: ``(scope, name)`` for a scope, ``(ins or outs, position)``
+  for a stock.  Every value, once computed (an input, a converter, a flow,
+  or a stock after its update), is stored into each of them by one loop,
+  so a scope or a slot always holds current values by the time it is read.
 - A scope raises on any name it does not hold, on every lookup (``[]``,
   ``get``, ``in``) and every call, so a read that a later period's branch
   makes is caught too; ``run`` reports it as a ``ModelError`` naming the
@@ -285,10 +290,11 @@ def run(model: Model) -> RunResult:
     order = _converter_order(model)
     horizon = model.horizon
 
-    # The plan.  Each expression reads a ``_Scope``, each stock a plain dict
-    # of its own level and its flows.  ``readers[name]`` lists the dicts that
-    # hold ``name``; each new value of ``name`` is stored into every one.
-    readers: dict[str, list[dict[str, float]]] = {c.name: [] for c in model.components}
+    # The plan (see the module docstring): ``readers[name]`` lists the
+    # ``(container, key)`` pairs that each new value of ``name`` is stored into.
+    readers: dict[str, list[tuple[dict | list, str | int]]] = {
+        c.name: [] for c in model.components
+    }
     trajectories: dict[str, Sequence[float]] = {}
     inputs, expressions, stocks = [], {}, []
     for comp in model.components:
@@ -304,32 +310,34 @@ def run(model: Model) -> RunResult:
                 )
                 series = tuple(series) + (0.0,) * (horizon - len(series))
             trajectories[name] = values = tuple(map(float, series))
-            inputs.append((name, values, readers[name]))
-            continue
-        trajectories[name] = values = []
-        if comp.kind is Kind.STOCK:
-            reads = dict.fromkeys((name, *comp.inflows, *comp.outflows))
-            get = reads.__getitem__
-            stocks.append((name, get, comp.inflows, comp.outflows, values.append, readers[name]))
+            inputs.append((values, readers[name]))
+        elif comp.kind is Kind.STOCK:
+            # The level is the trajectory's last element; the initial one is dropped below.
+            trajectories[name] = values = [float(comp.initial)]
+            ins, outs = [0.0] * len(comp.inflows), [0.0] * len(comp.outflows)
+            for slots, flow_names in ((ins, comp.inflows), (outs, comp.outflows)):
+                for position, flow in enumerate(flow_names):
+                    readers[flow].append((slots, position))
+            stocks.append((ins, outs, values, readers[name]))
         else:
-            reads = _Scope.fromkeys(comp.depends)
-            view = MappingProxyType(reads)
+            trajectories[name] = values = []
+            scope = _Scope.fromkeys(comp.depends)
+            for dep in scope:
+                readers[dep].append((scope, dep))
+            view = MappingProxyType(scope)
             expressions[name] = (name, comp.expression, view, values.append, readers[name])
-        for dep in reads:
-            readers[dep].append(reads)
-    for comp in model.components:
-        if comp.kind is Kind.STOCK:
-            for target in readers[comp.name]:
-                target[comp.name] = float(comp.initial)
+    for _, _, values, targets in stocks:
+        for target, key in targets:
+            target[key] = values[-1]
     flows = [c for c in model.components if c.kind is Kind.FLOW]
     evaluations = [expressions[c.name] for c in order + flows if c.name in expressions]
 
     for index in range(horizon):
-        for name, values, dicts in inputs:
+        for values, targets in inputs:
             value = values[index]
-            for target in dicts:
-                target[name] = value
-        for name, expression, view, append, dicts in evaluations:
+            for target, key in targets:
+                target[key] = value
+        for name, expression, view, append, targets in evaluations:
             try:
                 value = float(expression(view))
             except _UndeclaredRead as exc:
@@ -337,14 +345,16 @@ def run(model: Model) -> RunResult:
                     f"{name!r} read {exc.args[0]!r} without declaring it as a dependency"
                 ) from None
             append(value)
-            for target in dicts:
-                target[name] = value
-        for name, get, inflows, outflows, append, dicts in stocks:
-            value = get(name) + sum(map(get, inflows)) - sum(map(get, outflows))
-            append(value)
-            for target in dicts:
-                target[name] = value
+            for target, key in targets:
+                target[key] = value
+        for ins, outs, values, targets in stocks:
+            value = values[-1] + sum(ins) - sum(outs)
+            values.append(value)
+            for target, key in targets:
+                target[key] = value
 
+    for _, _, values, _ in stocks:
+        del values[0]
     return RunResult(
         model_name=model.name,
         digest=model.digest(),

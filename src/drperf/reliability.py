@@ -106,16 +106,16 @@ class SeriesSystem:
     def __post_init__(self):
         if not self.components:
             raise DomainError("a series system needs at least one component")
+        names = set()
+        for comp in self.components:
+            if comp.name in names:
+                raise DomainError(f"duplicate component name {comp.name!r}")
+            names.add(comp.name)
         if self.mission_h < 0:
             raise DomainError(f"mission_h must be >= 0, got {self.mission_h}")
 
     def component_values(self) -> dict[str, float]:
-        values: dict[str, float] = {}
-        for comp in self.components:
-            if comp.name in values:
-                raise DomainError(f"duplicate component name {comp.name!r}")
-            values[comp.name] = comp.reliability(self.mission_h)
-        return values
+        return {comp.name: comp.reliability(self.mission_h) for comp in self.components}
 
     def system_reliability(self) -> float:
         return series_reliability(self.component_values().values())

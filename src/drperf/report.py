@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError
-from .metrics import Projection, Rate, RateKind, RateRole, seconds_to_hours
 
 if TYPE_CHECKING:
     from .bia import ComplianceReport
     from .costs import CostBreakdown
     from .engine import Model, RunResult
+    from .metrics import Projection, Rate
     from .reliability import SeriesSystem
     from .scenario import Evaluation, Scenario
 
@@ -73,6 +73,8 @@ def render_cost(breakdown: CostBreakdown, label: str) -> str:
 
 
 def render_projection(projection: Projection, label: str) -> str:
+    from .metrics import seconds_to_hours  # here, so importing report does not load metrics
+
     basis_rows = [
         [
             r.label,
@@ -164,20 +166,20 @@ def _cells(values: Iterable[float | None]) -> list[str]:
     return ["-" if v is None else fmt_num(v) for v in values]
 
 
-def _measured(rate: Rate) -> float:
-    """A backup rate as it is, a restore rate as seconds per MB."""
-    if rate.role is RateRole.BACKUP or rate.kind is RateKind.SECONDS_PER_MB:
-        return rate.value
-    return 1.0 / rate.value
-
-
-def _projected_h(evaluation: Evaluation, role: RateRole, label: str) -> float:
-    projection = evaluation.projection
-    times = projection.backup_times_s if role is RateRole.BACKUP else projection.restore_times_s
-    return seconds_to_hours(times[label])
-
-
 def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str]]]:
+    from .metrics import RateKind, RateRole, seconds_to_hours  # here, as in render_projection
+
+    def measured(rate: Rate) -> float:
+        """A backup rate as it is, a restore rate as seconds per MB."""
+        if rate.role is RateRole.BACKUP or rate.kind is RateKind.SECONDS_PER_MB:
+            return rate.value
+        return 1.0 / rate.value
+
+    def projected_h(evaluation: Evaluation, role: RateRole, label: str) -> float:
+        projection = evaluation.projection
+        times = projection.backup_times_s if role is RateRole.BACKUP else projection.restore_times_s
+        return seconds_to_hours(times[label])
+
     columns = report.columns
     volume = columns[0].test_data_mb
     rates = [{(r.role, r.label): r for r in c.rates} for c in columns]  # per column, by key
@@ -196,13 +198,13 @@ def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str
             if role is RateRole.BACKUP
             else f"restore time per MB {label} (s/MB)"
         )
-        cells = _cells(_measured(by_key[key]) if key in by_key else None for by_key in rates)
+        cells = _cells(measured(by_key[key]) if key in by_key else None for by_key in rates)
         rows.append([title, *cells])
     if volume is not None:
         # A projection holds one time per rate, under the rate's own label and role.
         for role, label in keys:
             cells = _cells(
-                _projected_h(c, role, label) if (role, label) in by_key else None
+                projected_h(c, role, label) if (role, label) in by_key else None
                 for c, by_key in zip(columns, rates)
             )
             rows.append([f"projected {role.value} time {label} (h)", *cells])

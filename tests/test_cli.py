@@ -323,6 +323,27 @@ def test_non_finite_projected_time_is_one_error_line(command, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "command", ["simulate", "project", "cost", "reliability", "bia-check", "compare", "plot"]
+)
+def test_repeated_reliability_component_is_rejected_by_every_command(command, tmp_path, capsys):
+    # Rejected where the scenario is parsed, so no command prints a result or a verdict.
+    scenario = _scenario_copy(tmp_path, "hybrid")
+    doc = yaml.safe_load(scenario.read_text())
+    _set(doc, "reliability.components[1].name", "DataCenter")
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    argv = {
+        "compare": ["compare", str(scenario), CLOUD],
+        "plot": ["plot", str(scenario), "--component", "LocalStorage",
+                 "--out", str(tmp_path / "chart.svg")],
+    }.get(command, [command, str(scenario)])
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: reliability: duplicate component name 'DataCenter'\n"
+    )
+    assert not (tmp_path / "chart.svg").exists()
+
+
 def test_vault_fee_too_many_blocks_is_one_error_line(tmp_path, capsys):
     # The walker accepts the finite frontend; only the fee's block count overflows.
     scenario = _scenario_copy(tmp_path, "cloud")

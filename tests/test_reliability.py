@@ -128,14 +128,13 @@ class TestComponentAndSystemTypes:
     def test_system_rejects_duplicates_and_empty(self):
         with pytest.raises(DomainError):
             SeriesSystem(components=())
-        system = SeriesSystem(
-            components=(
-                ReliabilityComponent("a", mtbf_h=10.0),
-                ReliabilityComponent("a", mtbf_h=20.0),
+        with pytest.raises(DomainError, match="^duplicate component name 'a'$"):
+            SeriesSystem(
+                components=(
+                    ReliabilityComponent("a", mtbf_h=10.0),
+                    ReliabilityComponent("a", mtbf_h=20.0),
+                )
             )
-        )
-        with pytest.raises(DomainError):
-            system.component_values()
 
     def test_default_chain(self):
         chain = default_recovery_chain()
