@@ -60,7 +60,7 @@ _EXPORTS = {
         "summarize_throughput",
         "throughput",
     ),
-    "models": ("SystemKind", "build_cloud_basic", "build_hybrid_basic", "extend_with_test_data"),
+    "models": ("SystemKind", "build_basic", "extend_with_test_data"),
     "plot": ("emit_plot",),
     "reliability": (
         "ReliabilityComponent",

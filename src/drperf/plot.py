@@ -26,6 +26,10 @@ def _coord(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _text(value: str) -> str:
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if count < 2:
         return [lo]
@@ -72,7 +76,8 @@ def render_svg(
     ]
     if title:
         parts.append(
-            f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" font-size="13">{title}</text>'
+            f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" font-size="13">'
+            f"{_text(title)}</text>"
         )
 
     axis_y = MARGIN_TOP + plot_h
@@ -113,7 +118,7 @@ def render_svg(
         cy = MARGIN_TOP + plot_h / 2
         parts.append(
             f'<text x="16" y="{cy:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {cy:.0f})">{y_label}</text>'
+            f'transform="rotate(-90 16 {cy:.0f})">{_text(y_label)}</text>'
         )
 
     # A polyline point is "x,y" with both coordinates as _coord prints them:
@@ -136,7 +141,7 @@ def render_svg(
             f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 18}" y2="{legend_y}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(f'<text x="{legend_x + 24}" y="{legend_y + 4}">{name}</text>')
+        parts.append(f'<text x="{legend_x + 24}" y="{legend_y + 4}">{_text(name)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

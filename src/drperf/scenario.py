@@ -31,7 +31,7 @@ from .costs import CostBreakdown, ObjectStoreRates, VaultRates
 from .engine import Model
 from .errors import ConfigError, DomainError, ParseError
 from .joblog import parse_job_log, parse_restore_samples
-from .metrics import JobSample, Projection, Rate, RestoreSample, mb_to_gb, project
+from .metrics import JobSample, Projection, Rate, RestoreSample, project
 from .models import SystemKind
 from .reliability import SeriesSystem, default_recovery_chain
 
@@ -88,19 +88,6 @@ class Scenario:
         """
         return (self.base_dir / relative).resolve()
 
-
-# What depends on the system besides its rates (``models``): the pricing
-# class, the job-log labels, and the fields that only one system reads.
-_PRICING = {SystemKind.HYBRID: ObjectStoreRates, SystemKind.CLOUD_VAULT: VaultRates}
-_JOB_LOGS = {
-    SystemKind.HYBRID: frozenset({"backup"}),
-    SystemKind.CLOUD_VAULT: frozenset({"job1", "job2"}),
-}
-_ONE_SYSTEM = {
-    "frontend_gb": SystemKind.CLOUD_VAULT,
-    "transactions": SystemKind.HYBRID,
-    "bia.cloud_tiering_threshold_days": SystemKind.HYBRID,
-}
 
 # Checks one document value and returns it as the field's type; the second
 # argument is the value's dotted path, which every error message starts with.
@@ -276,16 +263,17 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
         raise ParseError(f"invalid YAML: {_yaml_problem(exc)}", line=line) from exc
     values = _values(Scenario, doc, "")
     system = values["system"]
-    for dotted, owner in _ONE_SYSTEM.items():
-        if owner is not system and _gives(doc, dotted):
-            raise ConfigError(f"{dotted} applies only to {owner.value} scenarios")
-    labels = _JOB_LOGS[system]
+    for other, spec in models.SYSTEMS.items():
+        for dotted in spec.fields:
+            if other is not system and _gives(doc, dotted):
+                raise ConfigError(f"{dotted} applies only to {other.value} scenarios")
+    spec = models.SYSTEMS[system]
+    labels = frozenset(agent.log for agent in spec.agents)
     _check_keys(values["job_logs"], "job_logs", labels, labels)
     if "supplied_averages" in values:
         models.check_supplied_averages(system, values["supplied_averages"])
     pricing = doc.get("pricing")
-    rates = _PRICING[system]
-    values["pricing"] = _record(rates, {} if pricing is None else pricing, "pricing")
+    values["pricing"] = _record(spec.pricing, {} if pricing is None else pricing, "pricing")
     scenario = Scenario(**values, base_dir=Path(base_dir))
     for label, relative in scenario.job_logs.items():
         if not (scenario.base_dir / relative).is_file():
@@ -321,9 +309,10 @@ def _plain(value):
 def render_scenario(scenario: Scenario) -> str:
     """Serialize a scenario to canonical YAML, without the other system's fields."""
     doc = _plain(scenario)
-    for name, owner in _ONE_SYSTEM.items():
-        if owner is not scenario.system:
-            doc.pop(name, None)
+    for other, spec in models.SYSTEMS.items():
+        for name in spec.fields:
+            if other is not scenario.system:
+                doc.pop(name, None)
     return yaml.safe_dump(doc, sort_keys=False)
 
 
@@ -386,26 +375,16 @@ class Evaluation:
     @cached_property
     def basic_model(self) -> Model:
         """The scenario's basic stock-and-flow model."""
-        scenario, logs, restores = self.scenario, self.job_logs, self.restore_samples
-        if scenario.system is SystemKind.HYBRID:
-            return models.build_hybrid_basic(
-                logs["backup"],
-                restores,
-                tiering_threshold_days=scenario.tiering_threshold_days,
-                rates=scenario.pricing,
-                ingress_egress_ops=scenario.transactions.ingress_egress_ops,
-                listing_ops=scenario.transactions.listing_ops,
-            )
-        if len(restores) != 1:
-            raise ConfigError(
-                f"cloud scenarios need exactly one restore sample, got {len(restores)}"
-            )
-        return models.build_cloud_basic(
-            logs["job1"],
-            logs["job2"],
-            restores[0],
+        scenario = self.scenario
+        return models.build_basic(
+            scenario.system,
+            self.job_logs,
+            self.restore_samples,
+            scenario.pricing,
+            tiering_threshold_days=scenario.tiering_threshold_days,
+            ingress_egress_ops=scenario.transactions.ingress_egress_ops,
+            listing_ops=scenario.transactions.listing_ops,
             frontend_gb=scenario.frontend_gb,
-            rates=scenario.pricing,
         )
 
     @cached_property
@@ -427,22 +406,17 @@ class Evaluation:
         frontend.
         """
         scenario, volume = self.scenario, self.test_data_mb
-        if scenario.system is SystemKind.HYBRID:
-            if volume is None:
-                volume = self.basic_model.meta["tiered_mb"]
-            return costs.hybrid_cloud_cost(
-                mb_to_gb(volume),
-                scenario.transactions.ingress_egress_ops,
-                scenario.transactions.listing_ops,
-                scenario.pricing,
-            )
+        frontend_gb = None
         if volume is None:
-            stored_gb = mb_to_gb(self.basic_model.meta["stored_mb"])
+            volume = self.basic_model.meta[models.SYSTEMS[scenario.system].billed]
             frontend_gb = scenario.frontend_gb
-        else:
-            stored_gb = mb_to_gb(volume)
-            frontend_gb = stored_gb
-        return costs.cloud_vault_cost(frontend_gb, stored_gb, scenario.pricing)
+        return models.monthly_cost(
+            scenario.pricing,
+            volume,
+            frontend_gb,
+            scenario.transactions.ingress_egress_ops,
+            scenario.transactions.listing_ops,
+        )
 
     @cached_property
     def compliance(self) -> ComplianceReport:

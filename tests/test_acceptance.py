@@ -32,7 +32,7 @@ from drperf.metrics import (
     summarize_throughput,
     throughput,
 )
-from drperf.models import build_hybrid_basic
+from drperf.models import SystemKind, build_basic
 from drperf.reliability import (
     component_reliability,
     default_recovery_chain,
@@ -236,7 +236,10 @@ def test_criterion_7b_conservation(hybrid_restores):
     @settings(max_examples=1000, deadline=None)
     def check(datas: list[int], threshold: int) -> None:
         log = _random_log(datas)
-        result = run(build_hybrid_basic(log, hybrid_restores, threshold))
+        model = build_basic(
+            SystemKind.HYBRID, {"backup": log}, hybrid_restores, tiering_threshold_days=threshold
+        )
+        result = run(model)
         cumulative = 0.0
         for period in range(1, result.horizon + 1):
             if period <= len(datas):
@@ -251,6 +254,33 @@ def test_criterion_7b_conservation(hybrid_restores):
         raise
     _verdict(
         "7b", [("LocalStorage + CloudTier equals cumulative backups on 1000 random logs", True)]
+    )
+
+
+def test_criterion_7b_conservation_cloud_vault(cloud_restore):
+    week = st.lists(st.integers(0, 200_000), min_size=7, max_size=7)
+
+    @given(job1=week, job2=week)
+    @settings(max_examples=500, deadline=None)
+    def check(job1: list[int], job2: list[int]) -> None:
+        logs = {"job1": _random_log(job1), "job2": _random_log(job2)}
+        result = run(build_basic(SystemKind.CLOUD_VAULT, logs, (cloud_restore,)))
+        cumulative = 0.0
+        for period in range(1, result.horizon + 1):
+            both = job1[period - 1] + job2[period - 1] if period <= len(job1) else 0
+            cumulative += both
+            transfer = result.value("DailyTransfer", period)
+            held = result.value("RecoveryVault", period)
+            assert transfer == both, f"period {period}: transfer {transfer} != {both}"
+            assert held == cumulative, f"period {period}: {held} != {cumulative}"
+
+    try:
+        check()
+    except Exception as exc:
+        _verdict("7b", [(f"cloud-vault conservation violated: {exc}", False)])
+        raise
+    _verdict(
+        "7b", [("RecoveryVault equals both jobs' cumulative data on 500 random logs", True)]
     )
 
 
@@ -269,7 +299,10 @@ def test_criterion_7d_retention_oracle(hybrid_restores):
     @settings(max_examples=250, deadline=None)
     def check(datas: list[int], threshold: int) -> None:
         log = _random_log(datas)
-        result = run(build_hybrid_basic(log, hybrid_restores, threshold))
+        model = build_basic(
+            SystemKind.HYBRID, {"backup": log}, hybrid_restores, tiering_threshold_days=threshold
+        )
+        result = run(model)
         local, cloud = retention_tiering_oracle(log, threshold, result.horizon)
         assert list(result.values("LocalStorage")) == local
         assert list(result.values("CloudTier")) == cloud

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 import yaml
@@ -100,7 +101,20 @@ def test_plot(tmp_path, capsys):
          "--out", str(out_file)]
     )
     assert code == 0
-    assert out_file.read_text().startswith("<svg")
+    assert capsys.readouterr().out == f"wrote {out_file}\n"
+    golden = (GOLDEN_DIR / "hybrid_stocks.svg").read_text(encoding="utf-8")
+    assert out_file.read_text(encoding="utf-8") == golden
+
+
+def test_plot_title_with_markup_round_trips(tmp_path, capsys):
+    scenario = _hybrid_copy(tmp_path)
+    text = scenario.read_text()
+    assert text.count("name: hybrid-reference\n") == 1
+    scenario.write_text(text.replace("name: hybrid-reference", 'name: "R&D <primary>"'))
+    out_file = tmp_path / "chart.svg"
+    assert main(["plot", str(scenario), "--component", "CloudTier", "--out", str(out_file)]) == 0
+    title = ElementTree.parse(out_file).getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "R&D <primary>"
 
 
 def test_plot_unknown_component(tmp_path, capsys):

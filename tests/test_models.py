@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drperf.costs import CostBreakdown
+from drperf.costs import CostBreakdown, ObjectStoreRates
 from drperf.engine import run
 from drperf.errors import ConfigError
 from drperf.metrics import (
@@ -15,10 +15,9 @@ from drperf.metrics import (
     project,
 )
 from drperf.models import (
-    _RATES,
+    SYSTEMS,
     SystemKind,
-    build_cloud_basic,
-    build_hybrid_basic,
+    build_basic,
     extend_with_test_data,
     projection_rates,
 )
@@ -29,6 +28,14 @@ HYBRID_DAILY_MB = (
     26956, 25712, 27194, 26710, 25147, 24520, 26529,
     19711, 27342, 19574, 27024, 25262, 24644, 26082,
 )
+
+
+def build_hybrid(log, restores, **settings):
+    return build_basic(SystemKind.HYBRID, {"backup": log}, restores, **settings)
+
+
+def build_cloud(job1, job2, restore):
+    return build_basic(SystemKind.CLOUD_VAULT, {"job1": job1, "job2": job2}, (restore,))
 
 
 def int_job_logs(days: int):
@@ -43,14 +50,14 @@ def int_job_logs(days: int):
 
 class TestHybridBuilder:
     def test_storage_trajectories(self, hybrid_log, hybrid_restores):
-        result = run(build_hybrid_basic(hybrid_log, hybrid_restores))
+        result = run(build_hybrid(hybrid_log, hybrid_restores))
         assert result.value("LocalStorage", 14) == 352407.0
         assert result.value("LocalStorage", 15) == 325451.0
         assert result.value("CloudTier", 14) == 0.0
         assert result.value("CloudTier", 15) == 26956.0
 
     def test_conservation_on_the_reference_log(self, hybrid_log, hybrid_restores):
-        result = run(build_hybrid_basic(hybrid_log, hybrid_restores))
+        result = run(build_hybrid(hybrid_log, hybrid_restores))
         running = 0.0
         for period in range(1, 16):
             running += result.value("DailyBackup", period)
@@ -58,19 +65,19 @@ class TestHybridBuilder:
             assert total == running
 
     def test_daily_throughput_periods(self, hybrid_log, hybrid_restores):
-        result = run(build_hybrid_basic(hybrid_log, hybrid_restores))
+        result = run(build_hybrid(hybrid_log, hybrid_restores))
         assert result.value("DailyThroughput", 1) == pytest.approx(26956 / 525.0)
         assert result.value("DailyThroughput", 15) == 0.0
 
     def test_restore_events_sit_in_their_periods(self, hybrid_log, hybrid_restores):
-        result = run(build_hybrid_basic(hybrid_log, hybrid_restores))
+        result = run(build_hybrid(hybrid_log, hybrid_restores))
         local = result.values("RestoreDataLocal")
         archive = result.values("RestoreDataArchive")
         assert local[13] == 1824.01 and sum(local) == 1824.01
         assert archive[14] == 1824.0 and sum(archive) == 1824.0
 
     def test_meta_matches_converters(self, hybrid_log, hybrid_restores):
-        model = build_hybrid_basic(hybrid_log, hybrid_restores)
+        model = build_hybrid(hybrid_log, hybrid_restores)
         result = run(model)
         for name, value in model.meta["averages"].items():
             assert result.final(name) == value
@@ -79,63 +86,79 @@ class TestHybridBuilder:
 
     def test_rejects_wrong_day_coverage(self, hybrid_log, hybrid_restores):
         with pytest.raises(ConfigError):
-            build_hybrid_basic(hybrid_log[:13], hybrid_restores)
+            build_hybrid(hybrid_log[:13], hybrid_restores)
         shifted = tuple(
             JobSample(s.day + 1, s.data_mb, s.duration_s) for s in hybrid_log
         )
         with pytest.raises(ConfigError):
-            build_hybrid_basic(shifted, hybrid_restores)
+            build_hybrid(shifted, hybrid_restores)
         with pytest.raises(ConfigError):
-            build_hybrid_basic(tuple(reversed(hybrid_log)), hybrid_restores)
+            build_hybrid(tuple(reversed(hybrid_log)), hybrid_restores)
+
+    def test_day_coverage_error_names_the_first_missing_day(self, hybrid_log, hybrid_restores):
+        shifted = tuple(JobSample(s.day + 1, s.data_mb, s.duration_s) for s in hybrid_log)
+        wanted = r"^job log 'backup' must cover days 1\.\.14 exactly; "
+        with pytest.raises(ConfigError, match=wanted + "day 1 is missing$"):
+            build_hybrid(shifted, hybrid_restores)
+        with pytest.raises(ConfigError, match=wanted + "day 14 is missing$"):
+            build_hybrid(hybrid_log[:13], hybrid_restores)
+        extra = hybrid_log + (JobSample(15, 1.0, 1.0),)
+        with pytest.raises(ConfigError, match=wanted + r"it has days \[1, 2, .*, 14, 15\]$"):
+            build_hybrid(extra, hybrid_restores)
 
     def test_rejects_bad_restore_samples(self, hybrid_log, hybrid_restores):
         with pytest.raises(ConfigError):
-            build_hybrid_basic(hybrid_log, hybrid_restores[:1])
+            build_hybrid(hybrid_log, hybrid_restores[:1])
         doubled = hybrid_restores + hybrid_restores[:1]
         with pytest.raises(ConfigError):
-            build_hybrid_basic(hybrid_log, doubled)
+            build_hybrid(hybrid_log, doubled)
         vault = (RestoreSample(Tier.VAULT, 1.0, 1.0),) + hybrid_restores[1:]
         with pytest.raises(ConfigError):
-            build_hybrid_basic(hybrid_log, vault)
+            build_hybrid(hybrid_log, vault)
 
     def test_rejects_bad_threshold(self, hybrid_log, hybrid_restores):
         with pytest.raises(ConfigError):
-            build_hybrid_basic(hybrid_log, hybrid_restores, tiering_threshold_days=0)
+            build_hybrid(hybrid_log, hybrid_restores, tiering_threshold_days=0)
 
 
 class TestCloudBuilder:
     def test_daily_transfer_is_the_job_sum(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
-        result = run(build_cloud_basic(job1, job2, cloud_restore))
+        result = run(build_cloud(job1, job2, cloud_restore))
         transfers = result.values("DailyTransfer")
         assert transfers == (8715.0, 8784.0, 8941.0, 9069.0, 9120.0, 9016.0, 9458.0, 0.0)
 
     def test_vault_accumulates(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
-        result = run(build_cloud_basic(job1, job2, cloud_restore))
+        result = run(build_cloud(job1, job2, cloud_restore))
         assert result.value("RecoveryVault", 7) == 63103.0
         assert result.value("RecoveryVault", 8) == 63103.0
 
     def test_computed_averages(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
-        result = run(build_cloud_basic(job1, job2, cloud_restore))
+        result = run(build_cloud(job1, job2, cloud_restore))
         assert result.final("AvgJob1Throughput") == pytest.approx(2.7404289, abs=1e-6)
         assert result.final("AvgJob2Throughput") == pytest.approx(1.3403195, abs=1e-6)
         assert result.final("RecoveryThroughput") == pytest.approx(7690 / 1380)
 
     def test_restore_event_in_trailing_period(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
-        result = run(build_cloud_basic(job1, job2, cloud_restore))
+        result = run(build_cloud(job1, job2, cloud_restore))
         data = result.values("RestoreData")
         assert data[7] == 7690.0 and sum(data) == 7690.0
+
+    def test_rejects_the_other_systems_pricing(self, cloud_logs, cloud_restore):
+        logs = dict(zip(("job1", "job2"), cloud_logs))
+        with pytest.raises(ConfigError, match="cloud-vault model is priced by VaultRates"):
+            build_basic(SystemKind.CLOUD_VAULT, logs, (cloud_restore,), ObjectStoreRates())
 
     def test_rejects_wrong_tier_or_count(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
         local = RestoreSample(Tier.LOCAL, 7690, 1380)
         with pytest.raises(ConfigError):
-            build_cloud_basic(job1, job2, local)
+            build_cloud(job1, job2, local)
         with pytest.raises(ConfigError):
-            build_cloud_basic(job1[:6], job2, cloud_restore)
+            build_cloud(job1[:6], job2, cloud_restore)
 
 
 def extend(basic, test_data_mb, supplied_averages=None):
@@ -145,7 +168,7 @@ def extend(basic, test_data_mb, supplied_averages=None):
 
 class TestExtension:
     def test_basic_series_are_untouched(self, hybrid_log, hybrid_restores):
-        basic = build_hybrid_basic(hybrid_log, hybrid_restores)
+        basic = build_hybrid(hybrid_log, hybrid_restores)
         extended = extend(basic, 531012)
         before, after = run(basic), run(extended)
         for component in basic.components:
@@ -155,14 +178,14 @@ class TestExtension:
         self, cloud_logs, cloud_restore
     ):
         job1, job2 = cloud_logs
-        basic = build_cloud_basic(job1, job2, cloud_restore)
+        basic = build_cloud(job1, job2, cloud_restore)
         extended = extend(basic, 531012, {"AvgJob1Throughput": 2.57731})
         result = run(extended)
         assert result.final("AvgJob1Throughput") == pytest.approx(2.7404289, abs=1e-6)
         assert result.final("BackupTimeJob1TestData") == pytest.approx(531012 / 2.57731)
 
     def test_matches_direct_projection(self, hybrid_log, hybrid_restores):
-        basic = build_hybrid_basic(hybrid_log, hybrid_restores)
+        basic = build_hybrid(hybrid_log, hybrid_restores)
         projection = project(100_000, projection_rates(basic))
         extended = run(extend_with_test_data(basic, projection, CostBreakdown(1.0, 2.0)))
         assert extended.final("TestData") == 100_000
@@ -174,13 +197,13 @@ class TestExtension:
         assert extended.final("TotalServiceCostTestData") == 3.0
 
     def test_double_extension_rejected(self, hybrid_log, hybrid_restores):
-        extended = extend(build_hybrid_basic(hybrid_log, hybrid_restores), 1000)
+        extended = extend(build_hybrid(hybrid_log, hybrid_restores), 1000)
         with pytest.raises(ConfigError):
             extend(extended, 1000)
 
     def test_bad_inputs_rejected(self, hybrid_log, hybrid_restores, cloud_logs, cloud_restore):
-        hybrid = build_hybrid_basic(hybrid_log, hybrid_restores)
-        cloud = build_cloud_basic(*cloud_logs, cloud_restore)
+        hybrid = build_hybrid(hybrid_log, hybrid_restores)
+        cloud = build_cloud(*cloud_logs, cloud_restore)
         cloud_projection = project(1000, projection_rates(cloud))
         with pytest.raises(ConfigError, match="lacks times"):
             extend_with_test_data(hybrid, cloud_projection, CostBreakdown(1.0))
@@ -188,7 +211,7 @@ class TestExtension:
 
 class TestProjectionRates:
     def test_hybrid_rates(self, hybrid_log, hybrid_restores):
-        rates = projection_rates(build_hybrid_basic(hybrid_log, hybrid_restores))
+        rates = projection_rates(build_hybrid(hybrid_log, hybrid_restores))
         by_label = {r.label: r for r in rates}
         assert by_label["Backup"].kind is RateKind.THROUGHPUT
         assert by_label["Backup"].role is RateRole.BACKUP
@@ -197,7 +220,7 @@ class TestProjectionRates:
 
     def test_supplied_flag(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
-        basic = build_cloud_basic(job1, job2, cloud_restore)
+        basic = build_cloud(job1, job2, cloud_restore)
         rates = projection_rates(basic, {"RecoveryThroughput": 5.57246})
         by_label = {r.label: r for r in rates}
         assert by_label["Vault"].supplied
@@ -205,7 +228,7 @@ class TestProjectionRates:
         assert not by_label["Job1"].supplied
 
     def test_bad_supplied_averages_rejected(self, hybrid_log, hybrid_restores):
-        basic = build_hybrid_basic(hybrid_log, hybrid_restores)
+        basic = build_hybrid(hybrid_log, hybrid_restores)
         with pytest.raises(ConfigError, match=r"supplied_averages: unknown keys \['NoSuchAverage'\]"):
             projection_rates(basic, {"NoSuchAverage": 1.0})
         with pytest.raises(ConfigError, match="MeanDailyThroughput must be > 0"):
@@ -217,25 +240,25 @@ class TestProjectionRates:
         self, hybrid_log, hybrid_restores, cloud_logs, cloud_restore
     ):
         basics = {
-            SystemKind.HYBRID: build_hybrid_basic(hybrid_log, hybrid_restores),
-            SystemKind.CLOUD_VAULT: build_cloud_basic(*cloud_logs, cloud_restore),
+            SystemKind.HYBRID: build_hybrid(hybrid_log, hybrid_restores),
+            SystemKind.CLOUD_VAULT: build_cloud(*cloud_logs, cloud_restore),
         }
-        assert basics.keys() == _RATES.keys()
+        assert basics.keys() == SYSTEMS.keys()
         for system, basic in basics.items():
             assert basic.meta["system"] == system.value
             components = {c.name: c for c in basic.components}
             extended = {c.name for c in extend(basic, 1000).components}
-            for _, average, kind, _, what_if in _RATES[system]:
-                assert components[average].unit == kind.value
-                assert average in basic.meta["averages"]
-                assert what_if in extended and what_if not in components
+            for row in SYSTEMS[system].rates:
+                assert components[row.average].unit == row.kind.value
+                assert row.average in basic.meta["averages"]
+                assert row.what_if in extended and row.what_if not in components
 
 
 class TestRandomLogProperties:
     @given(log=int_job_logs(14), threshold=st.integers(1, 20))
     @settings(max_examples=200, deadline=None)
     def test_oracle_equivalence(self, hybrid_restores, log, threshold):
-        model = build_hybrid_basic(log, hybrid_restores, tiering_threshold_days=threshold)
+        model = build_hybrid(log, hybrid_restores, tiering_threshold_days=threshold)
         result = run(model)
         local, cloud = retention_tiering_oracle(log, threshold, model.horizon)
         assert list(result.values("LocalStorage")) == local
@@ -244,7 +267,7 @@ class TestRandomLogProperties:
     @given(job1=int_job_logs(7), job2=int_job_logs(7))
     @settings(max_examples=100, deadline=None)
     def test_cloud_vault_equals_cumulative_transfers(self, cloud_restore, job1, job2):
-        result = run(build_cloud_basic(job1, job2, cloud_restore))
+        result = run(build_cloud(job1, job2, cloud_restore))
         running = 0.0
         for period in range(1, 9):
             running += result.value("DailyTransfer", period)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from xml.etree import ElementTree
+
 import pytest
 
 from drperf.engine import Kind, Model, ModelComponent, run
 from drperf.errors import DomainError
 from drperf.plot import emit_plot, render_svg
 from drperf.scenario import Evaluation
+
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 
 
 def test_polyline_per_series():
@@ -21,6 +25,13 @@ def test_point_counts_match_the_series(hybrid_scenario):
     polyline = [line for line in svg.splitlines() if "<polyline" in line][0]
     points = polyline.split('points="')[1].split('"')[0].split()
     assert len(points) == 14
+
+
+def test_markup_in_text_is_escaped():
+    svg = render_svg({"a<b & c": [(1, 1.0), (2, 2.0)]}, title="R&D <primary>", y_label="MB & <x>")
+    texts = [node.text for node in ElementTree.fromstring(svg).iter(SVG_TEXT)]
+    assert texts[0] == "R&D <primary>"
+    assert "a<b & c" in texts and "MB & <x>" in texts
 
 
 def test_constant_series_draws_a_horizontal_line():
