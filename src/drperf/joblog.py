@@ -4,7 +4,8 @@ Job logs are CSV with header ``day,data_mb,duration_s`` (or
 ``duration_min``, converted to seconds at parse time).  Restore samples
 use ``tier,data_mb,duration_s`` with one row per sampled restore.
 Numeric cells must be finite, and so must a duration once converted to
-seconds.
+seconds and the rate a row measures: data over duration, and for a
+restore also duration over data.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ def _number(cell: str, column: str, lineno: int) -> float:
     return value
 
 
+def _overflow(data_cell: str, column: str, duration_cell: str) -> str:
+    return f"data_mb {data_cell!r} over {column} {duration_cell!r} overflows as a rate"
+
+
 def parse_job_log(text: str) -> tuple[JobSample, ...]:
     """Parse a backup job log; samples must appear in increasing day order."""
     rows = _rows(text)
@@ -74,6 +79,8 @@ def parse_job_log(text: str) -> tuple[JobSample, ...]:
             sample = JobSample(day=int(day_f), data_mb=data_mb, duration_s=duration)
         except DomainError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if not math.isfinite(data_mb / duration):
+            raise ParseError(_overflow(cells[1], header[2], cells[2]), line=lineno)
         if samples and sample.day <= samples[-1].day:
             raise ParseError(
                 f"day {sample.day} repeats or precedes day {samples[-1].day}", line=lineno
@@ -107,6 +114,9 @@ def parse_restore_samples(text: str) -> tuple[RestoreSample, ...]:
             samples.append(RestoreSample(source_tier=tier, data_mb=data_mb, duration_s=duration))
         except DomainError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        # a restore rate is read either way round: MB/s or s/MB
+        if not (math.isfinite(data_mb / duration) and math.isfinite(duration / data_mb)):
+            raise ParseError(_overflow(cells[1], "duration_s", cells[2]), line=lineno)
     if not samples:
         raise ParseError("no samples")
     return tuple(samples)

@@ -89,7 +89,13 @@ def summarize_throughput(samples: Sequence[JobSample]) -> ThroughputSummary:
     if not samples:
         raise DomainError("cannot summarize an empty job log")
     per_sample = tuple(throughput(s.data_mb, s.duration_s) for s in samples)
-    mean = math.fsum(per_sample) / len(per_sample)
+    try:
+        mean = math.fsum(per_sample) / len(per_sample)
+    except OverflowError:  # finite rates whose sum exceeds the largest float
+        raise DomainError(
+            f"the mean of {len(per_sample)} per-sample rates overflows: their sum is too"
+            " large for a float"
+        ) from None
     lo, hi = min(per_sample), max(per_sample)
     slack = 1e-9 * max(abs(lo), abs(hi), 1.0)
     if not (lo - slack <= mean <= hi + slack):
@@ -162,7 +168,10 @@ class Projection:
 
 
 def project(test_data_mb: float, rates: Iterable[Rate]) -> Projection:
-    """Project backup/restore times for ``test_data_mb`` from average rates; each must be finite."""
+    """Project backup/restore times for ``test_data_mb`` from average rates.
+
+    Each rate must be finite and > 0, and so must each time it gives.
+    """
     if test_data_mb <= 0:
         raise DomainError(f"test_data_mb must be > 0, got {test_data_mb}")
     basis = tuple(rates)
@@ -171,6 +180,8 @@ def project(test_data_mb: float, rates: Iterable[Rate]) -> Projection:
     backup: dict[str, float] = {}
     restore: dict[str, float] = {}
     for rate in basis:
+        if not math.isfinite(rate.value):
+            raise DomainError(f"rate {rate.label!r} must be finite, got {rate.value}")
         if rate.value <= 0:
             raise DomainError(f"rate {rate.label!r} must be > 0, got {rate.value}")
         bucket = backup if rate.role is RateRole.BACKUP else restore

@@ -24,7 +24,7 @@ from enum import Enum
 from . import costs, metrics
 from .costs import CostBreakdown, ObjectStoreRates, VaultRates
 from .engine import Kind, Model, ModelComponent
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .metrics import JobSample, Projection, Rate, RateKind, RateRole, RestoreSample, Tier
 
 DEFAULT_TIERING_THRESHOLD_DAYS = 14
@@ -189,7 +189,10 @@ def _restore_by_tier(
 
 def _average(row: RateRow, job_logs: Mapping, by_tier: Mapping) -> float:
     if row.role is RateRole.BACKUP:
-        return metrics.summarize_throughput(job_logs[row.source]).mean_arithmetic
+        try:
+            return metrics.summarize_throughput(job_logs[row.source]).mean_arithmetic
+        except DomainError as exc:
+            raise DomainError(f"job log {row.source!r}: {exc}") from exc
     if row.kind is RateKind.THROUGHPUT:
         return metrics.recovery_throughput(by_tier[row.source])
     return metrics.restore_time_per_mb(by_tier[row.source])

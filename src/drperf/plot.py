@@ -50,14 +50,17 @@ def render_svg(
             raise DomainError(f"nothing to plot: series {name!r} is empty")
 
     names = sorted(series)
-    periods = sorted({p for name in names for p, _ in series[name]})
-    values = [v for name in names for _, v in series[name]]
+    columns = [tuple(zip(*series[name])) for name in names]  # (periods, values) per series
+    periods = sorted({p for series_periods, _ in columns for p in series_periods})
+    values = [v for _, series_values in columns for v in series_values]
     x_lo, x_hi = min(periods), max(periods)
     y_lo, y_hi = min(0.0, min(values)), max(values)
     if x_hi == x_lo:
         x_hi = x_lo + 1
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
+        if y_hi == y_lo:  # a negative value too large for 1.0 to move: span up to zero
+            y_hi = 0.0
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -121,17 +124,24 @@ def render_svg(
             f'transform="rotate(-90 16 {cy:.0f})">{_text(y_label)}</text>'
         )
 
-    # A polyline point is "x,y" with both coordinates as _coord prints them:
-    # each period's x is formatted once, and y is sy(v) written inline.
-    x_coords = {p: _coord(sx(p)) for p in periods}
-    for i, name in enumerate(names):
+    # Each polyline's points are one %-format call, not one f-string per point.
+    # "%.2f" % x prints what _coord's f"{x:.2f}" prints: both end in CPython's
+    # PyOS_double_to_string(x, 'f', 2), nan, the infinities and -0.0 included.
+    # x is formatted once per period.  x and y are sx and sy written inline, with
+    # the int constants as the floats they equal: Python converts an int operand
+    # to that float anyway, so the results are the same, and float-only operations
+    # run faster.  A scale factor plot_h / y_span taken out of the loop would not
+    # be the same: it rounds differently.
+    left, top = float(MARGIN_LEFT), float(MARGIN_TOP)
+    width, height, x_span = float(plot_w), float(plot_h), x_hi - x_lo
+    xs = tuple([left + (p - x_lo) / x_span * width for p in periods])
+    x_text = dict(zip(periods, ("%.2f " * len(xs) % xs).split()))
+    for i, (name, (series_periods, series_values)) in enumerate(zip(names, columns)):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(
-            [
-                f"{x_coords[p]},{MARGIN_TOP + (y_hi - v) / y_span * plot_h:.2f}"
-                for p, v in series[name]
-            ]
-        )
+        cells = [None] * (2 * len(series_values))
+        cells[::2] = map(x_text.__getitem__, series_periods)
+        cells[1::2] = [top + (y_hi - v) / y_span * height for v in series_values]
+        points = ("%s,%.2f " * len(series_values))[:-1] % tuple(cells)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

@@ -6,6 +6,10 @@ moves each one the first period its age reaches the tiering threshold.
 Agreement between the two is a strong check that the stock updates are
 wired correctly.
 
+``polyline_points``: the ``points`` text of each polyline ``plot.render_svg``
+draws, written one f-string per point with the chart's own scaling
+expressions, where ``render_svg`` formats each series in bulk.
+
 ``reference_run``: a direct period loop that builds a fresh read view of
 each component's dependencies on every call, where ``engine.run`` compiles
 a plan once and reuses its scopes; the two must give identical series.
@@ -18,6 +22,7 @@ from collections.abc import Mapping, Sequence
 from drperf.engine import Kind, Model, RunResult, _converter_order
 from drperf.errors import ModelError
 from drperf.metrics import JobSample
+from drperf.plot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, _coord
 
 
 def retention_tiering_oracle(
@@ -42,6 +47,33 @@ def retention_tiering_oracle(
         local_series.append(sum(mb for _, mb in local_copies))
         cloud_series.append(cloud_total)
     return local_series, cloud_series
+
+
+def polyline_points(series: Mapping[str, Sequence[tuple[int, float]]]) -> list[str]:
+    """Each series' ``points`` attribute, in name order, one point at a time."""
+    names = sorted(series)
+    periods = sorted({p for name in names for p, _ in series[name]})
+    values = [v for name in names for _, v in series[name]]
+    x_lo, x_hi = min(periods), max(periods)
+    y_lo, y_hi = min(0.0, min(values)), max(values)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+        if y_hi == y_lo:  # a negative value too large for 1.0 to move: span up to zero
+            y_hi = 0.0
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    y_span = y_hi - y_lo
+    attributes = []
+    for name in names:
+        points = []
+        for p, v in series[name]:
+            x = MARGIN_LEFT + (p - x_lo) / (x_hi - x_lo) * plot_w
+            y = MARGIN_TOP + (y_hi - v) / y_span * plot_h
+            points.append(f"{_coord(x)},{y:.2f}")
+        attributes.append(" ".join(points))
+    return attributes
 
 
 class _Scope(Mapping[str, float]):

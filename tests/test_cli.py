@@ -481,6 +481,72 @@ def test_job_log_duration_overflowing_in_seconds_is_one_error_line(tmp_path, cap
     )
 
 
+CSV_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate"],
+        ["project"],
+        ["bia-check"],
+        ["compare", "OTHER"],
+        ["plot", "--component", "STOCK", "--out", "OUT"],
+    ],
+    ids=["simulate", "project", "bia-check", "compare", "plot"],
+)
+
+
+def _csv_command(command: list[str], system: str, scenario: Path) -> list[str]:
+    """``command`` on ``scenario``: compared with the other bundled system, or plotting a stock."""
+    filled = {
+        "OTHER": CLOUD if system == "hybrid" else HYBRID,
+        "STOCK": "LocalStorage" if system == "hybrid" else "RecoveryVault",
+        "OUT": str(scenario.parent / "chart.svg"),
+    }
+    return [command[0], str(scenario), *(filled.get(a, a) for a in command[1:])]
+
+
+def _rewrite_rows(path: Path, old_rows: list[str], new_rows: list[str]) -> None:
+    text = path.read_text()
+    for old, new in zip(old_rows, new_rows):
+        assert text.count(old + "\n") == 1
+        text = text.replace(old + "\n", new + "\n")
+    path.write_text(text)
+
+
+# (system, CSV file, rows replaced, their replacements, the error after "error: ")
+OVERFLOWING_RATES = [
+    ("hybrid", "hybrid_backup.csv", ["1,26956,8.75"], ["1,1000,1e-320"],
+     "hybrid_backup.csv: line 2: data_mb '1000' over duration_min '1e-320' overflows as a rate"),
+    ("cloud", "cloud_restore.csv", ["Vault,7690,1380"], ["Vault,1e308,1e-10"],
+     "cloud_restore.csv: line 2: data_mb '1e308' over duration_s '1e-10' overflows as a rate"),
+    ("cloud", "cloud_restore.csv", ["Vault,7690,1380"], ["Vault,1e-10,1e308"],
+     "cloud_restore.csv: line 2: data_mb '1e-10' over duration_s '1e308' overflows as a rate"),
+    ("hybrid", "hybrid_backup.csv", ["1,26956,8.75", "2,25712,10.633"],
+     ["1,1.7e308,0.0166667", "2,1.7e308,0.0166667"],
+     "job log 'backup': the mean of 14 per-sample rates overflows: their sum is too large"
+     " for a float"),
+]
+
+
+@CSV_COMMANDS
+@pytest.mark.parametrize(
+    "system, name, old_rows, new_rows, message",
+    OVERFLOWING_RATES,
+    ids=["job-rate", "restore-rate", "restore-time-per-mb", "job-mean"],
+)
+def test_overflowing_rate_is_one_error_line(
+    command, system, name, old_rows, new_rows, message, tmp_path, capsys
+):
+    # A rate that overflows to inf would project a time of 0 and pass every window.
+    scenario = _scenario_copy(tmp_path, system)
+    if system == "cloud":  # so the restore rate is computed from the sample
+        doc = yaml.safe_load(scenario.read_text())
+        del doc["supplied_averages"]["RecoveryThroughput"]
+        scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    _rewrite_rows(tmp_path / name, old_rows, new_rows)
+    assert main(_csv_command(command, system, scenario)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_relative_and_dotted_scenario_paths_read_the_same_files(monkeypatch, capsys):
     golden = (GOLDEN_DIR / "comparison.txt").read_text(encoding="utf-8")
     data_dir = Path(HYBRID).parent

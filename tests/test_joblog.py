@@ -73,6 +73,22 @@ class TestParseJobLog:
         assert excinfo.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_job_log, "day,data_mb,duration_min\n1,10,8.75\n2,1000,1e-320\n"),
+        (parse_job_log, "day,data_mb,duration_s\n1,10,20\n2,1e300,1e-300\n"),
+        (parse_restore_samples, "tier,data_mb,duration_s\nLocal,1,1\nVault,1e308,1e-10\n"),
+        (parse_restore_samples, "tier,data_mb,duration_s\nLocal,1,1\nVault,1e-10,1e308\n"),
+    ],
+    ids=["job-minutes", "job-seconds", "restore-throughput", "restore-time-per-mb"],
+)
+def test_rate_that_overflows_rejected(parse, text):
+    with pytest.raises(ParseError, match="line 3: data_mb .* overflows as a rate") as excinfo:
+        parse(text)
+    assert excinfo.value.line == 3
+
+
 finite_mb = st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False)
 finite_duration = st.floats(0.001, 1e9, allow_nan=False, allow_infinity=False)
 

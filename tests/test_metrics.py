@@ -12,6 +12,7 @@ from drperf.metrics import (
     RateKind,
     RateRole,
     RestoreSample,
+    ThroughputSummary,
     Tier,
     mb_to_gb,
     project,
@@ -64,6 +65,14 @@ class TestSummarize:
     def test_empty_log_rejected(self):
         with pytest.raises(DomainError):
             summarize_throughput([])
+
+    def test_mean_that_overflows_is_a_domain_error(self):
+        # Each rate is finite, but their sum is not; a finite sum keeps fsum's exact mean.
+        with pytest.raises(DomainError, match="the mean of 2 per-sample rates overflows"):
+            summarize_throughput([sample(1, 1.7e308, 1.0), sample(2, 1.7e308, 1.0)])
+        assert summarize_throughput([sample(1, 1.7e308, 2.0), sample(2, 1.7e308, 2.0)]) == (
+            ThroughputSummary((8.5e307, 8.5e307), 8.5e307)
+        )
 
     def test_single_sample_means_coincide(self):
         summary = summarize_throughput([sample(1, 123.0, 7.0)])
@@ -138,6 +147,13 @@ class TestProject:
             project(10.0, [])
         with pytest.raises(DomainError):
             project(10.0, [Rate("x", 0.0, RateKind.THROUGHPUT, RateRole.BACKUP)])
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("kind", list(RateKind))
+    def test_non_finite_rate_rejected(self, value, kind):
+        # An infinite throughput would project a time of 0 s and pass every target.
+        with pytest.raises(DomainError, match=f"rate 'x' must be finite, got {value}"):
+            project(10.0, [Rate("x", value, kind, RateRole.RESTORE)])
 
     def test_duplicate_labels_rejected(self):
         dupes = (

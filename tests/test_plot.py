@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import re
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drperf.engine import Kind, Model, ModelComponent, run
 from drperf.errors import DomainError
 from drperf.plot import emit_plot, render_svg
 from drperf.scenario import Evaluation
+
+from .oracles import polyline_points
 
 SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 
@@ -27,6 +31,38 @@ def test_point_counts_match_the_series(hybrid_scenario):
     assert len(points) == 14
 
 
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300)
+
+
+@st.composite
+def charts(draw):
+    """1-3 series over sorted periods with gaps; each series is a prefix, so some end early."""
+    size = draw(st.integers(1, 1500))
+    rng = draw(st.randoms(use_true_random=False))
+    periods = sorted(rng.sample(range(1, 3 * size + 1), size))
+
+    def value() -> float:
+        roll = rng.random()
+        if roll < 0.2:
+            return rng.choice(EDGE_VALUES)
+        if roll < 0.6:
+            return rng.uniform(-1000.0, 1000.0)
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.0, 300.0)
+
+    series = {}
+    for i in range(draw(st.integers(1, 3))):
+        end = draw(st.integers(1, size))
+        series[f"s{i}"] = [(p, value()) for p in periods[:end]]
+    return series
+
+
+@settings(deadline=None)
+@given(charts())
+def test_polylines_match_the_point_by_point_oracle(series):
+    svg = render_svg(series, title="t", y_label="MB")
+    assert re.findall(r'points="([^"]*)"', svg) == polyline_points(series)
+
+
 def test_markup_in_text_is_escaped():
     svg = render_svg({"a<b & c": [(1, 1.0), (2, 2.0)]}, title="R&D <primary>", y_label="MB & <x>")
     texts = [node.text for node in ElementTree.fromstring(svg).iter(SVG_TEXT)]
@@ -40,6 +76,14 @@ def test_constant_series_draws_a_horizontal_line():
     points = polyline.split('points="')[1].split('"')[0].split()
     ys = {p.split(",")[1] for p in points}
     assert len(ys) == 1
+
+
+@pytest.mark.parametrize("value", [0.0, -5.0, -1e300])
+def test_constant_series_at_or_below_zero_draws_a_horizontal_line(value):
+    # At -1e300, y_lo + 1.0 == y_lo, so the y range reaches up to zero instead.
+    svg = render_svg({"flat": [(1, value), (2, value), (3, value)]})
+    points = re.findall(r'points="([^"]*)"', svg)[0].split()
+    assert len({p.split(",")[1] for p in points}) == 1
 
 
 def test_empty_series_rejected():
