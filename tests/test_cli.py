@@ -481,19 +481,6 @@ def test_job_log_duration_overflowing_in_seconds_is_one_error_line(tmp_path, cap
     )
 
 
-CSV_COMMANDS = pytest.mark.parametrize(
-    "command",
-    [
-        ["simulate"],
-        ["project"],
-        ["bia-check"],
-        ["compare", "OTHER"],
-        ["plot", "--component", "STOCK", "--out", "OUT"],
-    ],
-    ids=["simulate", "project", "bia-check", "compare", "plot"],
-)
-
-
 def _csv_command(command: list[str], system: str, scenario: Path) -> list[str]:
     """``command`` on ``scenario``: compared with the other bundled system, or plotting a stock."""
     filled = {
@@ -527,7 +514,17 @@ OVERFLOWING_RATES = [
 ]
 
 
-@CSV_COMMANDS
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate"],
+        ["project"],
+        ["bia-check"],
+        ["compare", "OTHER"],
+        ["plot", "--component", "STOCK", "--out", "OUT"],
+    ],
+    ids=["simulate", "project", "bia-check", "compare", "plot"],
+)
 @pytest.mark.parametrize(
     "system, name, old_rows, new_rows, message",
     OVERFLOWING_RATES,
