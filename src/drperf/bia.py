@@ -1,15 +1,14 @@
 """Business impact analysis targets and compliance checking.
 
 A BIA fixes per-agent recovery targets (RPO, RTO, optional WRT and data
-loss ceiling).  This module compares measured or projected metrics against
-those targets and produces a verdict per metric.  Time-budget arithmetic:
+loss ceiling).  This module compares a projection against those targets
+and produces a verdict per metric.  Time-budget arithmetic:
 MTD = RTO + WRT.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
@@ -114,39 +113,9 @@ def check(
 
 
 @dataclass(frozen=True)
-class MeasuredMetrics:
-    """Metrics extracted from a simulation run or projection.
-
-    Times are hours; keys name the backup job or restore source.  The
-    achieved RPO defaults to the backup frequency (worst-case age of the
-    newest copy) when backups ran but no explicit value is given.
-    """
-
-    backup_times_h: Mapping[str, float] = field(default_factory=dict)
-    restore_times_h: Mapping[str, float] = field(default_factory=dict)
-    achieved_rpo_days: float | None = None
-    data_loss_mb: float | None = None
-
-    @classmethod
-    def from_projection(
-        cls,
-        projection: Projection,
-        achieved_rpo_days: float | None = None,
-        data_loss_mb: float | None = None,
-    ) -> "MeasuredMetrics":
-        return cls(
-            backup_times_h=projection.backup_times_h,
-            restore_times_h=projection.restore_times_h,
-            achieved_rpo_days=achieved_rpo_days,
-            data_loss_mb=data_loss_mb,
-        )
-
-
-@dataclass(frozen=True)
 class ComplianceReport:
     """All verdicts for one scenario plus the MTD when derivable."""
 
-    scenario: str
     verdicts: tuple[ComplianceVerdict, ...]
     mtd_hours: float | None = None
 
@@ -159,70 +128,57 @@ class ComplianceReport:
         return not self.failures
 
 
-def evaluate(measured: MeasuredMetrics, targets: BiaTargets, scenario: str = "") -> ComplianceReport:
+def evaluate(
+    projection: Projection, targets: BiaTargets, data_loss_mb: float | None = None
+) -> ComplianceReport:
     """Produce one verdict per target-relevant metric; never raises on gaps.
 
-    Restore times are checked against the RTO target, backup times against
-    the backup window (one copy must finish within a backup period), the
-    achieved RPO against the RPO target, and data loss against the ceiling
-    when the BIA defines one.  MTD is reported when a WRT is set and at
-    least one restore time was measured, using the fastest restore path.
+    Projected restore times are checked against the RTO target, backup
+    times against the backup window (one copy must finish within a backup
+    period), the achieved RPO against the RPO target, and ``data_loss_mb``
+    against the ceiling when the BIA defines one.  MTD is reported when a
+    WRT is set and the projection holds a restore time, using the fastest
+    restore path.
     """
+    restore_h, backup_h = projection.restore_times_h, projection.backup_times_h
     verdicts: list[ComplianceVerdict] = []
 
     rto_target = (
         Quantity(targets.rto_target_h, "h") if targets.rto_target_h is not None else None
     )
-    if measured.restore_times_h:
-        for label in sorted(measured.restore_times_h):
+    if restore_h:
+        for label in sorted(restore_h):
             verdicts.append(
-                check(
-                    f"restore time ({label})",
-                    Quantity(measured.restore_times_h[label], "h"),
-                    rto_target,
-                )
+                check(f"restore time ({label})", Quantity(restore_h[label], "h"), rto_target)
             )
     else:
         verdicts.append(check("restore time", None, rto_target))
 
     window = Quantity(targets.backup_frequency_days * HOURS_PER_DAY, "h")
-    if measured.backup_times_h:
-        for label in sorted(measured.backup_times_h):
-            verdicts.append(
-                check(
-                    f"backup time ({label})",
-                    Quantity(measured.backup_times_h[label], "h"),
-                    window,
-                )
-            )
+    if backup_h:
+        for label in sorted(backup_h):
+            verdicts.append(check(f"backup time ({label})", Quantity(backup_h[label], "h"), window))
     else:
         verdicts.append(check("backup time", None, window))
 
-    achieved_rpo = measured.achieved_rpo_days
-    if achieved_rpo is None and measured.backup_times_h:
-        achieved_rpo = targets.backup_frequency_days
+    # The achieved RPO is the backup frequency when a backup ran, else not evaluable.
+    achieved_rpo = Quantity(targets.backup_frequency_days, "days") if backup_h else None
     rpo_target = (
         Quantity(targets.rpo_target_days, "days") if targets.rpo_target_days is not None else None
     )
-    verdicts.append(
-        check(
-            "achieved RPO",
-            Quantity(achieved_rpo, "days") if achieved_rpo is not None else None,
-            rpo_target,
-        )
-    )
+    verdicts.append(check("achieved RPO", achieved_rpo, rpo_target))
 
     if targets.max_data_loss_mb is not None:
         verdicts.append(
             check(
                 "data loss",
-                Quantity(measured.data_loss_mb, "MB") if measured.data_loss_mb is not None else None,
+                Quantity(data_loss_mb, "MB") if data_loss_mb is not None else None,
                 Quantity(targets.max_data_loss_mb, "MB"),
             )
         )
 
     mtd_hours = None
-    if targets.wrt_h is not None and measured.restore_times_h:
-        mtd_hours = mtd(min(measured.restore_times_h.values()), targets.wrt_h)
+    if targets.wrt_h is not None and restore_h:
+        mtd_hours = mtd(min(restore_h.values()), targets.wrt_h)
 
-    return ComplianceReport(scenario=scenario, verdicts=tuple(verdicts), mtd_hours=mtd_hours)
+    return ComplianceReport(verdicts=tuple(verdicts), mtd_hours=mtd_hours)

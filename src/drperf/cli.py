@@ -69,7 +69,7 @@ def _cmd_reliability(args) -> int:
 def _cmd_bia_check(args) -> int:
     scenario = load_scenario(args.scenario)
     compliance = Evaluation(scenario, args.test_data_mb).compliance
-    print(report.render_compliance(compliance), end="")
+    print(report.render_compliance(compliance, scenario.name), end="")
     return EXIT_OK if compliance.compliant else EXIT_NONCOMPLIANT
 
 

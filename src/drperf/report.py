@@ -73,8 +73,6 @@ def render_cost(breakdown: CostBreakdown, label: str) -> str:
 
 
 def render_projection(projection: Projection, label: str) -> str:
-    from .metrics import seconds_to_hours  # here, so importing report does not load metrics
-
     basis_rows = [
         [
             r.label,
@@ -86,10 +84,10 @@ def render_projection(projection: Projection, label: str) -> str:
         for r in projection.basis
     ]
     time_rows = [
-        [f"{role} {label}", fmt_num(seconds), fmt_num(seconds_to_hours(seconds))]
-        for role, times in (
-            ("backup", projection.backup_times_s),
-            ("restore", projection.restore_times_s),
+        [f"{role} {label}", fmt_num(seconds), fmt_num(hours[label])]
+        for role, times, hours in (
+            ("backup", projection.backup_times_s, projection.backup_times_h),
+            ("restore", projection.restore_times_s, projection.restore_times_h),
         )
         for label, seconds in sorted(times.items())
     ]
@@ -115,7 +113,7 @@ def render_reliability(system: SeriesSystem) -> str:
     return title + _table(["component", "basis", "reliability"], rows)
 
 
-def render_compliance(report: ComplianceReport) -> str:
+def render_compliance(report: ComplianceReport, label: str) -> str:
     rows = []
     for verdict in report.verdicts:
         rows.append(
@@ -127,7 +125,7 @@ def render_compliance(report: ComplianceReport) -> str:
                 verdict.status.value,
             ]
         )
-    lines = [f"scenario: {report.scenario}"]
+    lines = [f"scenario: {label}"]
     if report.mtd_hours is not None:
         lines.append(f"MTD (fastest restore + WRT): {fmt_num(report.mtd_hours)} h")
     lines.append(_table(["metric", "measured", "relation", "target", "status"], rows))
@@ -167,18 +165,13 @@ def _cells(values: Iterable[float | None]) -> list[str]:
 
 
 def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str]]]:
-    from .metrics import RateKind, RateRole, seconds_to_hours  # here, as in render_projection
+    from .metrics import RateKind, RateRole  # here, so importing report does not load metrics
 
     def measured(rate: Rate) -> float:
         """A backup rate as it is, a restore rate as seconds per MB."""
         if rate.role is RateRole.BACKUP or rate.kind is RateKind.SECONDS_PER_MB:
             return rate.value
         return 1.0 / rate.value
-
-    def projected_h(evaluation: Evaluation, role: RateRole, label: str) -> float:
-        projection = evaluation.projection
-        times = projection.backup_times_s if role is RateRole.BACKUP else projection.restore_times_s
-        return seconds_to_hours(times[label])
 
     columns = report.columns
     volume = columns[0].test_data_mb
@@ -202,11 +195,13 @@ def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str
         rows.append([title, *cells])
     if volume is not None:
         # A projection holds one time per rate, under the rate's own label and role.
+        hours = [
+            {RateRole.BACKUP: c.projection.backup_times_h,
+             RateRole.RESTORE: c.projection.restore_times_h}
+            for c in columns
+        ]
         for role, label in keys:
-            cells = _cells(
-                projected_h(c, role, label) if (role, label) in by_key else None
-                for c, by_key in zip(columns, rates)
-            )
+            cells = _cells(by_role[role].get(label) for by_role in hours)
             rows.append([f"projected {role.value} time {label} (h)", *cells])
     chains = [c.scenario.reliability for c in columns]
     rows += [

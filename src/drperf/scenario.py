@@ -26,7 +26,7 @@ from pathlib import Path
 import yaml
 
 from . import costs, models
-from .bia import BiaTargets, ComplianceReport, MeasuredMetrics, evaluate
+from .bia import BiaTargets, ComplianceReport, evaluate
 from .costs import CostBreakdown, ObjectStoreRates, VaultRates
 from .engine import Model
 from .errors import ConfigError, DomainError, ParseError
@@ -421,7 +421,6 @@ class Evaluation:
     @cached_property
     def compliance(self) -> ComplianceReport:
         """BIA verdicts for the projected times and measured ingest volumes."""
-        projection = self.projection
         data_loss = None
         if self.scenario.bia.max_data_loss_mb is not None:
             by_day: dict[int, float] = {}
@@ -429,8 +428,7 @@ class Evaluation:
                 for sample in log:
                     by_day[sample.day] = by_day.get(sample.day, 0.0) + sample.data_mb
             data_loss = max(by_day.values())
-        measured = MeasuredMetrics.from_projection(projection, data_loss_mb=data_loss)
-        return evaluate(measured, self.scenario.bia, scenario=self.scenario.name)
+        return evaluate(self.projection, self.scenario.bia, data_loss)
 
     @cached_property
     def extended_model(self) -> Model:

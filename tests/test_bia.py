@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from drperf.bia import (
     BiaTargets,
-    MeasuredMetrics,
     Quantity,
     Relation,
     Status,
@@ -14,6 +13,7 @@ from drperf.bia import (
     mtd,
 )
 from drperf.errors import DomainError
+from drperf.metrics import SECONDS_PER_HOUR, Projection
 
 
 class TestMtd:
@@ -99,18 +99,24 @@ class TestTargets:
         assert spare.max_data_loss_mb is None
 
 
+def projection(backup_h=None, restore_h=None) -> Projection:
+    """A projection holding the given times in hours; its volume and basis play no part."""
+
+    def seconds(hours):
+        return {label: h * SECONDS_PER_HOUR for label, h in (hours or {}).items()}
+
+    return Projection(1.0, seconds(backup_h), seconds(restore_h), ())
+
+
 class TestEvaluate:
     def measured(self):
-        return MeasuredMetrics(
-            backup_times_h={"Backup": 2.72034},
-            restore_times_h={"Local": 3.09239, "Archive": 38.016},
-        )
+        return projection({"Backup": 2.72034}, {"Local": 3.09239, "Archive": 38.016})
 
     def by_metric(self, report):
         return {v.metric: v for v in report.verdicts}
 
     def test_reference_verdicts(self):
-        report = evaluate(self.measured(), targets(), scenario="hybrid")
+        report = evaluate(self.measured(), targets())
         verdicts = self.by_metric(report)
         assert verdicts["restore time (Local)"].status is Status.PASS
         assert verdicts["restore time (Archive)"].status is Status.FAIL
@@ -120,7 +126,7 @@ class TestEvaluate:
         assert len(report.failures) == 1
 
     def test_empty_measurements_yield_not_evaluable_only(self):
-        report = evaluate(MeasuredMetrics(), targets())
+        report = evaluate(projection(), targets())
         assert report.verdicts
         assert {v.status for v in report.verdicts} == {Status.NOT_EVALUABLE}
         assert report.mtd_hours is None
@@ -130,8 +136,7 @@ class TestEvaluate:
         report = evaluate(self.measured(), targets())
         assert "data loss" not in self.by_metric(report)
         report = evaluate(
-            MeasuredMetrics(data_loss_mb=100.0, restore_times_h={"Local": 1.0}),
-            targets(max_data_loss_mb=50.0),
+            projection(restore_h={"Local": 1.0}), targets(max_data_loss_mb=50.0), 100.0
         )
         assert self.by_metric(report)["data loss"].status is Status.FAIL
 
@@ -145,21 +150,14 @@ class TestEvaluate:
 
     def test_mtd_absent_without_wrt_or_restores(self):
         assert evaluate(self.measured(), targets()).mtd_hours is None
-        no_restores = MeasuredMetrics(backup_times_h={"Backup": 1.0})
+        no_restores = projection({"Backup": 1.0})
         assert evaluate(no_restores, targets(wrt_h=1.0)).mtd_hours is None
 
     def test_achieved_rpo_defaults_to_backup_frequency(self):
-        report = evaluate(MeasuredMetrics(backup_times_h={"Backup": 1.0}), targets())
+        report = evaluate(projection({"Backup": 1.0}), targets())
         verdict = self.by_metric(report)["achieved RPO"]
         assert verdict.measured == Quantity(1.0, "days")
         assert verdict.status is Status.PASS
-
-    def test_explicit_achieved_rpo_wins(self):
-        report = evaluate(
-            MeasuredMetrics(backup_times_h={"Backup": 1.0}, achieved_rpo_days=9.0),
-            targets(),
-        )
-        assert self.by_metric(report)["achieved RPO"].status is Status.FAIL
 
     def test_verdict_count_is_deterministic(self):
         count = len(evaluate(self.measured(), targets()).verdicts)
@@ -168,7 +166,7 @@ class TestEvaluate:
         assert len(with_loss.verdicts) == 5
 
     def test_backup_window_is_the_backup_frequency(self):
-        slow = MeasuredMetrics(backup_times_h={"Backup": 25.0})
+        slow = projection({"Backup": 25.0})
         report = evaluate(slow, targets())
         assert self.by_metric(report)["backup time (Backup)"].status is Status.FAIL
         report = evaluate(slow, targets(backup_frequency_days=2))

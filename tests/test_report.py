@@ -97,7 +97,8 @@ class TestSingleReports:
         assert "0.993952" in text and "0.967185" in text
 
     def test_compliance_table(self, hybrid_scenario):
-        text = render_compliance(Evaluation(hybrid_scenario).compliance)
+        text = render_compliance(Evaluation(hybrid_scenario).compliance, hybrid_scenario.name)
+        assert text.startswith(f"scenario: {hybrid_scenario.name}\n")
         assert "FAIL" in text and "PASS" in text
         assert "restore time (Archive)" in text
 
@@ -106,5 +107,5 @@ class TestSingleReports:
             hybrid_scenario,
             bia=dataclasses.replace(hybrid_scenario.bia, wrt_h=1.90761),
         )
-        text = render_compliance(Evaluation(scenario).compliance)
+        text = render_compliance(Evaluation(scenario).compliance, scenario.name)
         assert "MTD" in text and "5 h" in text
