@@ -161,7 +161,8 @@ def evaluate(
     else:
         verdicts.append(check("backup time", None, window))
 
-    # The achieved RPO is the backup frequency when a backup ran, else not evaluable.
+    # The achieved RPO: the backup frequency (the worst-case age of the newest copy)
+    # when the projection holds a backup time, else N/A.
     achieved_rpo = Quantity(targets.backup_frequency_days, "days") if backup_h else None
     rpo_target = (
         Quantity(targets.rpo_target_days, "days") if targets.rpo_target_days is not None else None

@@ -84,6 +84,17 @@ class CostBreakdown:
     transaction_cost: float = 0.0
     instance_cost: float = 0.0
 
+    def __post_init__(self):
+        items = (
+            ("storage", self.storage_cost),
+            ("transaction", self.transaction_cost),
+            ("instance", self.instance_cost),
+            ("total", self.total),
+        )
+        for item, value in items:
+            if not math.isfinite(value):  # a price or volume so large that the product overflows
+                raise DomainError(f"monthly {item} cost must be finite, got {value}")
+
     @property
     def total(self) -> float:
         return self.storage_cost + self.transaction_cost + self.instance_cost

@@ -17,6 +17,7 @@ trajectory.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from enum import Enum
@@ -305,6 +306,16 @@ def _build(system, job_logs, restore_samples, rates, settings) -> Model:
             exogenous[name] = _event_series(horizon, period, value)
 
     averages = {row.average: _average(row, job_logs, by_tier) for row in spec.rates}
+    # Summed in period order, as engine.run's ingest stock adds it: while this sum is
+    # finite, so are that stock and every stock it feeds.
+    total_mb = 0.0
+    for day in zip(*logs):
+        total_mb += sum(sample.data_mb for sample in day)
+    if not math.isfinite(total_mb):
+        raise DomainError(
+            f"job logs {[agent.log for agent in spec.agents]}: their total data overflows:"
+            f" the sum over {spec.days} days is too large for a float"
+        )
     components += [
         _constant(row.average, averages[row.average], row.kind.value) for row in spec.rates
     ]

@@ -126,6 +126,13 @@ def _to_str(value: object, path: str) -> str:
 _SCALARS: dict[type, Converter] = {float: _to_float, int: _to_int, str: _to_str}
 
 
+def _key_path(path: str, key: object) -> str:
+    """``path.key``, with a key that would break an error line quoted: ``path['\\r']``."""
+    if isinstance(key, str) and not key.isprintable():
+        return f"{path}[{key!r}]"
+    return f"{path}.{key}"
+
+
 def _mapping(node: object, path: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"{path} must be a mapping, got {type(node).__name__}")
@@ -168,7 +175,7 @@ def _converter(tp) -> Converter | None:
     if origin is Mapping:  # Mapping[str, X]; the caller checks the keys
         item = _converter(args[1])
         return lambda value, path: {
-            k: item(v, f"{path}.{k}") for k, v in _mapping(value, path).items()
+            k: item(v, _key_path(path, k)) for k, v in _mapping(value, path).items()
         }
     if isinstance(tp, type) and issubclass(tp, Enum):
         known = ", ".join(member.value for member in tp)

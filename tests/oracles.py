@@ -17,6 +17,7 @@ a plan once and reuses its scopes; the two must give identical series.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 from drperf.engine import Kind, Model, RunResult, _converter_order
@@ -58,6 +59,8 @@ def polyline_points(series: Mapping[str, Sequence[tuple[int, float]]]) -> list[s
     y_lo, y_hi = min(0.0, min(values)), max(values)
     if x_hi == x_lo:
         x_hi = x_lo + 1
+        if x_hi == x_lo:  # a float period too large for 1 to move: span up to the next float
+            x_hi = math.nextafter(x_lo, math.inf)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
         if y_hi == y_lo:  # a negative value too large for 1.0 to move: span up to zero

@@ -544,6 +544,47 @@ def test_overflowing_rate_is_one_error_line(
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate"], ["project"], ["bia-check"], ["compare", "OTHER"],
+     ["plot", "--component", "STOCK", "--out", "OUT"]],
+    ids=["simulate", "project", "bia-check", "compare", "plot"],
+)
+@pytest.mark.parametrize(
+    "system, name, header, days, labels",
+    [
+        ("hybrid", "hybrid_backup.csv", "day,data_mb,duration_min", 14, "['backup']"),
+        ("cloud", "cloud_job1.csv", "day,data_mb,duration_s", 7, "['job1', 'job2']"),
+    ],
+    ids=["hybrid", "cloud"],
+)
+def test_total_ingest_that_overflows_is_one_error_line(
+    command, system, name, header, days, labels, tmp_path, capsys
+):
+    # Every rate is finite, but the ingest stock summed them to inf and printed it.
+    scenario = _scenario_copy(tmp_path, system)
+    rows = "".join(f"{day},1e308,1e8\n" for day in range(1, days + 1))
+    (tmp_path / name).write_text(f"{header}\n{rows}")
+    assert main(_csv_command(command, system, scenario)) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: job logs {labels}: their total data overflows: the sum over {days} days is"
+        " too large for a float\n",
+    )
+
+
+@pytest.mark.parametrize("command", [["cost"], ["compare", "OTHER"]], ids=["cost", "compare"])
+@pytest.mark.parametrize("system", ["hybrid", "cloud"])
+def test_monthly_cost_that_overflows_is_one_error_line(command, system, tmp_path, capsys):
+    # Before, cost printed "storage inf" and "total inf", and compare "monthly cost (USD) inf".
+    scenario = _scenario_copy(tmp_path, system)
+    doc = yaml.safe_load(scenario.read_text())
+    doc["pricing"]["per_gb_month"] = 1.0e306
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(_csv_command(command, system, scenario)) == 1
+    assert capsys.readouterr() == ("", "error: monthly storage cost must be finite, got inf\n")
+
+
 def test_relative_and_dotted_scenario_paths_read_the_same_files(monkeypatch, capsys):
     golden = (GOLDEN_DIR / "comparison.txt").read_text(encoding="utf-8")
     data_dir = Path(HYBRID).parent

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -133,3 +135,17 @@ class TestCloudVaultCost:
 def test_breakdown_total_is_the_exact_sum():
     breakdown = CostBreakdown(storage_cost=0.1, transaction_cost=0.2, instance_cost=0.3)
     assert breakdown.total == 0.1 + 0.2 + 0.3
+
+
+@pytest.mark.parametrize(
+    "parts, item",
+    [
+        ({"storage_cost": math.inf}, "storage"),
+        ({"storage_cost": 1.0, "transaction_cost": math.inf}, "transaction"),
+        ({"storage_cost": 1.0, "instance_cost": math.nan}, "instance"),
+        ({"storage_cost": 1e308, "transaction_cost": 1e308}, "total"),
+    ],
+)
+def test_breakdown_rejects_a_non_finite_item(parts, item):
+    with pytest.raises(DomainError, match=f"^monthly {item} cost must be finite, got"):
+        CostBreakdown(**parts)

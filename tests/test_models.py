@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from drperf.costs import CostBreakdown, ObjectStoreRates
 from drperf.engine import run
-from drperf.errors import ConfigError
+from drperf.errors import ConfigError, DomainError
 from drperf.metrics import (
     JobSample,
     RateKind,
@@ -119,6 +119,20 @@ class TestHybridBuilder:
     def test_rejects_bad_threshold(self, hybrid_log, hybrid_restores):
         with pytest.raises(ConfigError):
             build_hybrid(hybrid_log, hybrid_restores, tiering_threshold_days=0)
+
+
+def test_total_ingest_that_overflows_is_rejected(hybrid_restores, cloud_restore):
+    # Each day's data and each rate are finite; the ingest stock's running sum is not.
+    def log(days):
+        return tuple(JobSample(day, 1e308, 1e8) for day in range(1, days + 1))
+
+    with pytest.raises(DomainError, match=r"^job logs \['backup'\]: their total data overflows"):
+        build_hybrid(log(14), hybrid_restores)
+    with pytest.raises(DomainError, match=r"^job logs \['job1', 'job2'\]: their total data"):
+        build_cloud(log(7), log(7), cloud_restore)
+    empty = tuple(JobSample(day, 0.0, 1.0) for day in range(1, 8))
+    model = build_cloud(log(1) + empty[1:], empty, cloud_restore)  # one such day is finite
+    assert run(model).value("RecoveryVault", 8) == 1e308
 
 
 class TestCloudBuilder:

@@ -86,6 +86,13 @@ def test_constant_series_at_or_below_zero_draws_a_horizontal_line(value):
     assert len({p.split(",")[1] for p in points}) == 1
 
 
+@pytest.mark.parametrize("period", [1e17, -1e17, 2.0**53])
+def test_lone_float_period_that_one_cannot_move_sits_at_the_left_edge(period):
+    # period + 1 == period, so the x span reaches up to the next float instead.
+    points = re.findall(r'points="([^"]*)"', render_svg({"a": [(period, 1.0)]}))
+    assert points == ["70.00,40.00"]
+
+
 def test_empty_series_rejected():
     with pytest.raises(DomainError):
         render_svg({})

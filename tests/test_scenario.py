@@ -121,6 +121,15 @@ class TestParseScenario:
         with pytest.raises(ConfigError):
             parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
 
+    def test_mapping_key_that_is_not_printable_is_quoted_in_the_error(self, hybrid_scenario):
+        # Found by the contract fuzz: the raw key put a carriage return in the error line.
+        text = MINIMAL_HYBRID.replace("backup: hybrid_backup.csv", '"\\r": "\\x1F"')
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
+        assert str(caught.value) == (
+            "job_logs['\\r'] must be one line of printable text, got '\\x1f'"
+        )
+
     def test_invalid_yaml_reports_line(self, hybrid_scenario):
         with pytest.raises(ParseError):
             parse_scenario("name: [\n", base_dir=self.base_dir(hybrid_scenario))
