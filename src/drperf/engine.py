@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -50,8 +49,6 @@ from graphlib import CycleError, TopologicalSorter
 from types import MappingProxyType
 
 from .errors import ModelError
-
-logger = logging.getLogger(__name__)
 
 Expression = Callable[[Mapping[str, float]], float]
 
@@ -103,10 +100,10 @@ class ModelComponent:
 class Model:
     """An immutable model: components, horizon, and exogenous input series.
 
-    Exogenous series are indexed by period (element 0 is period 1).  A
-    series shorter than the horizon is padded with zeros at run time; a
-    longer one is rejected.  ``meta`` holds builder bookkeeping and must
-    stay JSON-serializable so it can feed the configuration digest.
+    Exogenous series are indexed by period (element 0 is period 1) and
+    hold exactly one value per period of the horizon; any other length is
+    rejected.  ``meta`` holds builder bookkeeping and must stay
+    JSON-serializable so it can feed the configuration digest.
     """
 
     name: str
@@ -149,7 +146,7 @@ class Model:
                 raise ModelError(f"exogenous series for unknown component {name!r}")
             if not comp.is_exogenous:
                 raise ModelError(f"component {name!r} has an expression; it cannot be exogenous")
-            if len(series) > self.horizon:
+            if len(series) != self.horizon:
                 raise ModelError(
                     f"series for {name!r} has {len(series)} entries, horizon is {self.horizon}"
                 )
@@ -288,7 +285,6 @@ def _converter_order(model: Model) -> list[ModelComponent]:
 def run(model: Model) -> RunResult:
     """Evaluate the model over its horizon; same model, same result, always."""
     order = _converter_order(model)
-    horizon = model.horizon
 
     # The plan (see the module docstring): ``readers[name]`` lists the
     # ``(container, key)`` pairs that each new value of ``name`` is stored into.
@@ -300,16 +296,7 @@ def run(model: Model) -> RunResult:
     for comp in model.components:
         name = comp.name
         if comp.is_exogenous:
-            series = model.exogenous[name]
-            if len(series) < horizon:
-                logger.warning(
-                    "series for %r has %d of %d periods; missing periods default to 0",
-                    name,
-                    len(series),
-                    horizon,
-                )
-                series = tuple(series) + (0.0,) * (horizon - len(series))
-            trajectories[name] = values = tuple(map(float, series))
+            trajectories[name] = values = tuple(map(float, model.exogenous[name]))
             inputs.append((values, readers[name]))
         elif comp.kind is Kind.STOCK:
             # The level is the trajectory's last element; the initial one is dropped below.
@@ -332,7 +319,7 @@ def run(model: Model) -> RunResult:
     flows = [c for c in model.components if c.kind is Kind.FLOW]
     evaluations = [expressions[c.name] for c in order + flows if c.name in expressions]
 
-    for index in range(horizon):
+    for index in range(model.horizon):
         for values, targets in inputs:
             value = values[index]
             for target, key in targets:

@@ -170,6 +170,18 @@ def _check_days(log: Sequence[JobSample], days: int, label: str) -> None:
         raise ConfigError(f"job log {label!r} must cover days 1..{days} exactly; {problem}")
 
 
+def daily_ingest(
+    system: SystemKind, job_logs: Mapping[str, Sequence[JobSample]]
+) -> tuple[float, ...]:
+    """Each day's data (MB) over the ``system``'s agents, in agent order.
+
+    Summed as its ingest flow sums the agents' data, so a model's ingest
+    stock holds the running sums of this series bit for bit.
+    """
+    logs = [job_logs[agent.log] for agent in SYSTEMS[system].agents]
+    return tuple(sum(sample.data_mb for sample in day) for day in zip(*logs))
+
+
 def _restore_by_tier(
     samples: Sequence[RestoreSample], wanted: tuple[Tier, ...]
 ) -> dict[Tier, RestoreSample]:
@@ -258,13 +270,14 @@ def _build(system, job_logs, restore_samples, rates, settings) -> Model:
         raise ConfigError(f"tiering_threshold_days must be >= 1, got {threshold}")
     for agent in spec.agents:
         _check_days(job_logs.get(agent.log, ()), spec.days, agent.log)
+    daily = daily_ingest(system, job_logs)
     by_tier = _restore_by_tier(restore_samples, tuple(r.tier for r in spec.restores))
-    logs = [job_logs[agent.log] for agent in spec.agents]
     horizon = spec.days + 1
 
     components: list[ModelComponent] = []
     exogenous: dict[str, tuple[float, ...]] = {}
-    for agent, log in zip(spec.agents, logs):
+    for agent in spec.agents:
+        log = job_logs[agent.log]
         components += (
             ModelComponent(agent.data, Kind.CONVERTER, unit="MB"),
             ModelComponent(agent.duration, Kind.CONVERTER, unit="s"),
@@ -284,19 +297,14 @@ def _build(system, job_logs, restore_samples, rates, settings) -> Model:
         ),
     )
     if spec.tiering:
-        moves = [0.0] * horizon
-        for log in logs:
-            for sample in log:
-                if sample.day + threshold <= horizon:
-                    moves[sample.day + threshold - 1] += sample.data_mb
-        exogenous[spec.tiering] = tuple(moves)
-        billed_mb = sum(moves)
+        # Day d's copy moves on in period d + threshold, if that is within the horizon.
+        exogenous[spec.tiering] = (
+            (0.0,) * min(threshold, horizon) + daily[: max(horizon - threshold, 0)]
+        )
         components += (
             ModelComponent(spec.tiering, Kind.FLOW, unit="MB"),
             ModelComponent(spec.stocks[1], Kind.STOCK, unit="MB", inflows=tiering),
         )
-    else:
-        billed_mb = sum(sum(s.data_mb for s in log) for log in logs)
     for tier, suffix, period in spec.restores:
         sample = by_tier[tier]
         held = (("Data", "MB", sample.data_mb), ("Duration", "s", sample.duration_s))
@@ -306,16 +314,15 @@ def _build(system, job_logs, restore_samples, rates, settings) -> Model:
             exogenous[name] = _event_series(horizon, period, value)
 
     averages = {row.average: _average(row, job_logs, by_tier) for row in spec.rates}
-    # Summed in period order, as engine.run's ingest stock adds it: while this sum is
-    # finite, so are that stock and every stock it feeds.
-    total_mb = 0.0
-    for day in zip(*logs):
-        total_mb += sum(sample.data_mb for sample in day)
+    # Summed in period order, as engine.run's ingest stock adds it: it is that stock's
+    # final value, and while it is finite, so is every stock the ingest feeds.
+    total_mb = sum(daily)
     if not math.isfinite(total_mb):
         raise DomainError(
             f"job logs {[agent.log for agent in spec.agents]}: their total data overflows:"
             f" the sum over {spec.days} days is too large for a float"
         )
+    billed_mb = sum(exogenous[spec.tiering]) if spec.tiering else total_mb
     components += [
         _constant(row.average, averages[row.average], row.kind.value) for row in spec.rates
     ]

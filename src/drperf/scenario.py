@@ -427,15 +427,12 @@ class Evaluation:
 
     @cached_property
     def compliance(self) -> ComplianceReport:
-        """BIA verdicts for the projected times and measured ingest volumes."""
+        """BIA verdicts for the projected times and the largest day of ingest."""
+        projection = self.projection  # first, so a malformed log fails as the build rejects it
         data_loss = None
         if self.scenario.bia.max_data_loss_mb is not None:
-            by_day: dict[int, float] = {}
-            for log in self.job_logs.values():
-                for sample in log:
-                    by_day[sample.day] = by_day.get(sample.day, 0.0) + sample.data_mb
-            data_loss = max(by_day.values())
-        return evaluate(self.projection, self.scenario.bia, data_loss)
+            data_loss = max(models.daily_ingest(self.scenario.system, self.job_logs))
+        return evaluate(projection, self.scenario.bia, data_loss)
 
     @cached_property
     def extended_model(self) -> Model:

@@ -108,20 +108,13 @@ def reference_run(model: Model) -> RunResult:
     stocks = [c for c in model.components if c.kind is Kind.STOCK]
     exogenous = [c for c in model.components if c.is_exogenous]
 
-    padded: dict[str, tuple[float, ...]] = {}
-    for comp in exogenous:
-        series = model.exogenous[comp.name]
-        if len(series) < model.horizon:
-            series = tuple(series) + (0.0,) * (model.horizon - len(series))
-        padded[comp.name] = tuple(float(v) for v in series)
-
     trajectories: dict[str, list[float]] = {c.name: [] for c in model.components}
     stock_prev = {c.name: float(c.initial) for c in stocks}
 
     for period in range(1, model.horizon + 1):
         current: dict[str, float] = dict(stock_prev)
         for comp in exogenous:
-            current[comp.name] = padded[comp.name][period - 1]
+            current[comp.name] = float(model.exogenous[comp.name][period - 1])
         for comp in order:
             if comp.is_exogenous:
                 continue

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Mapping
 
@@ -96,23 +95,13 @@ class TestRun:
         assert first.series == second.series
         assert first.digest == second.digest
 
-    def test_short_series_pads_with_zeros_and_warns(self, caplog):
-        model = Model(
-            name="padded",
-            components=(
-                ModelComponent("Inflow", Kind.FLOW),
-                ModelComponent("Tank", Kind.STOCK, inflows=("Inflow",)),
-            ),
-            horizon=4,
-            exogenous={"Inflow": (2.0, 2.0)},
-        )
-        with caplog.at_level(logging.WARNING, logger="drperf.engine"):
-            result = run(model)
-        assert result.values("Tank") == (2.0, 4.0, 4.0, 4.0)
-        assert any("missing periods default to 0" in r.message for r in caplog.records)
-
 
 class TestValidation:
+    def test_short_and_long_series_are_rejected(self):
+        for entries in (2, 5):
+            with pytest.raises(ModelError, match=f"'Inflow' has {entries} entries, horizon is 4"):
+                accumulator(horizon=4, inflow=(2.0,) * entries)
+
     def test_duplicate_names(self):
         with pytest.raises(ModelError, match="duplicate"):
             Model(
@@ -296,7 +285,7 @@ class TestRunResult:
             result.series["Tank"] = ()
 
     def test_series_pairs_each_period_with_its_value(self):
-        result = run(accumulator(inflow=(1.0, 0.5, 2.0)))
+        result = run(accumulator(inflow=(1.0, 0.5, 2.0, 0.0, 0.0)))
         assert result.trajectories["Tank"] == (1.0, 1.5, 3.5, 3.5, 3.5)
         for name in result.series:
             pairs = tuple(zip(range(1, result.horizon + 1), result.values(name)))
@@ -329,7 +318,7 @@ def _expression(kind, names, a, b):
 def engine_models(draw):
     """Random shapes: exogenous converters and flows, acyclic converter chains
     that may read stocks, expression flows, stocks with several inflows and
-    outflows or with outflows only, and exogenous series shorter than the horizon."""
+    outflows or with outflows only, and exogenous series of one value per period."""
     horizon = draw(st.integers(1, 12))
     number = st.floats(-50.0, 50.0).map(lambda x: round(x, 3))
     coefficient = st.floats(-1.0, 1.0).map(lambda x: round(x, 3))
@@ -337,7 +326,7 @@ def engine_models(draw):
     exogenous = {}
 
     def series(name):
-        exogenous[name] = tuple(draw(st.lists(number, max_size=horizon)))
+        exogenous[name] = tuple(draw(st.lists(number, min_size=horizon, max_size=horizon)))
 
     def expression_component(name, kind, readable):
         names = tuple(draw(st.lists(st.sampled_from(readable), min_size=1, max_size=2)))

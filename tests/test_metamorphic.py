@@ -2,8 +2,8 @@
 
 Each example writes a scenario of either system with generated job logs,
 restore samples, supplied averages, test volume and BIA targets, parses
-it as the CLI does, and compares evaluations, or the outputs of every
-subcommand, that differ in one input.
+it as the CLI does, and compares evaluations, reliability chains, or the
+outputs of every subcommand, that differ in one input.
 """
 
 from __future__ import annotations
@@ -197,3 +197,33 @@ def test_renaming_a_scenario_changes_only_the_lines_that_print_its_name(generate
         assert code in (0, 2) and err == "", command
         assert out.count(old) == prints, command
         assert outputs[new][command] == (code, out.replace(old, new), err), command
+
+
+# A reliability component by MTBF or by SLA; each one's mission reliability is in [0, 1].
+COMPONENT = st.one_of(
+    st.floats(1.0, 1e6).map(lambda mtbf: {"mtbf_h": mtbf}),
+    st.floats(0.5, 0.99999).map(lambda sla: {"sla": sla}),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    scenarios(), st.lists(COMPONENT, min_size=1, max_size=5), COMPONENT,
+    st.floats(0.0, 10_000.0), st.data(),
+)
+def test_adding_a_component_to_a_reliability_chain_never_raises_its_reliability(
+    generated, chain, added, mission_h, data
+):
+    # Exact in floating point too: each partial product of the longer chain is at most
+    # the shorter chain's, as rounding is monotone.
+    doc, files = generated
+    components = [{"name": f"C{i}", **component} for i, component in enumerate(chain)]
+    position = data.draw(st.integers(0, len(components)))
+    longer = components[:position] + [{"name": "Added", **added}] + components[position:]
+    reliability = {}
+    for name, variant in (("base", components), ("longer", longer)):
+        variant_doc = {**doc, "reliability": {"mission_h": mission_h, "components": variant}}
+        with scenario_on_disk(variant_doc, files) as scenario:
+            assert len(scenario.reliability.components) == len(variant)
+            reliability[name] = scenario.reliability.system_reliability()
+    assert reliability["longer"] <= reliability["base"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from drperf.models import (
     SYSTEMS,
     SystemKind,
     build_basic,
+    daily_ingest,
     extend_with_test_data,
     projection_rates,
 )
@@ -46,6 +49,21 @@ def int_job_logs(days: int):
             for i, (mb, sec) in enumerate(rows)
         )
     )
+
+
+def float_job_logs(days: int):
+    """Logs whose data are any floats in range, so sums in different orders can differ."""
+    pairs = st.tuples(st.floats(0.0, 5000.0), st.floats(1.0, 10_000.0))
+    return st.lists(pairs, min_size=days, max_size=days).map(
+        lambda rows: tuple(
+            JobSample(day=i + 1, data_mb=mb, duration_s=sec) for i, (mb, sec) in enumerate(rows)
+        )
+    )
+
+
+def _bits(values) -> list[str]:
+    """Each value as ``float.hex``, so equal means equal to the last bit."""
+    return [float.hex(value) for value in values]
 
 
 class TestHybridBuilder:
@@ -286,3 +304,36 @@ class TestRandomLogProperties:
         for period in range(1, 9):
             running += result.value("DailyTransfer", period)
             assert result.value("RecoveryVault", period) == running
+
+
+class TestDailyIngest:
+    """Every ingest quantity outside the engine is ``daily_ingest``, bit for bit."""
+
+    @given(job1=float_job_logs(7), job2=float_job_logs(7))
+    @settings(max_examples=200, deadline=None)
+    def test_vault_holds_the_running_sums_and_bills_the_final_one(
+        self, cloud_restore, job1, job2
+    ):
+        model = build_cloud(job1, job2, cloud_restore)
+        daily = daily_ingest(SystemKind.CLOUD_VAULT, {"job1": job1, "job2": job2})
+        vault = run(model).values("RecoveryVault")
+        # the trailing period ingests nothing
+        assert _bits(vault) == _bits(accumulate(daily + (0.0,)))
+        assert float.hex(model.meta["stored_mb"]) == float.hex(vault[-1])
+
+    @given(log=float_job_logs(14), threshold=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_tiering_moves_are_the_daily_ingest_shifted_by_the_threshold(
+        self, hybrid_restores, log, threshold
+    ):
+        model = build_hybrid(log, hybrid_restores, tiering_threshold_days=threshold)
+        daily = daily_ingest(SystemKind.HYBRID, {"backup": log})
+        result = run(model)
+        shifted = [0.0] * threshold + list(daily)
+        assert _bits(result.values("TieringMove")) == _bits(shifted[: model.horizon])
+        assert float.hex(model.meta["tiered_mb"]) == float.hex(result.final("CloudTier"))
+
+    def test_a_threshold_past_any_horizon_moves_nothing(self, hybrid_log, hybrid_restores):
+        model = build_hybrid(hybrid_log, hybrid_restores, tiering_threshold_days=10**9)
+        assert model.exogenous["TieringMove"] == (0.0,) * model.horizon
+        assert model.meta["tiered_mb"] == 0.0

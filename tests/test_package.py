@@ -11,8 +11,11 @@ import pytest
 
 import drperf
 
-# What the engine, report and plot modules must not pull in: YAML, the scenario layers and metrics.
-NOT_LOADED = ("yaml", "drperf.scenario", "drperf.models", "drperf.joblog", "drperf.metrics")
+# What the engine, report and plot modules must not pull in: YAML, logging, the scenario
+# layers and metrics.
+NOT_LOADED = (
+    "yaml", "logging", "drperf.scenario", "drperf.models", "drperf.joblog", "drperf.metrics"
+)
 # Every drperf module they load, so a new eager import on this path fails too.
 ENGINE_PATH = ("drperf", "drperf.engine", "drperf.errors", "drperf.plot", "drperf.report")
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drperf.costs import ObjectStoreRates, VaultRates
 from drperf.engine import run
 from drperf.errors import ConfigError, DomainError, ParseError
+from drperf.models import SYSTEMS
 from drperf.scenario import (
     Evaluation,
     SystemKind,
@@ -203,6 +207,30 @@ class TestEvaluationHelpers:
         # worst single day of measured ingest is day 9
         assert verdict.measured.value == 27342.0
         assert verdict.status.value == "PASS"
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_data_loss_is_the_largest_day_the_ingest_flow_carries(
+        self, hybrid_scenario, cloud_scenario, data
+    ):
+        scenario = data.draw(st.sampled_from([hybrid_scenario, cloud_scenario]))
+        spec = SYSTEMS[scenario.system]
+        day_mb = st.lists(st.floats(0.001, 5000.0), min_size=spec.days, max_size=spec.days)
+        with tempfile.TemporaryDirectory() as tmp:
+            for label in scenario.job_logs:
+                rows = "".join(f"{day},{mb!r},1\n" for day, mb in enumerate(data.draw(day_mb), 1))
+                (Path(tmp) / f"{label}.csv").write_text("day,data_mb,duration_s\n" + rows)
+            limited = dataclasses.replace(
+                scenario,
+                base_dir=Path(tmp),
+                job_logs={label: f"{label}.csv" for label in scenario.job_logs},
+                restore_samples=str(scenario.resolve(scenario.restore_samples)),
+                bia=dataclasses.replace(scenario.bia, max_data_loss_mb=1000.0),
+            )
+            evaluation = Evaluation(limited)
+            verdict = {v.metric: v for v in evaluation.compliance.verdicts}["data loss"]
+            ingest = run(evaluation.basic_model).values(spec.ingest)
+        assert float.hex(verdict.measured.value) == float.hex(max(ingest))
 
     def test_extended_converters_hold_the_projection_and_cost(
         self, hybrid_scenario, cloud_scenario
