@@ -25,10 +25,8 @@ _EXPORTS = {
         "BiaTargets",
         "ComplianceReport",
         "ComplianceVerdict",
-        "Quantity",
         "Relation",
         "Status",
-        "check",
         "evaluate",
         "mtd",
     ),

@@ -8,6 +8,8 @@ MTD = RTO + WRT.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,7 +21,10 @@ def mtd(rto_h: float, wrt_h: float) -> float:
     """Maximum tolerable downtime: recovery time plus work recovery time."""
     if rto_h < 0 or wrt_h < 0:
         raise DomainError(f"rto_h and wrt_h must be >= 0, got {rto_h} and {wrt_h}")
-    return rto_h + wrt_h
+    total = rto_h + wrt_h
+    if not math.isfinite(total):
+        raise DomainError(f"MTD of {rto_h} h + {wrt_h} h overflows")
+    return total
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,11 @@ class BiaTargets:
     def __post_init__(self):
         if self.backup_frequency_days <= 0:
             raise DomainError(f"backup_frequency_days must be > 0, got {self.backup_frequency_days}")
+        if not math.isfinite(self.backup_frequency_days * HOURS_PER_DAY):
+            raise DomainError(
+                f"backup_frequency_days gives a backup window beyond float range in hours,"
+                f" got {self.backup_frequency_days}"
+            )
         if self.backup_retention_days <= 0:
             raise DomainError(f"backup_retention_days must be > 0, got {self.backup_retention_days}")
         for name in ("cloud_tiering_threshold_days", "rpo_target_days", "rto_target_h", "max_data_loss_mb"):
@@ -67,49 +77,28 @@ class Status(str, Enum):
 
 
 @dataclass(frozen=True)
-class Quantity:
-    """A value with a unit; compliance compares like units only."""
-
-    value: float
-    unit: str
-
-    def __str__(self) -> str:
-        return f"{self.value:.6g} {self.unit}"
-
-
-@dataclass(frozen=True)
 class ComplianceVerdict:
-    """Outcome of comparing one measured metric against its target."""
+    """One measured metric against its target, both in ``unit``.
+
+    A missing side makes the verdict NOT_EVALUABLE instead of an error;
+    otherwise it passes exactly when the relation holds, equality included.
+    """
 
     metric: str
-    measured: Quantity | None
-    target: Quantity | None
-    relation: Relation
-    status: Status
+    measured: float | None
+    target: float | None
+    unit: str
+    relation: Relation = Relation.AT_MOST
 
-
-def check(
-    metric: str,
-    measured: Quantity | None,
-    target: Quantity | None,
-    relation: Relation = Relation.AT_MOST,
-) -> ComplianceVerdict:
-    """Compare a measurement against a target; equality counts as a pass.
-
-    A missing measurement or target yields a NOT_EVALUABLE verdict instead
-    of an error.
-    """
-    if measured is None or target is None:
-        return ComplianceVerdict(metric, measured, target, relation, Status.NOT_EVALUABLE)
-    if measured.unit != target.unit:
-        raise DomainError(
-            f"{metric}: cannot compare {measured.unit!r} against {target.unit!r}"
-        )
-    if relation is Relation.AT_MOST:
-        ok = measured.value <= target.value
-    else:
-        ok = measured.value >= target.value
-    return ComplianceVerdict(metric, measured, target, relation, Status.PASS if ok else Status.FAIL)
+    @property
+    def status(self) -> Status:
+        if self.measured is None or self.target is None:
+            return Status.NOT_EVALUABLE
+        if self.relation is Relation.AT_MOST:
+            ok = self.measured <= self.target
+        else:
+            ok = self.measured >= self.target
+        return Status.PASS if ok else Status.FAIL
 
 
 @dataclass(frozen=True)
@@ -128,6 +117,18 @@ class ComplianceReport:
         return not self.failures
 
 
+def _time_verdicts(
+    metric: str, times_h: Mapping[str, float], target_h: float | None
+) -> list[ComplianceVerdict]:
+    """One verdict per labelled time, or a single N/A verdict when there is none."""
+    if not times_h:
+        return [ComplianceVerdict(metric, None, target_h, "h")]
+    return [
+        ComplianceVerdict(f"{metric} ({label})", times_h[label], target_h, "h")
+        for label in sorted(times_h)
+    ]
+
+
 def evaluate(
     projection: Projection, targets: BiaTargets, data_loss_mb: float | None = None
 ) -> ComplianceReport:
@@ -141,42 +142,21 @@ def evaluate(
     restore path.
     """
     restore_h, backup_h = projection.restore_times_h, projection.backup_times_h
-    verdicts: list[ComplianceVerdict] = []
-
-    rto_target = (
-        Quantity(targets.rto_target_h, "h") if targets.rto_target_h is not None else None
-    )
-    if restore_h:
-        for label in sorted(restore_h):
-            verdicts.append(
-                check(f"restore time ({label})", Quantity(restore_h[label], "h"), rto_target)
-            )
-    else:
-        verdicts.append(check("restore time", None, rto_target))
-
-    window = Quantity(targets.backup_frequency_days * HOURS_PER_DAY, "h")
-    if backup_h:
-        for label in sorted(backup_h):
-            verdicts.append(check(f"backup time ({label})", Quantity(backup_h[label], "h"), window))
-    else:
-        verdicts.append(check("backup time", None, window))
-
-    # The achieved RPO: the backup frequency (the worst-case age of the newest copy)
-    # when the projection holds a backup time, else N/A.
-    achieved_rpo = Quantity(targets.backup_frequency_days, "days") if backup_h else None
-    rpo_target = (
-        Quantity(targets.rpo_target_days, "days") if targets.rpo_target_days is not None else None
-    )
-    verdicts.append(check("achieved RPO", achieved_rpo, rpo_target))
-
+    verdicts = [
+        *_time_verdicts("restore time", restore_h, targets.rto_target_h),
+        *_time_verdicts("backup time", backup_h, targets.backup_frequency_days * HOURS_PER_DAY),
+        # The achieved RPO: the backup frequency (the worst-case age of the newest
+        # copy) when the projection holds a backup time, else N/A.
+        ComplianceVerdict(
+            "achieved RPO",
+            targets.backup_frequency_days if backup_h else None,
+            targets.rpo_target_days,
+            "days",
+        ),
+    ]
     if targets.max_data_loss_mb is not None:
-        verdicts.append(
-            check(
-                "data loss",
-                Quantity(data_loss_mb, "MB") if data_loss_mb is not None else None,
-                Quantity(targets.max_data_loss_mb, "MB"),
-            )
-        )
+        loss = ComplianceVerdict("data loss", data_loss_mb, targets.max_data_loss_mb, "MB")
+        verdicts.append(loss)
 
     mtd_hours = None
     if targets.wrt_h is not None and restore_h:

@@ -114,17 +114,19 @@ def render_reliability(system: SeriesSystem) -> str:
 
 
 def render_compliance(report: ComplianceReport, label: str) -> str:
-    rows = []
-    for verdict in report.verdicts:
-        rows.append(
-            [
-                verdict.metric,
-                str(verdict.measured) if verdict.measured is not None else "-",
-                verdict.relation.value,
-                str(verdict.target) if verdict.target is not None else "-",
-                verdict.status.value,
-            ]
-        )
+    def cell(value: float | None, unit: str) -> str:
+        return "-" if value is None else f"{fmt_num(value)} {unit}"
+
+    rows = [
+        [
+            v.metric,
+            cell(v.measured, v.unit),
+            v.relation.value,
+            cell(v.target, v.unit),
+            v.status.value,
+        ]
+        for v in report.verdicts
+    ]
     lines = [f"scenario: {label}"]
     if report.mtd_hours is not None:
         lines.append(f"MTD (fastest restore + WRT): {fmt_num(report.mtd_hours)} h")

@@ -46,6 +46,12 @@ class TransactionCounts:
     def __post_init__(self):
         if self.ingress_egress_ops < 0 or self.listing_ops < 0:
             raise ConfigError("transaction counts must be >= 0")
+        for name in ("ingress_egress_ops", "listing_ops"):
+            value = getattr(self, name)
+            try:
+                float(value)  # the cost functions price counts as floats
+            except OverflowError:
+                raise ConfigError(f"{name} is out of range, got {value}") from None
 
 
 @dataclass(frozen=True)
@@ -246,7 +252,7 @@ def _gives(doc: dict, dotted: str) -> bool:
     return doc.get(head) is not None and (not rest or _gives(doc[head], rest))
 
 
-def _yaml_problem(exc: yaml.YAMLError) -> str:
+def _yaml_problem(exc: Exception) -> str:
     """One line naming what the parser found, without its source snippet.
 
     ``str()`` of a marked error quotes the offending lines under each mark,
@@ -264,7 +270,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
     """Parse and validate a scenario document; referenced files must exist."""
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a scalar it cannot build, 2024-13-45
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         raise ParseError(f"invalid YAML: {_yaml_problem(exc)}", line=line) from exc

@@ -201,11 +201,11 @@ def test_criterion_6_bia_verdicts(hybrid_scenario, cloud_scenario):
     _verdict(
         "6",
         [
-            _close("hybrid local measured h", local.measured.value, 3.09239, 0.001),
+            _close("hybrid local measured h", local.measured, 3.09239, 0.001),
             ("hybrid local PASS", local.status is Status.PASS),
-            _close("hybrid archive measured h", archive.measured.value, 38.016, 0.001),
+            _close("hybrid archive measured h", archive.measured, 38.016, 0.001),
             ("hybrid archive FAIL", archive.status is Status.FAIL),
-            _close("cloud vault measured h", vault.measured.value, 26.47, 0.001),
+            _close("cloud vault measured h", vault.measured, 26.47, 0.001),
             ("cloud vault FAIL", vault.status is Status.FAIL),
         ],
     )

@@ -5,10 +5,9 @@ from hypothesis import given, strategies as st
 
 from drperf.bia import (
     BiaTargets,
-    Quantity,
+    ComplianceVerdict,
     Relation,
     Status,
-    check,
     evaluate,
     mtd,
 )
@@ -28,44 +27,42 @@ class TestMtd:
         with pytest.raises(DomainError):
             mtd(1.0, -1.0)
 
+    def test_rejects_a_sum_beyond_float_range(self):
+        with pytest.raises(DomainError, match="overflows"):
+            mtd(1.7976931348623157e308, 1.0e300)
+        assert mtd(1.7976931348623157e308, 1.0) == 1.7976931348623157e308  # rounds, stays finite
+
     @given(st.floats(0, 1e6), st.floats(0, 1e6))
     def test_commutative_and_exact(self, a, b):
         assert mtd(a, b) == mtd(b, a) == a + b
 
 
+def status(measured, target, relation=Relation.AT_MOST) -> Status:
+    return ComplianceVerdict("m", measured, target, "h", relation).status
+
+
 class TestCheck:
     def test_at_most(self):
-        verdict = check("RTO", Quantity(3.09239, "h"), Quantity(5.0, "h"))
-        assert verdict.status is Status.PASS
-        verdict = check("RTO", Quantity(38.016, "h"), Quantity(5.0, "h"))
-        assert verdict.status is Status.FAIL
-        verdict = check("RTO", Quantity(26.47, "h"), Quantity(5.0, "h"))
-        assert verdict.status is Status.FAIL
+        assert status(3.09239, 5.0) is Status.PASS
+        assert status(38.016, 5.0) is Status.FAIL
+        assert status(26.47, 5.0) is Status.FAIL
 
     def test_equality_passes(self):
-        verdict = check("RTO", Quantity(5.0, "h"), Quantity(5.0, "h"))
-        assert verdict.status is Status.PASS
-        verdict = check("uptime", Quantity(5.0, "h"), Quantity(5.0, "h"), Relation.AT_LEAST)
-        assert verdict.status is Status.PASS
+        assert status(5.0, 5.0) is Status.PASS
+        assert status(5.0, 5.0, Relation.AT_LEAST) is Status.PASS
 
     def test_at_least(self):
-        verdict = check("uptime", Quantity(4.0, "h"), Quantity(5.0, "h"), Relation.AT_LEAST)
-        assert verdict.status is Status.FAIL
-
-    def test_unit_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            check("RTO", Quantity(1.0, "h"), Quantity(1.0, "days"))
+        assert status(4.0, 5.0, Relation.AT_LEAST) is Status.FAIL
 
     def test_missing_side_is_not_evaluable(self):
-        assert check("RTO", None, Quantity(5.0, "h")).status is Status.NOT_EVALUABLE
-        assert check("RTO", Quantity(5.0, "h"), None).status is Status.NOT_EVALUABLE
+        assert status(None, 5.0) is Status.NOT_EVALUABLE
+        assert status(5.0, None) is Status.NOT_EVALUABLE
 
     @given(st.floats(0, 100), st.floats(0, 100), st.floats(0, 100))
     def test_monotone_in_the_measurement(self, lower, upper, target):
         lower, upper = min(lower, upper), max(lower, upper)
-        passes_upper = check("m", Quantity(upper, "h"), Quantity(target, "h")).status
-        if passes_upper is Status.PASS:
-            assert check("m", Quantity(lower, "h"), Quantity(target, "h")).status is Status.PASS
+        if status(upper, target) is Status.PASS:
+            assert status(lower, target) is Status.PASS
 
 
 def targets(**overrides) -> BiaTargets:
@@ -92,6 +89,11 @@ class TestTargets:
             targets(rto_target_h=-5)
         with pytest.raises(DomainError):
             targets(wrt_h=-1)
+
+    def test_backup_window_must_be_finite_in_hours(self):
+        assert targets(backup_frequency_days=7.4e306).backup_frequency_days == 7.4e306
+        with pytest.raises(DomainError, match="backup_frequency_days gives a backup window"):
+            targets(backup_frequency_days=7.5e306)
 
     def test_optional_fields_may_be_absent(self):
         spare = BiaTargets(agent="MARS", backup_retention_days=7)
@@ -156,7 +158,7 @@ class TestEvaluate:
     def test_achieved_rpo_defaults_to_backup_frequency(self):
         report = evaluate(projection({"Backup": 1.0}), targets())
         verdict = self.by_metric(report)["achieved RPO"]
-        assert verdict.measured == Quantity(1.0, "days")
+        assert (verdict.measured, verdict.unit) == (1.0, "days")
         assert verdict.status is Status.PASS
 
     def test_verdict_count_is_deterministic(self):

@@ -135,7 +135,8 @@ def test_invalid_scenario_content(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# (document, line the error names); each loader words the problem its own way.
+# (document, line the error names or None); each loader words the problem its own way.
+# A scalar that parses but cannot be constructed has no line in PyYAML's error.
 INVALID_YAML = pytest.mark.parametrize(
     "text, line",
     [
@@ -143,6 +144,10 @@ INVALID_YAML = pytest.mark.parametrize(
         pytest.param("name: a\n  bad: 1\nsystem: hybrid\n", 2, id="bad-indent"),
         pytest.param("name: a\n\tsystem: hybrid\n", 2, id="tab-indent"),
         pytest.param("name: a\nbia:\n  bad: [1, 2\n", 4, id="unclosed-flow-sequence"),
+        pytest.param(
+            "name: a\nbia:\n  recovery_points_scheme: 2024-13-45\n", None, id="impossible-date"
+        ),
+        pytest.param(f"name: a\ntest_data_mb: {'9' * 4301}\n", None, id="int-over-4300-digits"),
     ],
 )
 
@@ -154,7 +159,8 @@ def test_invalid_yaml_is_one_error_line(text, line, tmp_path, capsys):
     assert main(["simulate", str(bad)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: line {line}: invalid YAML: ")
+    where = "" if line is None else f"line {line}: "
+    assert lines[0].startswith(f"error: {where}invalid YAML: ")
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
@@ -293,6 +299,11 @@ MALFORMED_FIELDS = [
     # bounds checked by the record itself
     ("hybrid", "reliability", "reliability.mission_h", "-1", "must be >= 0, got -1.0"),
     ("cloud", "bia-check", "bia.backup_frequency_days", "0", "must be > 0, got 0.0"),
+    # before, bia-check printed this backup window target as "inf h"
+    ("cloud", "bia-check", "bia.backup_frequency_days", "1.0e+308",
+     "gives a backup window beyond float range in hours, got 1e+308"),
+    ("hybrid", "compare", "bia.backup_frequency_days", "1.0e+308",
+     "gives a backup window beyond float range in hours, got 1e+308"),
     ("cloud", "cost", "pricing.block_gb", "1.0e-320",
      "1e-320 is too small for the last tier bound 500.0"),
     # supplied averages are checked where the scenario is parsed, for every command
@@ -583,6 +594,37 @@ def test_monthly_cost_that_overflows_is_one_error_line(command, system, tmp_path
     scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
     assert main(_csv_command(command, system, scenario)) == 1
     assert capsys.readouterr() == ("", "error: monthly storage cost must be finite, got inf\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate"], ["project"], ["cost"], ["bia-check"], ["compare", "OTHER"],
+     ["plot", "--component", "STOCK", "--out", "OUT"]],
+    ids=["simulate", "project", "cost", "bia-check", "compare", "plot"],
+)
+@pytest.mark.parametrize("field", ["listing_ops", "ingress_egress_ops"])
+def test_transaction_count_beyond_float_range_is_one_error_line(field, command, tmp_path, capsys):
+    # Before, pricing the count raised "OverflowError: int too large to convert to float".
+    scenario = _scenario_copy(tmp_path, "hybrid")
+    doc = yaml.safe_load(scenario.read_text())
+    doc.setdefault("transactions", {})[field] = 10**400
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(_csv_command(command, "hybrid", scenario)) == 1
+    assert capsys.readouterr() == (
+        "", f"error: transactions.{field} is out of range, got {10**400}\n"
+    )
+
+
+def test_mtd_that_overflows_is_one_error_line(tmp_path, capsys):
+    # Before, bia-check printed "MTD (fastest restore + WRT): inf h".
+    scenario = _scenario_copy(tmp_path, "cloud")
+    doc = yaml.safe_load(scenario.read_text())
+    doc["bia"]["wrt_h"] = 1.7976931348623157e308
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["bia-check", str(scenario), "--test-data-mb", "1e303"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: MTD of 4.984832152725686e+298 h + 1.7976931348623157e+308 h overflows\n"
+    )
 
 
 def test_relative_and_dotted_scenario_paths_read_the_same_files(monkeypatch, capsys):

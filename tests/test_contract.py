@@ -43,6 +43,8 @@ SCALARS = st.one_of(
     st.floats(-1e6, -1e-3),
     st.integers(0, 10**6),
     st.floats(1e-3, 1e6),
+    st.integers(2**1024, 2**1100),  # beyond float range
+    st.floats(1e306, 1.7976931348623157e308),  # near the float maximum
     st.none(),
 )
 VALUES = st.one_of(

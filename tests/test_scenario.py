@@ -205,7 +205,7 @@ class TestEvaluationHelpers:
         report = Evaluation(limited).compliance
         verdict = {v.metric: v for v in report.verdicts}["data loss"]
         # worst single day of measured ingest is day 9
-        assert verdict.measured.value == 27342.0
+        assert verdict.measured == 27342.0
         assert verdict.status.value == "PASS"
 
     @given(data=st.data())
@@ -230,7 +230,7 @@ class TestEvaluationHelpers:
             evaluation = Evaluation(limited)
             verdict = {v.metric: v for v in evaluation.compliance.verdicts}["data loss"]
             ingest = run(evaluation.basic_model).values(spec.ingest)
-        assert float.hex(verdict.measured.value) == float.hex(max(ingest))
+        assert float.hex(verdict.measured) == float.hex(max(ingest))
 
     def test_extended_converters_hold_the_projection_and_cost(
         self, hybrid_scenario, cloud_scenario
