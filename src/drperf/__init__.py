@@ -25,7 +25,6 @@ _EXPORTS = {
         "BiaTargets",
         "ComplianceReport",
         "ComplianceVerdict",
-        "Relation",
         "Status",
         "evaluate",
         "mtd",

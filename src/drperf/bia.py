@@ -65,11 +65,6 @@ class BiaTargets:
             raise DomainError(f"wrt_h must be >= 0 when given, got {self.wrt_h}")
 
 
-class Relation(str, Enum):
-    AT_MOST = "<="
-    AT_LEAST = ">="
-
-
 class Status(str, Enum):
     PASS = "PASS"
     FAIL = "FAIL"
@@ -78,27 +73,23 @@ class Status(str, Enum):
 
 @dataclass(frozen=True)
 class ComplianceVerdict:
-    """One measured metric against its target, both in ``unit``.
+    """One measured metric against its upper-bound target, both in ``unit``.
 
-    A missing side makes the verdict NOT_EVALUABLE instead of an error;
-    otherwise it passes exactly when the relation holds, equality included.
+    Every BIA target is a maximum, so the verdict passes exactly when
+    ``measured <= target``: its margin ``target - measured`` is not negative.
+    A missing side makes the verdict NOT_EVALUABLE instead of an error.
     """
 
     metric: str
     measured: float | None
     target: float | None
     unit: str
-    relation: Relation = Relation.AT_MOST
 
     @property
     def status(self) -> Status:
         if self.measured is None or self.target is None:
             return Status.NOT_EVALUABLE
-        if self.relation is Relation.AT_MOST:
-            ok = self.measured <= self.target
-        else:
-            ok = self.measured >= self.target
-        return Status.PASS if ok else Status.FAIL
+        return Status.PASS if self.measured <= self.target else Status.FAIL
 
 
 @dataclass(frozen=True)

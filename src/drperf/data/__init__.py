@@ -12,8 +12,6 @@ from __future__ import annotations
 from importlib.resources import files
 from pathlib import Path
 
-SCENARIOS = ("hybrid_reference.yaml", "cloud_reference.yaml")
-
 
 def data_path(name: str) -> Path:
     """Filesystem path of a bundled data file."""

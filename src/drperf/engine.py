@@ -217,7 +217,6 @@ class RunResult:
     repeated reads.
     """
 
-    model_name: str
     digest: str
     horizon: int
     trajectories: Mapping[str, tuple[float, ...]]
@@ -343,7 +342,6 @@ def run(model: Model) -> RunResult:
     for _, _, values, _ in stocks:
         del values[0]
     return RunResult(
-        model_name=model.name,
         digest=model.digest(),
         horizon=model.horizon,
         trajectories={name: tuple(values) for name, values in trajectories.items()},

@@ -24,11 +24,15 @@ RESTORE_HEADER = ("tier", "data_mb", "duration_s")
 def _rows(text: str) -> list[tuple[int, list[str]]]:
     """Non-empty CSV rows paired with their 1-based line numbers."""
     rows = []
-    for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
-        cells = [cell.strip() for cell in row]
-        if not cells or all(cell == "" for cell in cells):
-            continue
-        rows.append((lineno, cells))
+    reader = csv.reader(text.splitlines())
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            cells = [cell.strip() for cell in row]
+            if not cells or all(cell == "" for cell in cells):
+                continue
+            rows.append((lineno, cells))
+    except csv.Error as exc:  # a cell beyond csv's size limit; before 3.11, also a NUL
+        raise ParseError(str(exc), line=reader.line_num) from None
     return rows
 
 
@@ -39,7 +43,10 @@ def _header(rows: list[tuple[int, list[str]]], *accepted: tuple[str, ...]) -> tu
     header = tuple(cell.lower() for cell in cells)
     if header not in accepted:
         wanted = " or ".join(",".join(h) for h in accepted)
-        raise ParseError(f"expected header {wanted}, got {','.join(cells)}", line=lineno)
+        got = ",".join(cells)
+        if not got.isprintable():  # quoted, so no control character reaches the terminal
+            got = repr(got)
+        raise ParseError(f"expected header {wanted}, got {got}", line=lineno)
     return header
 
 

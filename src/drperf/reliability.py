@@ -121,7 +121,7 @@ class SeriesSystem:
         return series_reliability(self.component_values().values())
 
 
-def default_recovery_chain(mission_h: float = DEFAULT_MISSION_HOURS) -> SeriesSystem:
+def default_recovery_chain() -> SeriesSystem:
     """The three-component chain used by the bundled reference scenarios.
 
     Data center MTBF 61320 h (7 years), ISP link MTBF 17520 h (24 months),
@@ -133,5 +133,4 @@ def default_recovery_chain(mission_h: float = DEFAULT_MISSION_HOURS) -> SeriesSy
             ReliabilityComponent("CloudProvider", mtbf_h=61_320.0),
             ReliabilityComponent("ISPLink", mtbf_h=17_520.0),
         ),
-        mission_h=mission_h,
     )

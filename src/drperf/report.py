@@ -121,7 +121,7 @@ def render_compliance(report: ComplianceReport, label: str) -> str:
         [
             v.metric,
             cell(v.measured, v.unit),
-            v.relation.value,
+            "<=",
             cell(v.target, v.unit),
             v.status.value,
         ]

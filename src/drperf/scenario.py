@@ -166,7 +166,7 @@ def _converter(tp) -> Converter | None:
     if tp in _SCALARS:
         return _SCALARS[tp]
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is typing.Union or origin is types.UnionType:
+    if origin is types.UnionType:
         members = [arg for arg in args if arg is not type(None)]
         return _converter(members[0]) if len(members) == 1 else None
     if origin is tuple:  # tuple[Record, ...]
@@ -330,9 +330,10 @@ def render_scenario(scenario: Scenario) -> str:
 
 
 def _read_text(path: Path) -> str:
-    """The file's text; bytes that are not UTF-8 are a ``ParseError`` naming the file."""
+    """The file's text, without a leading byte-order mark; bytes that are not
+    UTF-8 are a ``ParseError`` naming the file."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         byte = exc.object[exc.start]

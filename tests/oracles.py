@@ -132,7 +132,6 @@ def reference_run(model: Model) -> RunResult:
         stock_prev = {c.name: current[c.name] for c in stocks}
 
     return RunResult(
-        model_name=model.name,
         digest=model.digest(),
         horizon=model.horizon,
         trajectories={name: tuple(values) for name, values in trajectories.items()},

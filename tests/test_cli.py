@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import contextlib
 import io
 import os
@@ -582,6 +583,30 @@ def test_total_ingest_that_overflows_is_one_error_line(
         f"error: job logs {labels}: their total data overflows: the sum over {days} days is"
         " too large for a float\n",
     )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate"], ["project"], ["bia-check"], ["compare", "OTHER"],
+     ["plot", "--component", "STOCK", "--out", "OUT"]],
+    ids=["simulate", "project", "bia-check", "compare", "plot"],
+)
+@pytest.mark.parametrize("system", ["hybrid", "cloud"])
+def test_byte_order_marks_change_nothing(command, system, tmp_path, capsys):
+    # Spreadsheet exports often begin with a UTF-8 byte-order mark.  Before, a CSV
+    # with one failed its header check: "got \ufeffday,data_mb,...".
+    scenario = _scenario_copy(tmp_path, system)
+    chart = scenario.parent / "chart.svg"
+
+    def run():
+        code = main(_csv_command(command, system, scenario))
+        return code, capsys.readouterr(), chart.read_bytes() if chart.exists() else None
+
+    plain = run()
+    assert plain[0] == (2 if command == ["bia-check"] else 0)
+    for path in [scenario, *tmp_path.glob("*.csv")]:
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert run() == plain
 
 
 @pytest.mark.parametrize("command", [["cost"], ["compare", "OTHER"]], ids=["cost", "compare"])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,6 +88,38 @@ class TestParseJobLog:
 def test_rate_that_overflows_rejected(parse, text):
     with pytest.raises(ParseError, match="line 3: data_mb .* overflows as a rate") as excinfo:
         parse(text)
+    assert excinfo.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["\x1b[31mday,data_mb,duration_s", "day,data_mb,\x00duration_s", "day,data_mb\ufeff,duration_s"],
+    ids=["escape", "nul", "byte-order-mark"],
+)
+def test_unprintable_header_is_quoted(header):
+    # Before, the cells were printed raw: an escape reached the user's terminal.
+    with pytest.raises(ParseError) as excinfo:
+        parse_job_log(f"\n{header}\n1,10,20\n")
+    assert excinfo.value.line == 2
+    message = str(excinfo.value)
+    assert message.isprintable()
+    if "\x00" not in header or sys.version_info >= (3, 11):  # csv rejects a NUL before 3.11
+        assert message.endswith(f", got {header!r}")
+
+
+def test_printable_header_is_printed_as_it_is():
+    with pytest.raises(ParseError) as excinfo:
+        parse_job_log("Day, MB, secs\n1,2,3\n")
+    assert str(excinfo.value) == (
+        "line 1: expected header day,data_mb,duration_s or day,data_mb,duration_min,"
+        " got Day,MB,secs"
+    )
+
+
+def test_cell_beyond_the_csv_field_limit_rejected():
+    # csv.Error escaped as a traceback.
+    with pytest.raises(ParseError, match="field limit") as excinfo:
+        parse_restore_samples("tier,data_mb,duration_s\nLocal,1,1\nVault," + "9" * 200_000 + ",1\n")
     assert excinfo.value.line == 3
 
 

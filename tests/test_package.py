@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +63,11 @@ def test_unknown_name_is_an_attribute_error():
         drperf.no_such_name
     with pytest.raises(ImportError):
         exec("from drperf import no_such_name", {})
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib, so the test also runs on 3.10.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert declared is not None
+    assert declared.group(1) == drperf.__version__
