@@ -247,9 +247,13 @@ def _record(cls, node: object, path: str):
         raise type(exc)(f"{path}{joint}{message}") from None
 
 
-def _gives(doc: dict, dotted: str) -> bool:
-    head, _, rest = dotted.partition(".")
-    return doc.get(head) is not None and (not rest or _gives(doc[head], rest))
+def _pop(doc: dict, dotted: str):
+    """Remove the value at a dotted path from ``doc`` and return it; None
+    where the path stops at a null or a missing key."""
+    *heads, last = dotted.split(".")
+    for head in heads:
+        doc = doc.get(head) or {}
+    return doc.pop(last, None)
 
 
 def _yaml_problem(exc: Exception) -> str:
@@ -274,11 +278,13 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         raise ParseError(f"invalid YAML: {_yaml_problem(exc)}", line=line) from exc
+    except RecursionError:  # the composer takes stack frames for each level of nesting
+        raise ParseError("invalid YAML: collections nested too deeply") from None
     values = _values(Scenario, doc, "")
     system = values["system"]
     for other, spec in models.SYSTEMS.items():
         for dotted in spec.fields:
-            if other is not system and _gives(doc, dotted):
+            if other is not system and _pop(doc, dotted) is not None:
                 raise ConfigError(f"{dotted} applies only to {other.value} scenarios")
     spec = models.SYSTEMS[system]
     labels = frozenset(agent.log for agent in spec.agents)
@@ -323,9 +329,9 @@ def render_scenario(scenario: Scenario) -> str:
     """Serialize a scenario to canonical YAML, without the other system's fields."""
     doc = _plain(scenario)
     for other, spec in models.SYSTEMS.items():
-        for name in spec.fields:
+        for dotted in spec.fields:
             if other is not scenario.system:
-                doc.pop(name, None)
+                _pop(doc, dotted)
     return yaml.safe_dump(doc, sort_keys=False)
 
 

@@ -174,6 +174,24 @@ def test_invalid_yaml_is_one_error_line_under_libyaml(text, line, tmp_path, caps
     test_invalid_yaml_is_one_error_line(text, line, tmp_path, capsys)
 
 
+# Not in INVALID_YAML: libyaml composes far deeper documents, and the schema rejects them.
+@pytest.mark.parametrize("depth", [600, 100_000])
+@pytest.mark.parametrize(
+    "command", ["simulate", "project", "cost", "reliability", "bia-check", "compare", "plot"]
+)
+def test_deeply_nested_scenario_is_one_error_line(command, depth, tmp_path, capsys):
+    # The pure-Python loader's RecursionError must not escape as a traceback.
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("name: " + "[" * depth + "]" * depth + "\n")
+    argv = {
+        "compare": ["compare", str(deep), HYBRID],
+        "plot": ["plot", str(deep), "--component", "LocalStorage",
+                 "--out", str(tmp_path / "chart.svg")],
+    }.get(command, [command, str(deep)])
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: invalid YAML: collections nested too deeply\n")
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])

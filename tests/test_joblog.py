@@ -116,6 +116,61 @@ def test_printable_header_is_printed_as_it_is():
     )
 
 
+# (parser, header, the first cell of row i, a cell each column rejects); the
+# restore duration is rejected by RestoreSample, the other cells by the parser.
+LINE_FORMATS = {
+    "job-log": (
+        parse_job_log, "day,data_mb,duration_s", lambda i: st.just(str(i + 1)), ("1.5", "nan", "x")
+    ),
+    "restore-samples": (
+        parse_restore_samples,
+        "tier,data_mb,duration_s",
+        lambda i: st.sampled_from([tier.value for tier in Tier]),
+        ("Tape", "x", "-1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", LINE_FORMATS)
+@given(data=st.data())
+def test_error_names_the_line_its_row_ends_on(kind, data):
+    # A quoted cell that spans lines puts a row's end past its count of CSV records.
+    parse, header, first_cell, bad_cells = LINE_FORMATS[kind]
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]), label="eol")
+    n_rows = data.draw(st.integers(1, 6), label="rows")
+    bad_row = data.draw(st.integers(0, n_rows - 1), label="bad row")
+    bad_column = data.draw(st.integers(0, 2), label="bad column")
+    text, lines, expected = "", 0, None
+    for i in range(-1, n_rows):  # -1 is the header
+        blank = data.draw(st.integers(0, 2))
+        text += eol * blank
+        lines += blank
+        if i < 0:
+            cells = header.split(",")
+        else:
+            cells = [data.draw(first_cell(i)), "100", "20"]
+            if i == bad_row:
+                cells[bad_column] = bad_cells[bad_column]
+            for c, cell in enumerate(cells):
+                if data.draw(st.booleans()):  # quoted around a line break, which the reader drops
+                    cut = data.draw(st.integers(0, len(cell)))
+                    cells[c] = f'"{cell[:cut]}{eol}{cell[cut:]}"'
+                    lines += 1
+        text += ",".join(cells) + eol
+        lines += 1
+        if i == bad_row:
+            expected = lines
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert excinfo.value.line == expected
+    assert str(excinfo.value).startswith(f"line {expected}: ")
+
+
+def test_error_after_a_cell_spanning_lines_names_the_physical_line():
+    with pytest.raises(ParseError, match="line 4: non-numeric data_mb value 'x'"):
+        parse_job_log('day,data_mb,duration_s\n1,"10\n",20\n2,x,3\n')
+
+
 def test_cell_beyond_the_csv_field_limit_rejected():
     # csv.Error escaped as a traceback.
     with pytest.raises(ParseError, match="field limit") as excinfo:

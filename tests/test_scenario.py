@@ -5,15 +5,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from drperf.costs import ObjectStoreRates, VaultRates
 from drperf.engine import run
 from drperf.errors import ConfigError, DomainError, ParseError
-from drperf.models import SYSTEMS
+from drperf.models import DEFAULT_FRONTEND_GB, SYSTEMS
 from drperf.scenario import (
     Evaluation,
     SystemKind,
+    TransactionCounts,
     parse_scenario,
     render_scenario,
 )
@@ -54,6 +56,41 @@ class TestBundledScenarios:
         second = run(Evaluation(hybrid_scenario).basic_model)
         assert first.series == second.series
         assert first.digest == second.digest
+
+
+# Each field that only one system reads: a value other than its default, and the default.
+ONE_SYSTEM_FIELDS = {
+    "transactions": (TransactionCounts(ingress_egress_ops=1, listing_ops=2), TransactionCounts()),
+    "bia.cloud_tiering_threshold_days": (3, None),
+    "frontend_gb": (123.0, DEFAULT_FRONTEND_GB),
+}
+
+
+def _replaced(record, dotted: str, value):
+    """``record`` with the field at the dotted path set to ``value``."""
+    head, _, rest = dotted.partition(".")
+    if rest:
+        value = _replaced(getattr(record, head), rest, value)
+    return dataclasses.replace(record, **{head: value})
+
+
+@pytest.mark.parametrize("system", list(SystemKind), ids=lambda system: system.value)
+def test_render_drops_every_field_of_the_other_system(system, hybrid_scenario, cloud_scenario):
+    # A dotted field (bia.cloud_tiering_threshold_days) must go as well as a
+    # top-level one, or parse_scenario rejects the rendered text.
+    scenario = hybrid_scenario if system is SystemKind.HYBRID else cloud_scenario
+    other_fields = [
+        dotted for other, spec in SYSTEMS.items() if other is not system for dotted in spec.fields
+    ]
+    assert set(other_fields) <= ONE_SYSTEM_FIELDS.keys()
+    cluttered = expected = scenario
+    for dotted in other_fields:
+        value, default = ONE_SYSTEM_FIELDS[dotted]
+        cluttered = _replaced(cluttered, dotted, value)
+        expected = _replaced(expected, dotted, default)
+    assert cluttered != expected
+    again = parse_scenario(render_scenario(cluttered), base_dir=scenario.base_dir)
+    assert again == expected
 
 
 MINIMAL_HYBRID = """\
@@ -109,12 +146,10 @@ class TestParseScenario:
             parse_scenario(text, base_dir=cloud_scenario.base_dir)
 
     def test_tiering_threshold_on_cloud_rejected(self, cloud_scenario):
-        scenario = dataclasses.replace(
-            cloud_scenario,
-            bia=dataclasses.replace(cloud_scenario.bia, cloud_tiering_threshold_days=14),
-        )
+        doc = yaml.safe_load(render_scenario(cloud_scenario))
+        doc["bia"]["cloud_tiering_threshold_days"] = 14
         with pytest.raises(ConfigError, match="hybrid"):
-            parse_scenario(render_scenario(scenario), base_dir=cloud_scenario.base_dir)
+            parse_scenario(yaml.safe_dump(doc), base_dir=cloud_scenario.base_dir)
 
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
