@@ -56,7 +56,7 @@ _EXPORTS = {
         "summarize_throughput",
         "throughput",
     ),
-    "models": ("SystemKind", "build_basic", "extend_with_test_data"),
+    "models": ("SystemKind", "build_basic"),
     "plot": ("emit_plot",),
     "reliability": (
         "ReliabilityComponent",

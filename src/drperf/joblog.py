@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections.abc import Callable
 
 from .errors import DomainError, ParseError
@@ -20,6 +21,8 @@ from .metrics import JobSample, RestoreSample, Tier
 JOB_HEADER = ("day", "data_mb", "duration_s")
 JOB_HEADER_MINUTES = ("day", "data_mb", "duration_min")
 RESTORE_HEADER = ("tier", "data_mb", "duration_s")
+# The line breaks of a CSV file; ``str.splitlines`` also breaks at form feeds and more.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 def _records(text: str, accepted: tuple[tuple[str, ...], ...], make_row: Callable) -> tuple:
@@ -30,7 +33,7 @@ def _records(text: str, accepted: tuple[tuple[str, ...], ...], make_row: Callabl
     ``ParseError`` at the physical line the row ends on, which differs from
     the row's record number after a quoted cell that spans lines.
     """
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(_LINE_BREAK.split(text))
     header = None
     samples: list = []
     try:

@@ -9,9 +9,9 @@ Two systems are modeled:
 ``SYSTEMS`` holds as data all that tells them apart.  ``build_basic`` reads a
 system's entry and returns an immutable :class:`~drperf.engine.Model` covering
 one backup cycle plus one trailing period (the post-cycle state);
-``monthly_cost`` prices what it holds.  The extension step adds what-if
-converters for a larger test data volume without disturbing any basic-model
-trajectory.
+``monthly_cost`` prices what it holds.  ``scenario.Evaluation`` reads each
+entry's rate rows: to project a test data volume, and to add its what-if
+converters to a basic model without disturbing any basic-model trajectory.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import costs, metrics
 from .costs import CostBreakdown, ObjectStoreRates, VaultRates
 from .engine import Kind, Model, ModelComponent
 from .errors import ConfigError, DomainError
-from .metrics import JobSample, Projection, Rate, RateKind, RateRole, RestoreSample, Tier
+from .metrics import JobSample, RateKind, RateRole, RestoreSample, Tier
 
 DEFAULT_TIERING_THRESHOLD_DAYS = 14
 # Monthly instance fees depend on the protected frontend size, which the
@@ -122,7 +122,7 @@ SYSTEMS = {
 
 
 def check_supplied_averages(system: SystemKind, averages: Mapping[str, float]) -> None:
-    """Reject averages that a ``system`` model does not have, and values not > 0."""
+    """Reject averages that a ``system`` model does not have, and values not finite and > 0."""
     names = [row.average for row in SYSTEMS[system].rates]
     unknown = averages.keys() - set(names)
     if unknown:
@@ -131,20 +131,14 @@ def check_supplied_averages(system: SystemKind, averages: Mapping[str, float]) -
             f"a {system.value} model has {names}"
         )
     for name, value in averages.items():
+        if not -math.inf < value < math.inf:  # a NaN fails both comparisons
+            raise ConfigError(f"supplied_averages.{name} must be finite, got {value}")
         if not value > 0:
             raise ConfigError(f"supplied_averages.{name} must be > 0, got {value}")
 
 
-def _system_of(model: Model) -> SystemKind:
-    try:
-        return SystemKind(model.meta.get("system"))
-    except ValueError:
-        raise ConfigError(
-            f"model {model.name!r} is of unknown system {model.meta.get('system')!r}"
-        ) from None
-
-
-def _constant(name: str, value: float, unit: str) -> ModelComponent:
+def constant(name: str, value: float, unit: str) -> ModelComponent:
+    """A converter that holds ``value`` in every period."""
     value = float(value)
     return ModelComponent(name, Kind.CONVERTER, unit, expression=lambda v: value)
 
@@ -324,13 +318,13 @@ def _build(system, job_logs, restore_samples, rates, settings) -> Model:
         )
     billed_mb = sum(exogenous[spec.tiering]) if spec.tiering else total_mb
     components += [
-        _constant(row.average, averages[row.average], row.kind.value) for row in spec.rates
+        constant(row.average, averages[row.average], row.kind.value) for row in spec.rates
     ]
     cost = monthly_cost(
         rates, billed_mb, settings["frontend_gb"], settings["ingress_egress_ops"],
         settings["listing_ops"],
     ).total
-    components.append(_constant("MonthlyServiceCost", cost, "USD/month"))
+    components.append(constant("MonthlyServiceCost", cost, "USD/month"))
     meta = {
         "system": system.value,
         "extended": False,
@@ -351,51 +345,3 @@ def build_hybrid_basic(*args) -> Model:
 
 def build_cloud_basic(*args) -> Model:
     return _build(*args)
-
-
-def extend_with_test_data(model: Model, projection: Projection, cost: CostBreakdown) -> Model:
-    """Add what-if converters for a test data volume to a basic model.
-
-    The new converters hold the projected backup/restore times and the
-    monthly cost of protecting the volume, exactly as given.  Every
-    original component keeps its exact trajectory.
-    """
-    system = _system_of(model)
-    if model.meta.get("extended"):
-        raise ConfigError(f"model {model.name!r} is already extended")
-    times = {**projection.backup_times_s, **projection.restore_times_s}
-    rows = SYSTEMS[system].rates
-    missing = [row.label for row in rows if row.label not in times]
-    if missing:
-        raise ConfigError(
-            f"projection for {system.value} model {model.name!r} lacks times {missing}"
-        )
-    extra = (
-        (_constant("TestData", projection.test_data_mb, "MB"),)
-        + tuple(_constant(row.what_if, times[row.label], "s") for row in rows)
-        + (_constant("TotalServiceCostTestData", cost.total, "USD/month"),)
-    )
-    meta = dict(model.meta)
-    meta.update(extended=True, test_data_mb=projection.test_data_mb)
-    return Model(
-        name=f"{model.name}-extended",
-        components=model.components + extra,
-        horizon=model.horizon,
-        exogenous=model.exogenous,
-        meta=meta,
-    )
-
-
-def projection_rates(
-    model: Model, supplied_averages: Mapping[str, float] | None = None
-) -> tuple[Rate, ...]:
-    """The model's average rates, overridden by ``supplied_averages``, as projection inputs."""
-    system = _system_of(model)
-    supplied = supplied_averages or {}
-    check_supplied_averages(system, supplied)
-    averages = model.meta["averages"]
-    return tuple(
-        Rate(row.label, float(supplied.get(row.average, averages[row.average])), row.kind,
-             row.role, supplied=row.average in supplied)
-        for row in SYSTEMS[system].rates
-    )

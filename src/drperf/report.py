@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 if TYPE_CHECKING:
     from .bia import ComplianceReport
@@ -173,7 +174,13 @@ def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str
         """A backup rate as it is, a restore rate as seconds per MB."""
         if rate.role is RateRole.BACKUP or rate.kind is RateKind.SECONDS_PER_MB:
             return rate.value
-        return 1.0 / rate.value
+        seconds = 1.0 / rate.value
+        if not math.isfinite(seconds):  # a supplied throughput near zero
+            raise DomainError(
+                f"rate {rate.label!r} of {rate.value} {rate.kind.value} gives a"
+                f" {rate.role.value} time of {seconds} s per MB"
+            )
+        return seconds
 
     columns = report.columns
     volume = columns[0].test_data_mb

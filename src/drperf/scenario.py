@@ -77,6 +77,7 @@ class Scenario:
     base_dir: Path = field(default=Path("."), compare=False)
 
     def __post_init__(self):
+        models.check_supplied_averages(self.system, self.supplied_averages)
         if self.test_data_mb is not None and not self.test_data_mb > 0:
             raise ConfigError(f"test_data_mb must be > 0, got {self.test_data_mb}")
 
@@ -289,8 +290,6 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
     spec = models.SYSTEMS[system]
     labels = frozenset(agent.log for agent in spec.agents)
     _check_keys(values["job_logs"], "job_logs", labels, labels)
-    if "supplied_averages" in values:
-        models.check_supplied_averages(system, values["supplied_averages"])
     pricing = doc.get("pricing")
     values["pricing"] = _record(spec.pricing, {} if pricing is None else pricing, "pricing")
     scenario = Scenario(**values, base_dir=Path(base_dir))
@@ -409,7 +408,13 @@ class Evaluation:
 
     @cached_property
     def rates(self) -> tuple[Rate, ...]:
-        return models.projection_rates(self.basic_model, self.scenario.supplied_averages)
+        """The model's average rates, each overridden by its supplied average if any."""
+        supplied, averages = self.scenario.supplied_averages, self.basic_model.meta["averages"]
+        return tuple(
+            Rate(row.label, float(supplied.get(row.average, averages[row.average])), row.kind,
+                 row.role, supplied=row.average in supplied)
+            for row in models.SYSTEMS[self.scenario.system].rates
+        )
 
     @cached_property
     def projection(self) -> Projection:
@@ -450,4 +455,15 @@ class Evaluation:
     @cached_property
     def extended_model(self) -> Model:
         """Basic model plus converters holding the projection and the cost."""
-        return models.extend_with_test_data(self.basic_model, self.projection, self.cost)
+        basic, projection = self.basic_model, self.projection
+        times = {**projection.backup_times_s, **projection.restore_times_s}
+        extra = (
+            models.constant("TestData", projection.test_data_mb, "MB"),
+            *(models.constant(row.what_if, times[row.label], "s")
+              for row in models.SYSTEMS[self.scenario.system].rates),
+            models.constant("TotalServiceCostTestData", self.cost.total, "USD/month"),
+        )
+        meta = {**basic.meta, "extended": True, "test_data_mb": projection.test_data_mb}
+        return Model(
+            f"{basic.name}-extended", basic.components + extra, basic.horizon, basic.exogenous, meta
+        )

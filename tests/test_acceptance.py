@@ -231,6 +231,19 @@ def test_criterion_7a_determinism(hybrid_scenario, cloud_scenario):
     _verdict("7a", checks)
 
 
+def test_extended_model_digests_are_pinned(hybrid_scenario, cloud_scenario):
+    # The extended model's meta holds the volume as given, so an int volume digests
+    # apart from the float that the CLI always passes.
+    pinned = [
+        (hybrid_scenario, TEST_DATA_MB, "3c5de63af093"),
+        (cloud_scenario, TEST_DATA_MB, "11dd68e951ce"),
+        (hybrid_scenario, int(TEST_DATA_MB), "874aac1bdfc6"),
+        (cloud_scenario, int(TEST_DATA_MB), "a472a06b3c28"),
+    ]
+    for scenario, volume, digest in pinned:
+        assert Evaluation(scenario, volume).extended_model.digest()[:12] == digest
+
+
 def test_criterion_7b_conservation(hybrid_restores):
     @given(datas=_LOG_DATAS, threshold=st.integers(1, 14))
     @settings(max_examples=1000, deadline=None)

@@ -367,6 +367,21 @@ def test_non_finite_projected_time_is_one_error_line(command, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("volume", [[], ["--test-data-mb", "1000"]], ids=["no-volume", "volume"])
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_compare_rejects_a_restore_time_per_mb_that_overflows(fmt, volume, tmp_path, capsys):
+    # The vault's restore time per MB, 1 / 1e-320, overflows to inf: no rate to print.
+    scenario = _scenario_copy(tmp_path, "cloud")
+    doc = yaml.safe_load(scenario.read_text())
+    del doc["test_data_mb"]
+    _set(doc, "supplied_averages.RecoveryThroughput", 1.0e-320)
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["compare", str(scenario), "--format", fmt, *volume]) == 1
+    assert capsys.readouterr() == (
+        "", "error: rate 'Vault' of 1e-320 MB/s gives a restore time of inf s per MB\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command", ["simulate", "project", "cost", "reliability", "bia-check", "compare", "plot"]
 )

@@ -171,6 +171,17 @@ def test_error_after_a_cell_spanning_lines_names_the_physical_line():
         parse_job_log('day,data_mb,duration_s\n1,"10\n",20\n2,x,3\n')
 
 
+def test_a_form_feed_in_a_cell_is_no_line_break():
+    # A CSV line ends only at \r\n, \r or \n, so the bad row is on line 3.
+    with pytest.raises(ParseError, match="line 3: non-numeric data_mb value 'x'"):
+        parse_job_log('day,data_mb,duration_s\n1,"10\x0c",20\n2,x,3\n')
+
+
+def test_a_next_line_character_in_a_cell_does_not_split_its_row():
+    # U+0085 is whitespace inside a cell, which strip() removes, not a row end.
+    assert parse_job_log("day,data_mb,duration_s\n1,10\x85,20\n") == (JobSample(1, 10.0, 20.0),)
+
+
 def test_cell_beyond_the_csv_field_limit_rejected():
     # csv.Error escaped as a traceback.
     with pytest.raises(ParseError, match="field limit") as excinfo:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drperf.costs import CostBreakdown, ObjectStoreRates
+from drperf.costs import ObjectStoreRates
 from drperf.engine import run
 from drperf.errors import ConfigError, DomainError
 from drperf.metrics import (
@@ -16,14 +17,8 @@ from drperf.metrics import (
     Tier,
     project,
 )
-from drperf.models import (
-    SYSTEMS,
-    SystemKind,
-    build_basic,
-    daily_ingest,
-    extend_with_test_data,
-    projection_rates,
-)
+from drperf.models import SYSTEMS, SystemKind, build_basic, daily_ingest
+from drperf.scenario import Evaluation
 
 from .oracles import retention_tiering_oracle
 
@@ -193,93 +188,78 @@ class TestCloudBuilder:
             build_cloud(job1[:6], job2, cloud_restore)
 
 
-def extend(basic, test_data_mb, supplied_averages=None):
-    projection = project(test_data_mb, projection_rates(basic, supplied_averages))
-    return extend_with_test_data(basic, projection, CostBreakdown(12.5))
+def evaluate(scenario, test_data_mb=None, **changes) -> Evaluation:
+    return Evaluation(dataclasses.replace(scenario, **changes), test_data_mb)
 
 
 class TestExtension:
-    def test_basic_series_are_untouched(self, hybrid_log, hybrid_restores):
-        basic = build_hybrid(hybrid_log, hybrid_restores)
-        extended = extend(basic, 531012)
-        before, after = run(basic), run(extended)
-        for component in basic.components:
+    def test_basic_series_are_untouched(self, hybrid_scenario):
+        evaluation = Evaluation(hybrid_scenario, 531012)
+        before, after = run(evaluation.basic_model), run(evaluation.extended_model)
+        for component in evaluation.basic_model.components:
             assert after.series[component.name] == before.series[component.name]
 
-    def test_cloud_supplied_averages_touch_only_the_extension(
-        self, cloud_logs, cloud_restore
-    ):
-        job1, job2 = cloud_logs
-        basic = build_cloud(job1, job2, cloud_restore)
-        extended = extend(basic, 531012, {"AvgJob1Throughput": 2.57731})
-        result = run(extended)
+    def test_cloud_supplied_averages_touch_only_the_extension(self, cloud_scenario):
+        supplied = {"AvgJob1Throughput": 2.57731}
+        evaluation = evaluate(cloud_scenario, 531012, supplied_averages=supplied)
+        result = run(evaluation.extended_model)
         assert result.final("AvgJob1Throughput") == pytest.approx(2.7404289, abs=1e-6)
         assert result.final("BackupTimeJob1TestData") == pytest.approx(531012 / 2.57731)
 
-    def test_matches_direct_projection(self, hybrid_log, hybrid_restores):
-        basic = build_hybrid(hybrid_log, hybrid_restores)
-        projection = project(100_000, projection_rates(basic))
-        extended = run(extend_with_test_data(basic, projection, CostBreakdown(1.0, 2.0)))
+    def test_matches_direct_projection(self, hybrid_scenario):
+        evaluation = Evaluation(hybrid_scenario, 100_000)
+        projection = project(100_000, evaluation.rates)
+        extended = run(evaluation.extended_model)
         assert extended.final("TestData") == 100_000
         assert extended.final("BackupTimeTestData") == projection.backup_times_s["Backup"]
         assert extended.final("RestoreTimeLocalTestData") == projection.restore_times_s["Local"]
         assert (
             extended.final("RestoreTimeArchiveTestData") == projection.restore_times_s["Archive"]
         )
-        assert extended.final("TotalServiceCostTestData") == 3.0
+        assert extended.final("TotalServiceCostTestData") == evaluation.cost.total
 
-    def test_double_extension_rejected(self, hybrid_log, hybrid_restores):
-        extended = extend(build_hybrid(hybrid_log, hybrid_restores), 1000)
-        with pytest.raises(ConfigError):
-            extend(extended, 1000)
-
-    def test_bad_inputs_rejected(self, hybrid_log, hybrid_restores, cloud_logs, cloud_restore):
-        hybrid = build_hybrid(hybrid_log, hybrid_restores)
-        cloud = build_cloud(*cloud_logs, cloud_restore)
-        cloud_projection = project(1000, projection_rates(cloud))
-        with pytest.raises(ConfigError, match="lacks times"):
-            extend_with_test_data(hybrid, cloud_projection, CostBreakdown(1.0))
+    def test_appends_to_the_basic_model(self, hybrid_scenario, cloud_scenario):
+        for scenario in (hybrid_scenario, cloud_scenario):
+            evaluation = Evaluation(scenario, 1000)
+            basic, extended = evaluation.basic_model, evaluation.extended_model
+            assert extended.name == f"{basic.name}-extended"
+            assert extended.horizon == basic.horizon and extended.exogenous == basic.exogenous
+            assert extended.components[: len(basic.components)] == basic.components
+            assert [c.name for c in extended.components[len(basic.components):]] == [
+                "TestData",
+                *(row.what_if for row in SYSTEMS[scenario.system].rates),
+                "TotalServiceCostTestData",
+            ]
+            meta = {**basic.meta, "extended": True, "test_data_mb": 1000}
+            assert list(extended.meta.items()) == list(meta.items())
 
 
 class TestProjectionRates:
-    def test_hybrid_rates(self, hybrid_log, hybrid_restores):
-        rates = projection_rates(build_hybrid(hybrid_log, hybrid_restores))
+    """``Evaluation.rates``, the rates a projection reads."""
+
+    def test_hybrid_rates(self, hybrid_scenario):
+        rates = Evaluation(hybrid_scenario).rates
         by_label = {r.label: r for r in rates}
         assert by_label["Backup"].kind is RateKind.THROUGHPUT
         assert by_label["Backup"].role is RateRole.BACKUP
         assert by_label["Local"].kind is RateKind.SECONDS_PER_MB
         assert not any(r.supplied for r in rates)
 
-    def test_supplied_flag(self, cloud_logs, cloud_restore):
-        job1, job2 = cloud_logs
-        basic = build_cloud(job1, job2, cloud_restore)
-        rates = projection_rates(basic, {"RecoveryThroughput": 5.57246})
+    def test_supplied_flag(self, cloud_scenario):
+        rates = evaluate(cloud_scenario, supplied_averages={"RecoveryThroughput": 5.57246}).rates
         by_label = {r.label: r for r in rates}
         assert by_label["Vault"].supplied
         assert by_label["Vault"].value == 5.57246
         assert not by_label["Job1"].supplied
 
-    def test_bad_supplied_averages_rejected(self, hybrid_log, hybrid_restores):
-        basic = build_hybrid(hybrid_log, hybrid_restores)
-        with pytest.raises(ConfigError, match=r"supplied_averages: unknown keys \['NoSuchAverage'\]"):
-            projection_rates(basic, {"NoSuchAverage": 1.0})
-        with pytest.raises(ConfigError, match="MeanDailyThroughput must be > 0"):
-            projection_rates(basic, {"MeanDailyThroughput": 0.0})
-        with pytest.raises(ConfigError, match="RestoreTimePerMbLocal must be > 0"):
-            projection_rates(basic, {"RestoreTimePerMbLocal": -1.0})
-
-    def test_rate_table_names_model_components(
-        self, hybrid_log, hybrid_restores, cloud_logs, cloud_restore
-    ):
-        basics = {
-            SystemKind.HYBRID: build_hybrid(hybrid_log, hybrid_restores),
-            SystemKind.CLOUD_VAULT: build_cloud(*cloud_logs, cloud_restore),
-        }
-        assert basics.keys() == SYSTEMS.keys()
-        for system, basic in basics.items():
+    def test_rate_table_names_model_components(self, hybrid_scenario, cloud_scenario):
+        evaluations = {s.system: Evaluation(s, 1000) for s in (hybrid_scenario, cloud_scenario)}
+        assert evaluations.keys() == SYSTEMS.keys()
+        for system, evaluation in evaluations.items():
+            basic = evaluation.basic_model
             assert basic.meta["system"] == system.value
             components = {c.name: c for c in basic.components}
-            extended = {c.name for c in extend(basic, 1000).components}
+            extended = {c.name for c in evaluation.extended_model.components}
             for row in SYSTEMS[system].rates:
                 assert components[row.average].unit == row.kind.value
                 assert row.average in basic.meta["averages"]

@@ -1,0 +1,34 @@
+"""README's tables against the code they describe."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+from drperf.models import SYSTEMS
+
+README = Path(__file__).parents[1] / "README.md"
+SUPPLIED_AVERAGES_HEADER = "| system | supplied average | rate it sets |\n|---|---|---|\n"
+# | `hybrid` | `MeanDailyThroughput` (MB/s) | backup `Backup` |, the system cell empty
+# on a row of the same system
+SUPPLIED_AVERAGE_ROW = re.compile(
+    r"\| (?:`(?P<system>[^`]+)` )?\| `(?P<average>\w+)` \((?P<unit>[^)]+)\)"
+    r" \| (?P<role>\w+) `(?P<label>\w+)` \|"
+)
+
+
+def test_supplied_average_table_lists_the_rate_rows_of_every_system():
+    text = README.read_text(encoding="utf-8")
+    assert text.count(SUPPLIED_AVERAGES_HEADER) == 1
+    table = text.split(SUPPLIED_AVERAGES_HEADER)[1].split("\n\n")[0]
+    listed, system = [], None
+    for line in table.splitlines():
+        row = SUPPLIED_AVERAGE_ROW.fullmatch(line)
+        assert row, f"not a row of the supplied-average table: {line!r}"
+        system = row["system"] or system
+        listed.append((system, row["average"], row["unit"], row["role"], row["label"]))
+    assert listed == [
+        (system.value, row.average, row.kind.value, row.role.value, row.label)
+        for system, spec in SYSTEMS.items()
+        for row in spec.rates
+    ]

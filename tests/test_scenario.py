@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from drperf.errors import ConfigError, DomainError, ParseError
 from drperf.models import DEFAULT_FRONTEND_GB, SYSTEMS
 from drperf.scenario import (
     Evaluation,
+    Scenario,
     SystemKind,
     TransactionCounts,
     parse_scenario,
@@ -176,6 +178,52 @@ class TestParseScenario:
     def test_unknown_supplied_average_rejected(self, hybrid_scenario):
         text = MINIMAL_HYBRID + "supplied_averages:\n  AvgJob1Throughput: 2.0\n"
         with pytest.raises(ConfigError, match="unknown keys"):
+            parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
+
+    @pytest.mark.parametrize(
+        "supplied, message",
+        [
+            ({"NoSuchAverage": 1.0},
+             "supplied_averages: unknown keys ['NoSuchAverage']; a hybrid model has"
+             " ['MeanDailyThroughput', 'RestoreTimePerMbLocal', 'RestoreTimePerMbArchive']"),
+            ({"MeanDailyThroughput": 0.0},
+             "supplied_averages.MeanDailyThroughput must be > 0, got 0.0"),
+            ({"RestoreTimePerMbLocal": -1.0},
+             "supplied_averages.RestoreTimePerMbLocal must be > 0, got -1.0"),
+            # parsing rejects these first; a scenario built in Python meets only this check
+            ({"MeanDailyThroughput": math.inf},
+             "supplied_averages.MeanDailyThroughput must be finite, got inf"),
+            ({"MeanDailyThroughput": -math.inf},
+             "supplied_averages.MeanDailyThroughput must be finite, got -inf"),
+            ({"RestoreTimePerMbArchive": math.nan},
+             "supplied_averages.RestoreTimePerMbArchive must be finite, got nan"),
+        ],
+        ids=["unknown", "zero", "negative", "inf", "-inf", "nan"],
+    )
+    def test_bad_supplied_averages_rejected_on_construction(
+        self, hybrid_scenario, supplied, message
+    ):
+        # Checked once, as any scenario is built: in Python as when parsed.
+        with pytest.raises(ConfigError) as built:
+            Scenario(
+                name="tiny",
+                system=SystemKind.HYBRID,
+                job_logs={"backup": "hybrid_backup.csv"},
+                restore_samples="hybrid_restore.csv",
+                pricing=ObjectStoreRates(),
+                bia=hybrid_scenario.bia,
+                supplied_averages=supplied,
+            )
+        text = MINIMAL_HYBRID + yaml.safe_dump({"supplied_averages": supplied})
+        with pytest.raises(ConfigError) as parsed:
+            parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
+        assert str(built.value) == str(parsed.value) == message
+
+    def test_a_bad_pricing_block_is_reported_before_a_bad_supplied_average(
+        self, hybrid_scenario
+    ):
+        text = MINIMAL_HYBRID + "pricing:\n  per_gb_month: -1\nsupplied_averages:\n  Nope: 1\n"
+        with pytest.raises(DomainError, match="^pricing.per_gb_month "):
             parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
 
     @pytest.mark.parametrize(
