@@ -57,7 +57,6 @@ _EXPORTS = {
         "throughput",
     ),
     "models": ("SystemKind", "build_basic"),
-    "plot": ("emit_plot",),
     "reliability": (
         "ReliabilityComponent",
         "SeriesSystem",

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from . import __version__, report
 from .engine import run
 from .errors import ToolkitError
-from .plot import emit_plot
+from .plot import render_svg
 from .scenario import Evaluation, load_scenario
 
 EXIT_OK = 0
@@ -94,7 +95,8 @@ def _cmd_plot(args) -> int:
         series[name] = result.series[name]
         if component.unit and component.unit not in units:
             units.append(component.unit)
-    emit_plot(series, args.out, title=scenario.name, y_label=" / ".join(units))
+    svg = render_svg(series, title=scenario.name, y_label=" / ".join(units))
+    Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK
 

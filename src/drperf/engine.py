@@ -33,9 +33,9 @@ that allocates no dict and no scope:
   expression's owner.
 
 The result keeps one tuple of floats per component
-(``RunResult.trajectories``).  ``RunResult.series`` shows them as
-``(period, value)`` pairs, and each read of ``series[name]`` builds a new
-tuple of pairs, so repeated reads should use ``RunResult.values``.
+(``RunResult.trajectories``), read by name with ``RunResult.values``; the
+final value is the last element.  ``RunResult.series`` shows the same
+tuples as ``(period, value)`` pairs, built anew on each read.
 """
 
 from __future__ import annotations
@@ -212,35 +212,23 @@ class _Series(Mapping[str, tuple[tuple[int, float], ...]]):
 class RunResult:
     """Trajectories of every component, one value per period (element 0 is period 1).
 
-    ``series`` shows the same trajectories as ``(period, value)`` pairs.  Each
-    read of ``series[name]`` builds a new tuple of pairs; use ``values`` for
-    repeated reads.
+    ``values(name)`` is the checked read of one trajectory.  ``series`` shows
+    the same trajectories as ``(period, value)`` pairs, building a new tuple
+    of pairs on each read of ``series[name]``.
     """
 
     digest: str
-    horizon: int
     trajectories: Mapping[str, tuple[float, ...]]
 
     @property
     def series(self) -> Mapping[str, tuple[tuple[int, float], ...]]:
         return _Series(self.trajectories)
 
-    def _trajectory(self, name: str) -> tuple[float, ...]:
+    def values(self, name: str) -> tuple[float, ...]:
         try:
             return self.trajectories[name]
         except KeyError:
             raise ModelError(f"run has no series {name!r}") from None
-
-    def values(self, name: str) -> tuple[float, ...]:
-        return self._trajectory(name)
-
-    def value(self, name: str, period: int) -> float:
-        if not 1 <= period <= self.horizon:
-            raise ModelError(f"period {period} outside 1..{self.horizon}")
-        return self._trajectory(name)[period - 1]
-
-    def final(self, name: str) -> float:
-        return self._trajectory(name)[-1]
 
 
 class _UndeclaredRead(Exception):
@@ -343,6 +331,5 @@ def run(model: Model) -> RunResult:
         del values[0]
     return RunResult(
         digest=model.digest(),
-        horizon=model.horizon,
         trajectories={name: tuple(values) for name, values in trajectories.items()},
     )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from pathlib import Path
 
 from .errors import DomainError
 
@@ -157,14 +156,3 @@ def render_svg(
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def emit_plot(
-    series: Mapping[str, Sequence[tuple[int, float]]],
-    path: Path | str,
-    title: str = "",
-    y_label: str = "",
-) -> Path:
-    """Write the SVG chart to ``path`` and return the written path."""
-    path = Path(path)
-    path.write_text(render_svg(series, title=title, y_label=y_label), encoding="utf-8")
-    return path

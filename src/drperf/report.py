@@ -56,7 +56,7 @@ def _csv(headers: list[str], rows: list[list[str]]) -> str:
 def render_run_summary(model: Model, result: RunResult) -> str:
     """Final value of every component, one row per name."""
     rows = [
-        [comp.name, comp.kind.value, comp.unit, fmt_num(result.final(comp.name))]
+        [comp.name, comp.kind.value, comp.unit, fmt_num(result.values(comp.name)[-1])]
         for comp in sorted(model.components, key=lambda c: c.name)
     ]
     header = f"model: {model.name}  horizon: {model.horizon}  digest: {result.digest[:12]}\n"

@@ -358,8 +358,8 @@ def _read(path: Path, parse):
 class Evaluation:
     """One scenario evaluated at one test data volume.
 
-    The volume is the override if given, else the scenario's own; it must
-    be finite and > 0.  Each field is derived on first use and kept, so a
+    The volume is the override if given, else the scenario's own; it is
+    held as a float and must be finite and > 0.  Each field is derived on first use and kept, so a
     command reads each input file at most once and pays only for the
     fields it prints.
     """
@@ -367,6 +367,10 @@ class Evaluation:
     def __init__(self, scenario: Scenario, test_data_mb: float | None = None):
         volume = test_data_mb if test_data_mb is not None else scenario.test_data_mb
         if volume is not None:
+            try:
+                volume = float(volume)  # an int volume digests as the equal float does
+            except OverflowError:
+                raise ConfigError(f"test_data_mb is out of range, got {volume}") from None
             if not math.isfinite(volume):
                 raise ConfigError(f"test_data_mb must be finite, got {volume}")
             if volume <= 0:

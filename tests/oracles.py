@@ -13,10 +13,16 @@ expressions, where ``render_svg`` formats each series in bulk.
 ``reference_run``: a direct period loop that builds a fresh read view of
 each component's dependencies on every call, where ``engine.run`` compiles
 a plan once and reuses its scopes; the two must give identical series.
+
+``projection_oracle``: each rate and projected time of a scenario, computed
+from the raw YAML mapping and CSV text as README defines them, with no
+system table, model, engine or ``Evaluation`` in between.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections.abc import Mapping, Sequence
 
@@ -133,6 +139,57 @@ def reference_run(model: Model) -> RunResult:
 
     return RunResult(
         digest=model.digest(),
-        horizon=model.horizon,
         trajectories={name: tuple(values) for name, values in trajectories.items()},
     )
+
+
+# README's table of supplied averages: per system, each rate's label, role, the
+# supplied average that overrides it, its source (a job-log label or a restore
+# tier) and its unit.
+_PROJECTION_RATES = {
+    "hybrid": (
+        ("Backup", "backup", "MeanDailyThroughput", "backup", "MB/s"),
+        ("Local", "restore", "RestoreTimePerMbLocal", "Local", "s/MB"),
+        ("Archive", "restore", "RestoreTimePerMbArchive", "Archive", "s/MB"),
+    ),
+    "cloud-vault": (
+        ("Job1", "backup", "AvgJob1Throughput", "job1", "MB/s"),
+        ("Job2", "backup", "AvgJob2Throughput", "job2", "MB/s"),
+        ("Vault", "restore", "RecoveryThroughput", "Vault", "MB/s"),
+    ),
+}
+
+
+def projection_oracle(
+    doc: Mapping, files: Mapping[str, str]
+) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
+    """(rates, backup times in s, restore times in s), each by rate label.
+
+    ``doc`` is the scenario's YAML mapping and ``files`` maps each file name it
+    references to the file's text.  A backup rate is the mean of its log's
+    per-day throughputs (data over duration, summed exactly); a restore rate is
+    its tier's sample as s/MB (duration over data) or MB/s (data over
+    duration); a supplied average replaces the rate of its name.  A time is
+    volume / rate for MB/s and volume * rate for s/MB.
+    """
+    volume = float(doc["test_data_mb"])
+    supplied = doc.get("supplied_averages") or {}
+    restores = {
+        row["tier"]: row for row in csv.DictReader(io.StringIO(files[doc["restore_samples"]]))
+    }
+    rates, backup, restore = {}, {}, {}
+    for label, role, average, source, unit in _PROJECTION_RATES[doc["system"]]:
+        if average in supplied:
+            rate = float(supplied[average])
+        elif role == "backup":
+            rows = list(csv.DictReader(io.StringIO(files[doc["job_logs"][source]])))
+            per_day = [float(row["data_mb"]) / float(row["duration_s"]) for row in rows]
+            rate = math.fsum(per_day) / len(per_day)
+        elif unit == "s/MB":
+            rate = float(restores[source]["duration_s"]) / float(restores[source]["data_mb"])
+        else:
+            rate = float(restores[source]["data_mb"]) / float(restores[source]["duration_s"])
+        rates[label] = rate
+        times = backup if role == "backup" else restore
+        times[label] = volume * rate if unit == "s/MB" else volume / rate
+    return rates, backup, restore

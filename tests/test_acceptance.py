@@ -88,20 +88,20 @@ def test_criterion_2_hybrid_extended_model(hybrid_scenario):
     _verdict(
         "2",
         [
-            _close("backup h", result.final("BackupTimeTestData") / HOUR, 2.72034, 0.001),
+            _close("backup h", result.values("BackupTimeTestData")[-1] / HOUR, 2.72034, 0.001),
             _close(
                 "restore archive h",
-                result.final("RestoreTimeArchiveTestData") / HOUR,
+                result.values("RestoreTimeArchiveTestData")[-1] / HOUR,
                 38.016,
                 0.001,
             ),
             _close(
                 "restore local h",
-                result.final("RestoreTimeLocalTestData") / HOUR,
+                result.values("RestoreTimeLocalTestData")[-1] / HOUR,
                 3.09239,
                 0.001,
             ),
-            _close("cost USD", result.final("TotalServiceCostTestData"), 11.6602, 0.0001),
+            _close("cost USD", result.values("TotalServiceCostTestData")[-1], 11.6602, 0.0001),
         ],
     )
 
@@ -118,8 +118,8 @@ def test_criterion_3_cloud_derived_variables(cloud_scenario):
                 5.57246,
                 1e-4,
             ),
-            _exact("vault MB after period 7", result.value("RecoveryVault", 7), 63103.0),
-            _exact("transfer MB period 1", result.value("DailyTransfer", 1), 8715.0),
+            _exact("vault MB after period 7", result.values("RecoveryVault")[6], 63103.0),
+            _exact("transfer MB period 1", result.values("DailyTransfer")[0], 8715.0),
             _close("monthly cost USD", model.meta["monthly_cost"], 7.82701, 0.0001),
         ],
     )
@@ -135,10 +135,14 @@ def test_criterion_4_cloud_extended_model(cloud_scenario):
     _verdict(
         "4",
         [
-            _close("job1 backup h", result.final("BackupTimeJob1TestData") / HOUR, 57.2315, 0.001),
-            _close("job2 backup h", result.final("BackupTimeJob2TestData") / HOUR, 80.5831, 0.001),
-            _close("recovery h", result.final("RecoveryTimeTestData") / HOUR, 26.47, 0.001),
-            _close("cost USD", result.final("TotalServiceCostTestData"), 43.7893, 0.0001),
+            _close(
+                "job1 backup h", result.values("BackupTimeJob1TestData")[-1] / HOUR, 57.2315, 0.001
+            ),
+            _close(
+                "job2 backup h", result.values("BackupTimeJob2TestData")[-1] / HOUR, 80.5831, 0.001
+            ),
+            _close("recovery h", result.values("RecoveryTimeTestData")[-1] / HOUR, 26.47, 0.001),
+            _close("cost USD", result.values("TotalServiceCostTestData")[-1], 43.7893, 0.0001),
         ],
     )
 
@@ -232,13 +236,13 @@ def test_criterion_7a_determinism(hybrid_scenario, cloud_scenario):
 
 
 def test_extended_model_digests_are_pinned(hybrid_scenario, cloud_scenario):
-    # The extended model's meta holds the volume as given, so an int volume digests
-    # apart from the float that the CLI always passes.
+    # Evaluation holds the volume as a float, so an int volume digests as the
+    # equal float that the CLI passes.
     pinned = [
         (hybrid_scenario, TEST_DATA_MB, "3c5de63af093"),
         (cloud_scenario, TEST_DATA_MB, "11dd68e951ce"),
-        (hybrid_scenario, int(TEST_DATA_MB), "874aac1bdfc6"),
-        (cloud_scenario, int(TEST_DATA_MB), "a472a06b3c28"),
+        (hybrid_scenario, int(TEST_DATA_MB), "3c5de63af093"),
+        (cloud_scenario, int(TEST_DATA_MB), "11dd68e951ce"),
     ]
     for scenario, volume, digest in pinned:
         assert Evaluation(scenario, volume).extended_model.digest()[:12] == digest
@@ -253,11 +257,12 @@ def test_criterion_7b_conservation(hybrid_restores):
             SystemKind.HYBRID, {"backup": log}, hybrid_restores, tiering_threshold_days=threshold
         )
         result = run(model)
+        local, cloud = result.values("LocalStorage"), result.values("CloudTier")
         cumulative = 0.0
-        for period in range(1, result.horizon + 1):
+        for period in range(1, model.horizon + 1):
             if period <= len(datas):
                 cumulative += datas[period - 1]
-            held = result.value("LocalStorage", period) + result.value("CloudTier", period)
+            held = local[period - 1] + cloud[period - 1]
             assert held == cumulative, f"period {period}: {held} != {cumulative}"
 
     try:
@@ -277,13 +282,14 @@ def test_criterion_7b_conservation_cloud_vault(cloud_restore):
     @settings(max_examples=500, deadline=None)
     def check(job1: list[int], job2: list[int]) -> None:
         logs = {"job1": _random_log(job1), "job2": _random_log(job2)}
-        result = run(build_basic(SystemKind.CLOUD_VAULT, logs, (cloud_restore,)))
+        model = build_basic(SystemKind.CLOUD_VAULT, logs, (cloud_restore,))
+        result = run(model)
         cumulative = 0.0
-        for period in range(1, result.horizon + 1):
+        for period in range(1, model.horizon + 1):
             both = job1[period - 1] + job2[period - 1] if period <= len(job1) else 0
             cumulative += both
-            transfer = result.value("DailyTransfer", period)
-            held = result.value("RecoveryVault", period)
+            transfer = result.values("DailyTransfer")[period - 1]
+            held = result.values("RecoveryVault")[period - 1]
             assert transfer == both, f"period {period}: transfer {transfer} != {both}"
             assert held == cumulative, f"period {period}: {held} != {cumulative}"
 
@@ -316,7 +322,7 @@ def test_criterion_7d_retention_oracle(hybrid_restores):
             SystemKind.HYBRID, {"backup": log}, hybrid_restores, tiering_threshold_days=threshold
         )
         result = run(model)
-        local, cloud = retention_tiering_oracle(log, threshold, result.horizon)
+        local, cloud = retention_tiering_oracle(log, threshold, model.horizon)
         assert list(result.values("LocalStorage")) == local
         assert list(result.values("CloudTier")) == cloud
 

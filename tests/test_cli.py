@@ -124,6 +124,16 @@ def test_plot_unknown_component(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_plot_into_a_missing_directory(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "x.svg"
+    assert main(["plot", CLOUD, "--component", "RecoveryVault", "--out", str(out_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out_file) in captured.err
+    assert not out_file.parent.exists()
+
+
 def test_missing_scenario_file(capsys):
     assert main(["simulate", "does-not-exist.yaml"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -257,21 +257,14 @@ class TestValidation:
 class TestRunResult:
     def test_accessors(self):
         result = run(accumulator())
-        assert result.value("Tank", 1) == 1.0
-        assert result.final("Tank") == 5.0
+        assert result.values("Tank") is result.trajectories["Tank"]
+        assert result.values("Tank")[-1] == 5.0  # the final value comes last
         assert result.series["Tank"][0] == (1, 1.0)
 
     def test_bad_lookups(self):
         result = run(accumulator())
-        for lookup in (
-            lambda: result.values("Nope"),
-            lambda: result.value("Nope", 1),
-            lambda: result.final("Nope"),
-            lambda: result.value("Tank", 0),
-            lambda: result.value("Tank", 6),
-        ):
-            with pytest.raises(ModelError):
-                lookup()
+        with pytest.raises(ModelError, match="run has no series 'Nope'"):
+            result.values("Nope")
 
     def test_every_series_covers_the_horizon(self):
         result = run(accumulator())
@@ -285,10 +278,11 @@ class TestRunResult:
             result.series["Tank"] = ()
 
     def test_series_pairs_each_period_with_its_value(self):
-        result = run(accumulator(inflow=(1.0, 0.5, 2.0, 0.0, 0.0)))
+        model = accumulator(inflow=(1.0, 0.5, 2.0, 0.0, 0.0))
+        result = run(model)
         assert result.trajectories["Tank"] == (1.0, 1.5, 3.5, 3.5, 3.5)
         for name in result.series:
-            pairs = tuple(zip(range(1, result.horizon + 1), result.values(name)))
+            pairs = tuple(zip(range(1, model.horizon + 1), result.values(name)))
             assert result.series[name] == pairs
 
 
@@ -389,12 +383,12 @@ class TestAgainstReferenceRun:
             if comp.kind is not Kind.STOCK:
                 continue
             level = comp.initial
-            for period in range(1, model.horizon + 1):
-                inflow = sum(result.value(f, period) for f in comp.inflows)
-                outflow = sum(result.value(f, period) for f in comp.outflows)
+            for index in range(model.horizon):
+                inflow = sum(result.values(f)[index] for f in comp.inflows)
+                outflow = sum(result.values(f)[index] for f in comp.outflows)
                 level = level + inflow - outflow
                 assert math.isfinite(level)
-                assert result.value(comp.name, period) == level
+                assert result.values(comp.name)[index] == level
 
     def test_flow_named_twice_among_inflows_and_once_among_outflows(self):
         model = Model(

@@ -3,7 +3,8 @@
 Each example writes a scenario of either system with generated job logs,
 restore samples, supplied averages, test volume and BIA targets, parses
 it as the CLI does, and compares evaluations, reliability chains, or the
-outputs of every subcommand, that differ in one input.
+outputs of every subcommand, that differ in one input.  The projection of
+each generated scenario is also checked against ``oracles.projection_oracle``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from drperf.cli import main
 from drperf.data import data_path
 from drperf.models import SYSTEMS, SystemKind
 from drperf.scenario import Evaluation, Scenario, parse_scenario
+
+from .oracles import projection_oracle
 
 BASES = {
     SystemKind.HYBRID: yaml.safe_load(data_path("hybrid_reference.yaml").read_text()),
@@ -78,6 +81,17 @@ def scenario_on_disk(doc: dict, files: dict[str, str]) -> Iterator[Scenario]:
     """The parsed scenario, with its CSV files readable until the block ends."""
     with scenario_file(doc, files) as path:
         yield parse_scenario(path.read_text(encoding="utf-8"), base_dir=path.parent)
+
+
+@settings(deadline=None, max_examples=100)
+@given(scenarios())
+def test_projection_equals_the_oracle(generated):
+    rates, backup_times_s, restore_times_s = projection_oracle(*generated)
+    with scenario_on_disk(*generated) as scenario:
+        projection = Evaluation(scenario).projection
+    assert {rate.label: rate.value for rate in projection.basis} == rates
+    assert projection.backup_times_s == backup_times_s
+    assert projection.restore_times_s == restore_times_s
 
 
 @settings(deadline=None, max_examples=60)

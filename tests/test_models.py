@@ -64,23 +64,23 @@ def _bits(values) -> list[str]:
 class TestHybridBuilder:
     def test_storage_trajectories(self, hybrid_log, hybrid_restores):
         result = run(build_hybrid(hybrid_log, hybrid_restores))
-        assert result.value("LocalStorage", 14) == 352407.0
-        assert result.value("LocalStorage", 15) == 325451.0
-        assert result.value("CloudTier", 14) == 0.0
-        assert result.value("CloudTier", 15) == 26956.0
+        assert result.values("LocalStorage")[13] == 352407.0
+        assert result.values("LocalStorage")[14] == 325451.0
+        assert result.values("CloudTier")[13] == 0.0
+        assert result.values("CloudTier")[14] == 26956.0
 
     def test_conservation_on_the_reference_log(self, hybrid_log, hybrid_restores):
         result = run(build_hybrid(hybrid_log, hybrid_restores))
         running = 0.0
-        for period in range(1, 16):
-            running += result.value("DailyBackup", period)
-            total = result.value("LocalStorage", period) + result.value("CloudTier", period)
-            assert total == running
+        stocks = zip(result.values("LocalStorage"), result.values("CloudTier"))
+        for backup, (local, cloud) in zip(result.values("DailyBackup"), stocks, strict=True):
+            running += backup
+            assert local + cloud == running
 
     def test_daily_throughput_periods(self, hybrid_log, hybrid_restores):
         result = run(build_hybrid(hybrid_log, hybrid_restores))
-        assert result.value("DailyThroughput", 1) == pytest.approx(26956 / 525.0)
-        assert result.value("DailyThroughput", 15) == 0.0
+        assert result.values("DailyThroughput")[0] == pytest.approx(26956 / 525.0)
+        assert result.values("DailyThroughput")[14] == 0.0
 
     def test_restore_events_sit_in_their_periods(self, hybrid_log, hybrid_restores):
         result = run(build_hybrid(hybrid_log, hybrid_restores))
@@ -93,8 +93,8 @@ class TestHybridBuilder:
         model = build_hybrid(hybrid_log, hybrid_restores)
         result = run(model)
         for name, value in model.meta["averages"].items():
-            assert result.final(name) == value
-        assert result.final("MonthlyServiceCost") == model.meta["monthly_cost"]
+            assert result.values(name)[-1] == value
+        assert result.values("MonthlyServiceCost")[-1] == model.meta["monthly_cost"]
         assert model.meta["tiered_mb"] == 26956.0
 
     def test_rejects_wrong_day_coverage(self, hybrid_log, hybrid_restores):
@@ -145,7 +145,7 @@ def test_total_ingest_that_overflows_is_rejected(hybrid_restores, cloud_restore)
         build_cloud(log(7), log(7), cloud_restore)
     empty = tuple(JobSample(day, 0.0, 1.0) for day in range(1, 8))
     model = build_cloud(log(1) + empty[1:], empty, cloud_restore)  # one such day is finite
-    assert run(model).value("RecoveryVault", 8) == 1e308
+    assert run(model).values("RecoveryVault")[7] == 1e308
 
 
 class TestCloudBuilder:
@@ -158,15 +158,15 @@ class TestCloudBuilder:
     def test_vault_accumulates(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
         result = run(build_cloud(job1, job2, cloud_restore))
-        assert result.value("RecoveryVault", 7) == 63103.0
-        assert result.value("RecoveryVault", 8) == 63103.0
+        assert result.values("RecoveryVault")[6] == 63103.0
+        assert result.values("RecoveryVault")[7] == 63103.0
 
     def test_computed_averages(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
         result = run(build_cloud(job1, job2, cloud_restore))
-        assert result.final("AvgJob1Throughput") == pytest.approx(2.7404289, abs=1e-6)
-        assert result.final("AvgJob2Throughput") == pytest.approx(1.3403195, abs=1e-6)
-        assert result.final("RecoveryThroughput") == pytest.approx(7690 / 1380)
+        assert result.values("AvgJob1Throughput")[-1] == pytest.approx(2.7404289, abs=1e-6)
+        assert result.values("AvgJob2Throughput")[-1] == pytest.approx(1.3403195, abs=1e-6)
+        assert result.values("RecoveryThroughput")[-1] == pytest.approx(7690 / 1380)
 
     def test_restore_event_in_trailing_period(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
@@ -203,20 +203,22 @@ class TestExtension:
         supplied = {"AvgJob1Throughput": 2.57731}
         evaluation = evaluate(cloud_scenario, 531012, supplied_averages=supplied)
         result = run(evaluation.extended_model)
-        assert result.final("AvgJob1Throughput") == pytest.approx(2.7404289, abs=1e-6)
-        assert result.final("BackupTimeJob1TestData") == pytest.approx(531012 / 2.57731)
+        assert result.values("AvgJob1Throughput")[-1] == pytest.approx(2.7404289, abs=1e-6)
+        assert result.values("BackupTimeJob1TestData")[-1] == pytest.approx(531012 / 2.57731)
 
     def test_matches_direct_projection(self, hybrid_scenario):
         evaluation = Evaluation(hybrid_scenario, 100_000)
         projection = project(100_000, evaluation.rates)
         extended = run(evaluation.extended_model)
-        assert extended.final("TestData") == 100_000
-        assert extended.final("BackupTimeTestData") == projection.backup_times_s["Backup"]
-        assert extended.final("RestoreTimeLocalTestData") == projection.restore_times_s["Local"]
-        assert (
-            extended.final("RestoreTimeArchiveTestData") == projection.restore_times_s["Archive"]
-        )
-        assert extended.final("TotalServiceCostTestData") == evaluation.cost.total
+        times = {**projection.backup_times_s, **projection.restore_times_s}
+        for name, value in (
+            ("TestData", 100_000),
+            ("BackupTimeTestData", times["Backup"]),
+            ("RestoreTimeLocalTestData", times["Local"]),
+            ("RestoreTimeArchiveTestData", times["Archive"]),
+            ("TotalServiceCostTestData", evaluation.cost.total),
+        ):
+            assert extended.values(name)[-1] == value, name
 
     def test_appends_to_the_basic_model(self, hybrid_scenario, cloud_scenario):
         for scenario in (hybrid_scenario, cloud_scenario):
@@ -282,8 +284,8 @@ class TestRandomLogProperties:
         result = run(build_cloud(job1, job2, cloud_restore))
         running = 0.0
         for period in range(1, 9):
-            running += result.value("DailyTransfer", period)
-            assert result.value("RecoveryVault", period) == running
+            running += result.values("DailyTransfer")[period - 1]
+            assert result.values("RecoveryVault")[period - 1] == running
 
 
 class TestDailyIngest:
@@ -311,7 +313,7 @@ class TestDailyIngest:
         result = run(model)
         shifted = [0.0] * threshold + list(daily)
         assert _bits(result.values("TieringMove")) == _bits(shifted[: model.horizon])
-        assert float.hex(model.meta["tiered_mb"]) == float.hex(result.final("CloudTier"))
+        assert float.hex(model.meta["tiered_mb"]) == float.hex(result.values("CloudTier")[-1])
 
     def test_a_threshold_past_any_horizon_moves_nothing(self, hybrid_log, hybrid_restores):
         model = build_hybrid(hybrid_log, hybrid_restores, tiering_threshold_days=10**9)

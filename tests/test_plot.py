@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from drperf.engine import Kind, Model, ModelComponent, run
 from drperf.errors import DomainError
-from drperf.plot import emit_plot, render_svg
+from drperf.plot import render_svg
 from drperf.scenario import Evaluation
 
 from .oracles import polyline_points
@@ -105,21 +105,6 @@ def test_deterministic_output():
     assert render_svg(series, title="t", y_label="MB") == render_svg(
         series, title="t", y_label="MB"
     )
-
-
-def test_emit_plot_writes_the_file(tmp_path, cloud_scenario):
-    result = run(Evaluation(cloud_scenario).basic_model)
-    out = tmp_path / "vault.svg"
-    emit_plot({"RecoveryVault": result.series["RecoveryVault"]}, out, title="vault")
-    text = out.read_text()
-    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
-
-
-def test_emit_plot_unwritable_path(tmp_path, cloud_scenario):
-    result = run(Evaluation(cloud_scenario).basic_model)
-    missing_dir = tmp_path / "nope" / "vault.svg"
-    with pytest.raises(OSError):
-        emit_plot({"RecoveryVault": result.series["RecoveryVault"]}, missing_dir)
 
 
 def test_golden_stock_chart(hybrid_scenario, golden):

@@ -257,6 +257,18 @@ class TestEvaluationHelpers:
         projection = Evaluation(bare, 1000.0).projection
         assert projection.test_data_mb == 1000.0
 
+    def test_volume_is_held_as_a_float(self, hybrid_scenario):
+        evaluation = Evaluation(dataclasses.replace(hybrid_scenario, test_data_mb=531012))
+        assert type(evaluation.test_data_mb) is float
+        assert type(Evaluation(hybrid_scenario, 1000).projection.test_data_mb) is float
+        for scenario, volume in (
+            (hybrid_scenario, 10**400),
+            (dataclasses.replace(hybrid_scenario, test_data_mb=10**400), None),
+        ):
+            with pytest.raises(ConfigError) as excinfo:
+                Evaluation(scenario, volume)
+            assert str(excinfo.value) == f"test_data_mb is out of range, got {10**400}"
+
     def test_extended_model_requires_a_volume(self, hybrid_scenario):
         bare = dataclasses.replace(hybrid_scenario, test_data_mb=None)
         with pytest.raises(ConfigError, match="test_data_mb"):
@@ -336,9 +348,9 @@ class TestEvaluationHelpers:
             result = run(evaluation.extended_model)
             times = {"backup": projection.backup_times_s, "restore": projection.restore_times_s}
             for name, (role, label) in converters[scenario.name].items():
-                assert result.final(name) == times[role][label]
-            assert result.final("TotalServiceCostTestData") == evaluation.cost.total
-            assert result.final("TestData") == evaluation.test_data_mb
+                assert result.values(name)[-1] == times[role][label]
+            assert result.values("TotalServiceCostTestData")[-1] == evaluation.cost.total
+            assert result.values("TestData")[-1] == evaluation.test_data_mb
 
     def test_basic_model_storage_trajectories(self, hybrid_scenario):
         result = run(Evaluation(hybrid_scenario).basic_model)
