@@ -4,12 +4,19 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from drperf.data import data_path, cloud_scenario_path, hybrid_scenario_path
 from drperf.joblog import parse_job_log, parse_restore_samples
 from drperf.scenario import load_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Hypothesis's explain phase re-runs a failing test many times to say which parts of
+# its example matter; on the generated-scenario tests that delays the report by
+# minutes.  Tests that pass their own @settings inherit the phases from here.
+settings.register_profile("drperf", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("drperf")
 
 
 @pytest.fixture(scope="session")
