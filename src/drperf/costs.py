@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
-DEFAULT_INGRESS_EGRESS_OPS = 10_000
-DEFAULT_LISTING_OPS = 10_000
 OPS_PER_BLOCK = 10_000
 
 
@@ -30,6 +28,24 @@ class ObjectStoreRates:
         for name in ("per_gb_month", "per_10k_ingress_egress", "per_10k_listing"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class TransactionCounts:
+    """Monthly object-store operation counts used for hybrid pricing."""
+
+    ingress_egress_ops: int = 10_000
+    listing_ops: int = 10_000
+
+    def __post_init__(self):
+        if self.ingress_egress_ops < 0 or self.listing_ops < 0:
+            raise ConfigError("transaction counts must be >= 0")
+        for name in ("ingress_egress_ops", "listing_ops"):
+            value = getattr(self, name)
+            try:
+                float(value)  # the cost functions price counts as floats
+            except OverflowError:
+                raise ConfigError(f"{name} is out of range, got {value}") from None
 
 
 @dataclass(frozen=True)
@@ -101,10 +117,7 @@ class CostBreakdown:
 
 
 def hybrid_cloud_cost(
-    tiered_gb: float,
-    ingress_egress_ops: float = DEFAULT_INGRESS_EGRESS_OPS,
-    listing_ops: float = DEFAULT_LISTING_OPS,
-    rates: ObjectStoreRates | None = None,
+    tiered_gb: float, transactions: TransactionCounts, rates: ObjectStoreRates
 ) -> CostBreakdown:
     """Monthly object-store cost for data held in the hybrid cloud tier.
 
@@ -113,22 +126,18 @@ def hybrid_cloud_cost(
     """
     if tiered_gb < 0:
         raise DomainError(f"tiered_gb must be >= 0, got {tiered_gb}")
-    if ingress_egress_ops < 0 or listing_ops < 0:
-        raise DomainError("operation counts must be >= 0")
-    rates = rates or ObjectStoreRates()
     storage = tiered_gb * rates.per_gb_month
-    transactions = (
-        rates.per_10k_ingress_egress * ingress_egress_ops / OPS_PER_BLOCK
-        + rates.per_10k_listing * listing_ops / OPS_PER_BLOCK
+    operations = (
+        rates.per_10k_ingress_egress * transactions.ingress_egress_ops / OPS_PER_BLOCK
+        + rates.per_10k_listing * transactions.listing_ops / OPS_PER_BLOCK
     )
-    return CostBreakdown(storage_cost=storage, transaction_cost=transactions)
+    return CostBreakdown(storage_cost=storage, transaction_cost=operations)
 
 
-def vault_instance_fee(frontend_gb: float, rates: VaultRates | None = None) -> float:
+def vault_instance_fee(frontend_gb: float, rates: VaultRates) -> float:
     """Monthly instance fee for a protected frontend of the given size."""
     if frontend_gb < 0:
         raise DomainError(f"frontend_gb must be >= 0, got {frontend_gb}")
-    rates = rates or VaultRates()
     for tier in rates.instance_fee_tiers:
         if frontend_gb <= tier.upper_gb:
             return tier.fee
@@ -138,17 +147,12 @@ def vault_instance_fee(frontend_gb: float, rates: VaultRates | None = None) -> f
     return math.ceil(blocks) * rates.block_fee
 
 
-def cloud_vault_cost(
-    frontend_gb: float,
-    stored_gb: float,
-    rates: VaultRates | None = None,
-) -> CostBreakdown:
+def cloud_vault_cost(frontend_gb: float, stored_gb: float, rates: VaultRates) -> CostBreakdown:
     """Monthly recovery-vault cost: per-GB storage plus the instance fee."""
     if frontend_gb < 0 or stored_gb < 0:
         raise DomainError(
             f"frontend_gb and stored_gb must be >= 0, got {frontend_gb} and {stored_gb}"
         )
-    rates = rates or VaultRates()
     storage = stored_gb * rates.per_gb_month
     fee = vault_instance_fee(frontend_gb, rates)
     return CostBreakdown(storage_cost=storage, instance_cost=fee)

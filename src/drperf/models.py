@@ -23,7 +23,7 @@ from collections.abc import Mapping, Sequence
 from enum import Enum
 
 from . import costs, metrics
-from .costs import CostBreakdown, ObjectStoreRates, VaultRates
+from .costs import CostBreakdown, ObjectStoreRates, TransactionCounts, VaultRates
 from .engine import Kind, Model, ModelComponent
 from .errors import ConfigError, DomainError
 from .metrics import JobSample, RateKind, RateRole, RestoreSample, Tier
@@ -208,9 +208,8 @@ def _average(row: RateRow, job_logs: Mapping, by_tier: Mapping) -> float:
 def monthly_cost(
     rates: ObjectStoreRates | VaultRates,
     billed_mb: float,
-    frontend_gb: float | None = None,
-    ingress_egress_ops: int = costs.DEFAULT_INGRESS_EGRESS_OPS,
-    listing_ops: int = costs.DEFAULT_LISTING_OPS,
+    frontend_gb: float | None,
+    transactions: TransactionCounts,
 ) -> CostBreakdown:
     """Monthly cost of the MB a system's pricing bills (``SystemSpec.billed``).
 
@@ -222,19 +221,18 @@ def monthly_cost(
     if isinstance(rates, VaultRates):
         frontend_gb = billed_gb if frontend_gb is None else frontend_gb
         return costs.cloud_vault_cost(frontend_gb, billed_gb, rates)
-    return costs.hybrid_cloud_cost(billed_gb, ingress_egress_ops, listing_ops, rates)
+    return costs.hybrid_cloud_cost(billed_gb, transactions, rates)
 
 
 def build_basic(
     system: SystemKind,
     job_logs: Mapping[str, Sequence[JobSample]],
     restore_samples: Sequence[RestoreSample],
-    rates: ObjectStoreRates | VaultRates | None = None,
+    rates: ObjectStoreRates | VaultRates,
     *,
-    tiering_threshold_days: int = DEFAULT_TIERING_THRESHOLD_DAYS,
-    ingress_egress_ops: int = costs.DEFAULT_INGRESS_EGRESS_OPS,
-    listing_ops: int = costs.DEFAULT_LISTING_OPS,
-    frontend_gb: float = DEFAULT_FRONTEND_GB,
+    tiering_threshold_days: int,
+    transactions: TransactionCounts,
+    frontend_gb: float,
 ) -> Model:
     """The ``system`` model over one backup cycle plus one trailing period.
 
@@ -243,23 +241,17 @@ def build_basic(
     tier.  A tiering system moves each day's copy on at day + threshold.
     A system reads only the settings its entry names.
     """
-    settings = {
-        "tiering_threshold_days": tiering_threshold_days,
-        "ingress_egress_ops": ingress_egress_ops,
-        "listing_ops": listing_ops,
-        "frontend_gb": frontend_gb,
-    }
     # Looked up when called: bench/spans.py times model building by wrapping these names.
     build = build_hybrid_basic if SYSTEMS[system].model == "hybrid-basic" else build_cloud_basic
-    return build(system, job_logs, restore_samples, rates, settings)
+    return build(
+        system, job_logs, restore_samples, rates, tiering_threshold_days, transactions, frontend_gb
+    )
 
 
-def _build(system, job_logs, restore_samples, rates, settings) -> Model:
+def _build(system, job_logs, restore_samples, rates, threshold, transactions, frontend_gb) -> Model:
     spec = SYSTEMS[system]
-    rates = rates or spec.pricing()
     if not isinstance(rates, spec.pricing):
         raise ConfigError(f"a {system.value} model is priced by {spec.pricing.__name__}")
-    threshold = settings["tiering_threshold_days"]
     if spec.tiering and threshold < 1:
         raise ConfigError(f"tiering_threshold_days must be >= 1, got {threshold}")
     for agent in spec.agents:
@@ -320,11 +312,14 @@ def _build(system, job_logs, restore_samples, rates, settings) -> Model:
     components += [
         constant(row.average, averages[row.average], row.kind.value) for row in spec.rates
     ]
-    cost = monthly_cost(
-        rates, billed_mb, settings["frontend_gb"], settings["ingress_egress_ops"],
-        settings["listing_ops"],
-    ).total
+    cost = monthly_cost(rates, billed_mb, frontend_gb, transactions).total
     components.append(constant("MonthlyServiceCost", cost, "USD/month"))
+    settings = {
+        "tiering_threshold_days": threshold,
+        "ingress_egress_ops": transactions.ingress_egress_ops,
+        "listing_ops": transactions.listing_ops,
+        "frontend_gb": frontend_gb,
+    }
     meta = {
         "system": system.value,
         "extended": False,

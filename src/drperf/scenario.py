@@ -25,33 +25,15 @@ from pathlib import Path
 
 import yaml
 
-from . import costs, models
+from . import models
 from .bia import BiaTargets, ComplianceReport, evaluate
-from .costs import CostBreakdown, ObjectStoreRates, VaultRates
+from .costs import CostBreakdown, ObjectStoreRates, TransactionCounts, VaultRates
 from .engine import Model
 from .errors import ConfigError, DomainError, ParseError
 from .joblog import parse_job_log, parse_restore_samples
 from .metrics import JobSample, Projection, Rate, RestoreSample, project
 from .models import SystemKind
 from .reliability import SeriesSystem, default_recovery_chain
-
-
-@dataclass(frozen=True)
-class TransactionCounts:
-    """Monthly object-store operation counts used for hybrid pricing."""
-
-    ingress_egress_ops: int = costs.DEFAULT_INGRESS_EGRESS_OPS
-    listing_ops: int = costs.DEFAULT_LISTING_OPS
-
-    def __post_init__(self):
-        if self.ingress_egress_ops < 0 or self.listing_ops < 0:
-            raise ConfigError("transaction counts must be >= 0")
-        for name in ("ingress_egress_ops", "listing_ops"):
-            value = getattr(self, name)
-            try:
-                float(value)  # the cost functions price counts as floats
-            except OverflowError:
-                raise ConfigError(f"{name} is out of range, got {value}") from None
 
 
 @dataclass(frozen=True)
@@ -405,8 +387,7 @@ class Evaluation:
             self.restore_samples,
             scenario.pricing,
             tiering_threshold_days=scenario.tiering_threshold_days,
-            ingress_egress_ops=scenario.transactions.ingress_egress_ops,
-            listing_ops=scenario.transactions.listing_ops,
+            transactions=scenario.transactions,
             frontend_gb=scenario.frontend_gb,
         )
 
@@ -439,13 +420,7 @@ class Evaluation:
         if volume is None:
             volume = self.basic_model.meta[models.SYSTEMS[scenario.system].billed]
             frontend_gb = scenario.frontend_gb
-        return models.monthly_cost(
-            scenario.pricing,
-            volume,
-            frontend_gb,
-            scenario.transactions.ingress_egress_ops,
-            scenario.transactions.listing_ops,
-        )
+        return models.monthly_cost(scenario.pricing, volume, frontend_gb, scenario.transactions)
 
     @cached_property
     def compliance(self) -> ComplianceReport:

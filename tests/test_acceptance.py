@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from drperf.bia import Status
 from drperf.costs import (
+    ObjectStoreRates,
+    TransactionCounts,
     VaultRates,
     cloud_vault_cost,
     hybrid_cloud_cost,
@@ -47,6 +49,10 @@ HOUR = 3600.0
 # The reference table prints reliabilities to 6 decimals: each figure
 # stands for every value within half a unit of its last digit.
 PRINT_HALF_UNIT = 5e-7
+# The paper's prices and monthly operation counts are the records' defaults, and its
+# vault frontend is 50 GB.
+STORE, VAULT, OPS = ObjectStoreRates(), VaultRates(), TransactionCounts()
+FRONTEND_GB = 50.0
 
 
 def _verdict(criterion: str, checks: list[tuple[str, bool]]) -> None:
@@ -230,7 +236,9 @@ def test_criterion_7a_determinism(hybrid_scenario, cloud_scenario):
     for scenario in (hybrid_scenario, cloud_scenario):
         first = run(Evaluation(scenario, TEST_DATA_MB).extended_model)
         again = run(Evaluation(scenario, TEST_DATA_MB).extended_model)
-        checks.append((f"{scenario.name} series identical", first.series == again.series))
+        checks.append(
+            (f"{scenario.name} trajectories identical", first.trajectories == again.trajectories)
+        )
         checks.append((f"{scenario.name} digest stable", first.digest == again.digest))
     _verdict("7a", checks)
 
@@ -254,7 +262,8 @@ def test_criterion_7b_conservation(hybrid_restores):
     def check(datas: list[int], threshold: int) -> None:
         log = _random_log(datas)
         model = build_basic(
-            SystemKind.HYBRID, {"backup": log}, hybrid_restores, tiering_threshold_days=threshold
+            SystemKind.HYBRID, {"backup": log}, hybrid_restores, STORE,
+            tiering_threshold_days=threshold, transactions=OPS, frontend_gb=FRONTEND_GB,
         )
         result = run(model)
         local, cloud = result.values("LocalStorage"), result.values("CloudTier")
@@ -282,7 +291,10 @@ def test_criterion_7b_conservation_cloud_vault(cloud_restore):
     @settings(max_examples=500, deadline=None)
     def check(job1: list[int], job2: list[int]) -> None:
         logs = {"job1": _random_log(job1), "job2": _random_log(job2)}
-        model = build_basic(SystemKind.CLOUD_VAULT, logs, (cloud_restore,))
+        model = build_basic(
+            SystemKind.CLOUD_VAULT, logs, (cloud_restore,), VAULT,
+            tiering_threshold_days=14, transactions=OPS, frontend_gb=FRONTEND_GB,
+        )
         result = run(model)
         cumulative = 0.0
         for period in range(1, model.horizon + 1):
@@ -308,8 +320,10 @@ def test_criterion_7c_extension_neutrality(hybrid_scenario, cloud_scenario):
     for scenario in (hybrid_scenario, cloud_scenario):
         evaluation = Evaluation(scenario, TEST_DATA_MB)
         base, ext = run(evaluation.basic_model), run(evaluation.extended_model)
-        untouched = all(ext.series[name] == base.series[name] for name in base.series)
-        checks.append((f"{scenario.name} basic series unchanged", untouched))
+        untouched = all(
+            ext.trajectories[name] == values for name, values in base.trajectories.items()
+        )
+        checks.append((f"{scenario.name} basic trajectories unchanged", untouched))
     _verdict("7c", checks)
 
 
@@ -319,7 +333,8 @@ def test_criterion_7d_retention_oracle(hybrid_restores):
     def check(datas: list[int], threshold: int) -> None:
         log = _random_log(datas)
         model = build_basic(
-            SystemKind.HYBRID, {"backup": log}, hybrid_restores, tiering_threshold_days=threshold
+            SystemKind.HYBRID, {"backup": log}, hybrid_restores, STORE,
+            tiering_threshold_days=threshold, transactions=OPS, frontend_gb=FRONTEND_GB,
         )
         result = run(model)
         local, cloud = retention_tiering_oracle(log, threshold, model.horizon)
@@ -343,19 +358,19 @@ def test_criterion_7e_cost_monotonicity_and_tier_steps():
     @settings(max_examples=300, deadline=None)
     def check(a: float, b: float, ops: int) -> None:
         lo, hi = sorted((a, b))
-        assert hybrid_cloud_cost(lo, ops, ops).total <= hybrid_cloud_cost(hi, ops, ops).total
-        assert hybrid_cloud_cost(lo, 0, 0).total <= hybrid_cloud_cost(lo, ops, ops).total
-        assert cloud_vault_cost(lo, lo).total <= cloud_vault_cost(hi, hi).total
-        assert vault_instance_fee(lo) <= vault_instance_fee(hi)
+        some, none = TransactionCounts(ops, ops), TransactionCounts(0, 0)
+        assert hybrid_cloud_cost(lo, some, STORE).total <= hybrid_cloud_cost(hi, some, STORE).total
+        assert hybrid_cloud_cost(lo, none, STORE).total <= hybrid_cloud_cost(lo, some, STORE).total
+        assert cloud_vault_cost(lo, lo, VAULT).total <= cloud_vault_cost(hi, hi, VAULT).total
+        assert vault_instance_fee(lo, VAULT) <= vault_instance_fee(hi, VAULT)
 
-    rates = VaultRates()
     steps = [
-        _exact("fee at 50 GB", vault_instance_fee(50.0, rates), 5.0),
-        _exact("fee just past 50 GB", vault_instance_fee(math.nextafter(50.0, 51), rates), 10.0),
-        _exact("fee at 500 GB", vault_instance_fee(500.0, rates), 10.0),
-        _exact("fee at 501 GB", vault_instance_fee(501.0, rates), 20.0),
-        _exact("fee at 1000 GB", vault_instance_fee(1000.0, rates), 20.0),
-        _exact("fee at 1001 GB", vault_instance_fee(1001.0, rates), 30.0),
+        _exact("fee at 50 GB", vault_instance_fee(50.0, VAULT), 5.0),
+        _exact("fee just past 50 GB", vault_instance_fee(math.nextafter(50.0, 51), VAULT), 10.0),
+        _exact("fee at 500 GB", vault_instance_fee(500.0, VAULT), 10.0),
+        _exact("fee at 501 GB", vault_instance_fee(501.0, VAULT), 20.0),
+        _exact("fee at 1000 GB", vault_instance_fee(1000.0, VAULT), 20.0),
+        _exact("fee at 1001 GB", vault_instance_fee(1001.0, VAULT), 30.0),
     ]
     try:
         check()

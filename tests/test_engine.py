@@ -92,7 +92,7 @@ class TestRun:
     def test_determinism(self):
         model = accumulator(inflow=(0.1, 0.7, 1.3, 2.9, 0.05))
         first, second = run(model), run(model)
-        assert first.series == second.series
+        assert first.trajectories == second.trajectories
         assert first.digest == second.digest
 
 

@@ -6,7 +6,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drperf.costs import ObjectStoreRates
+from drperf.costs import ObjectStoreRates, TransactionCounts, VaultRates
 from drperf.engine import run
 from drperf.errors import ConfigError, DomainError
 from drperf.metrics import (
@@ -28,12 +28,24 @@ HYBRID_DAILY_MB = (
 )
 
 
+# The paper's settings: its prices and monthly operation counts are the records'
+# defaults, copies tier after 14 days, and the vault's frontend is 50 GB.
+PAPER_SETTINGS = {"tiering_threshold_days": 14, "transactions": TransactionCounts(),
+                  "frontend_gb": 50.0}
+
+
 def build_hybrid(log, restores, **settings):
-    return build_basic(SystemKind.HYBRID, {"backup": log}, restores, **settings)
+    return build_basic(
+        SystemKind.HYBRID, {"backup": log}, restores, ObjectStoreRates(),
+        **{**PAPER_SETTINGS, **settings},
+    )
 
 
 def build_cloud(job1, job2, restore):
-    return build_basic(SystemKind.CLOUD_VAULT, {"job1": job1, "job2": job2}, (restore,))
+    return build_basic(
+        SystemKind.CLOUD_VAULT, {"job1": job1, "job2": job2}, (restore,), VaultRates(),
+        **PAPER_SETTINGS,
+    )
 
 
 def int_job_logs(days: int):
@@ -177,7 +189,9 @@ class TestCloudBuilder:
     def test_rejects_the_other_systems_pricing(self, cloud_logs, cloud_restore):
         logs = dict(zip(("job1", "job2"), cloud_logs))
         with pytest.raises(ConfigError, match="cloud-vault model is priced by VaultRates"):
-            build_basic(SystemKind.CLOUD_VAULT, logs, (cloud_restore,), ObjectStoreRates())
+            build_basic(
+                SystemKind.CLOUD_VAULT, logs, (cloud_restore,), ObjectStoreRates(), **PAPER_SETTINGS
+            )
 
     def test_rejects_wrong_tier_or_count(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
@@ -197,7 +211,7 @@ class TestExtension:
         evaluation = Evaluation(hybrid_scenario, 531012)
         before, after = run(evaluation.basic_model), run(evaluation.extended_model)
         for component in evaluation.basic_model.components:
-            assert after.series[component.name] == before.series[component.name]
+            assert after.trajectories[component.name] == before.trajectories[component.name]
 
     def test_cloud_supplied_averages_touch_only_the_extension(self, cloud_scenario):
         supplied = {"AvgJob1Throughput": 2.57731}

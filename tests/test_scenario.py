@@ -56,7 +56,7 @@ class TestBundledScenarios:
     def test_simulate_is_deterministic(self, hybrid_scenario):
         first = run(Evaluation(hybrid_scenario).basic_model)
         second = run(Evaluation(hybrid_scenario).basic_model)
-        assert first.series == second.series
+        assert first.trajectories == second.trajectories
         assert first.digest == second.digest
 
 
