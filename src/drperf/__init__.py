@@ -64,7 +64,7 @@ _EXPORTS = {
         "series_reliability",
         "sla_to_mtbf",
     ),
-    "scenario": ("Scenario", "load_scenario", "parse_scenario", "render_scenario"),
+    "scenario": ("Evaluation", "Scenario", "load_scenario", "parse_scenario", "render_scenario"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

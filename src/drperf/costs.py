@@ -4,6 +4,8 @@ Two pricing schemes are covered: an object store billed per GB plus
 per-10K-transaction charges (the hybrid appliance's cloud tier) and a
 recovery vault billed per GB stored plus a tiered fee per protected
 frontend instance.  All prices are USD per month; volumes are decimal GB.
+The records hold the paper's prices and operation counts as their defaults
+and check their own bounds; the cost functions take them whole.
 """
 
 from __future__ import annotations

@@ -17,6 +17,9 @@ a plan once and reuses its scopes; the two must give identical series.
 ``projection_oracle``: each rate and projected time of a scenario, computed
 from the raw YAML mapping and CSV text as README defines them, with no
 system table, model, engine or ``Evaluation`` in between.
+
+``cost_oracle``: the monthly cost items of a scenario, from the same raw
+inputs and README's definitions, with no cost function or record either.
 """
 
 from __future__ import annotations
@@ -193,3 +196,62 @@ def projection_oracle(
         times = backup if role == "backup" else restore
         times[label] = volume * rate if unit == "s/MB" else volume / rate
     return rates, backup, restore
+
+
+# The paper's prices, operation counts, tiering threshold and vault frontend (GB),
+# which README gives for a scenario that leaves them out.
+_PAPER_PRICING = {
+    "hybrid": {"per_gb_month": 0.02, "per_10k_ingress_egress": 0.54, "per_10k_listing": 0.50},
+    "cloud-vault": {
+        "per_gb_month": 0.0448,
+        "instance_fee_tiers": [{"upper_gb": 50, "fee": 5}, {"upper_gb": 500, "fee": 10}],
+        "block_gb": 500,
+        "block_fee": 10,
+    },
+}
+_PAPER_OPS = {"ingress_egress_ops": 10_000, "listing_ops": 10_000}
+_PAPER_THRESHOLD_DAYS = 14
+_PAPER_FRONTEND_GB = 50
+
+
+def cost_oracle(doc: Mapping, files: Mapping[str, str]) -> tuple[float, float, float]:
+    """(storage, transaction, instance) monthly cost items of a scenario, in USD.
+
+    With a test volume, its GB are priced, and it is the vault's frontend
+    too.  Without one, the hybrid prices the data that tiering moved to the
+    cloud tier within the cycle (day d's, for each d + threshold up to the
+    last day + 1), and the vault the data of every day of every log, with
+    ``frontend_gb`` as its frontend.  A GB is 1000 MB.
+    """
+    system = doc["system"]
+    pricing = {**_PAPER_PRICING[system], **(doc.get("pricing") or {})}
+    logs = [list(csv.DictReader(io.StringIO(files[name]))) for name in doc["job_logs"].values()]
+    volume_mb = doc.get("test_data_mb")
+    if system == "hybrid":
+        if volume_mb is None:
+            threshold = (doc.get("bia") or {}).get("cloud_tiering_threshold_days")
+            threshold = threshold or _PAPER_THRESHOLD_DAYS
+            (log,) = logs
+            moved_days = max(len(log) + 1 - threshold, 0)
+            volume_mb = sum(float(row["data_mb"]) for row in log[:moved_days])
+        counts = {**_PAPER_OPS, **(doc.get("transactions") or {})}
+        storage = float(volume_mb) / 1000 * float(pricing["per_gb_month"])
+        transaction = (
+            float(pricing["per_10k_ingress_egress"]) * counts["ingress_egress_ops"] / 10_000
+            + float(pricing["per_10k_listing"]) * counts["listing_ops"] / 10_000
+        )
+        return storage, transaction, 0.0
+    if volume_mb is None:
+        daily = [sum(float(row["data_mb"]) for row in day) for day in zip(*logs)]
+        stored_gb = sum(daily) / 1000
+        frontend_gb = float(doc.get("frontend_gb", _PAPER_FRONTEND_GB))
+    else:
+        stored_gb = frontend_gb = float(volume_mb) / 1000
+    fees = [float(t["fee"]) for t in pricing["instance_fee_tiers"]
+            if frontend_gb <= t["upper_gb"]]
+    if fees:
+        fee = fees[0]
+    else:
+        blocks = math.ceil(frontend_gb / float(pricing["block_gb"]))
+        fee = blocks * float(pricing["block_fee"])
+    return stored_gb * float(pricing["per_gb_month"]), 0.0, fee

@@ -1,16 +1,18 @@
 """Metamorphic relations on generated valid scenarios, end to end through ``Evaluation``.
 
 Each example writes a scenario of either system with generated job logs,
-restore samples, supplied averages, test volume and BIA targets, parses
-it as the CLI does, and compares evaluations, reliability chains, or the
-outputs of every subcommand, that differ in one input.  The projection of
-each generated scenario is also checked against ``oracles.projection_oracle``.
+restore samples, supplied averages, test volume, BIA targets and pricing,
+parses it as the CLI does, and compares evaluations, reliability chains, or
+the outputs of every subcommand, that differ in one input.  The projection
+and the cost of each generated scenario are also checked against
+``oracles.projection_oracle`` and ``oracles.cost_oracle``.
 """
 
 from __future__ import annotations
 
 import copy
 import io
+import math
 import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -25,7 +27,7 @@ from drperf.data import data_path
 from drperf.models import SYSTEMS, SystemKind
 from drperf.scenario import Evaluation, Scenario, parse_scenario
 
-from .oracles import projection_oracle
+from .oracles import cost_oracle, projection_oracle
 
 BASES = {
     SystemKind.HYBRID: yaml.safe_load(data_path("hybrid_reference.yaml").read_text()),
@@ -34,6 +36,46 @@ BASES = {
 DATA_MB = st.integers(1, 200_000)
 DURATION_S = st.integers(1, 50_000)
 TARGET = st.floats(0.01, 1000.0)
+PRICE = st.floats(0.0, 10.0)
+OPS = st.integers(0, 200_000)
+
+
+@st.composite
+def fee_tiers(draw) -> list[dict]:
+    """1-3 flat instance-fee tiers: bounds strictly increasing, fees non-decreasing."""
+    bounds = draw(st.lists(st.floats(0.5, 2000.0), min_size=1, max_size=3, unique=True))
+    fees = draw(st.lists(PRICE, min_size=len(bounds), max_size=len(bounds)))
+    return [{"upper_gb": b, "fee": f} for b, f in zip(sorted(bounds), sorted(fees))]
+
+
+@st.composite
+def frontend_sizes(draw, tiers: list[dict]) -> float:
+    """A frontend (GB) at, just below or just above a tier bound, or anywhere up to beyond
+    the last."""
+    bound = draw(st.sampled_from([tier["upper_gb"] for tier in tiers]))
+    near = (math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf))
+    return draw(st.sampled_from(near) | st.floats(0.0, 3 * tiers[-1]["upper_gb"]))
+
+
+@st.composite
+def pricing(draw, system: SystemKind) -> dict:
+    """The pricing keys of a ``system`` scenario; each may be absent, for the paper's."""
+    keys = {}
+    if system is SystemKind.HYBRID:
+        prices = ("per_gb_month", "per_10k_ingress_egress", "per_10k_listing")
+        keys["pricing"] = {name: draw(PRICE) for name in prices}
+        keys["transactions"] = {"ingress_egress_ops": draw(OPS), "listing_ops": draw(OPS)}
+    else:
+        tiers = draw(fee_tiers())
+        last_fee = tiers[-1]["fee"]  # a block past the last tier costs at least as much
+        keys["pricing"] = {
+            "per_gb_month": draw(PRICE),
+            "instance_fee_tiers": tiers,
+            "block_gb": draw(st.floats(1.0, 1000.0)),
+            "block_fee": draw(st.floats(last_fee, last_fee + 100.0)),
+        }
+        keys["frontend_gb"] = draw(frontend_sizes(tiers))
+    return {key: value for key, value in keys.items() if draw(st.booleans())}
 
 
 @st.composite
@@ -50,6 +92,11 @@ def scenarios(draw) -> tuple[dict, dict[str, str]]:
             f"{day},{mb},{seconds}\n" for day, (mb, seconds) in enumerate(rows, start=1)
         )
     doc["job_logs"] = {agent.log: f"{agent.log}.csv" for agent in spec.agents}
+    for key in ("pricing", "transactions", "frontend_gb"):
+        doc.pop(key, None)
+    doc.update(draw(pricing(system)))
+    if system is SystemKind.HYBRID:
+        doc["bia"]["cloud_tiering_threshold_days"] = draw(st.integers(1, spec.days + 2))
     files["restore.csv"] = "tier,data_mb,duration_s\n" + "".join(
         f"{restore.tier.value},{draw(DATA_MB)},{draw(DURATION_S)}\n" for restore in spec.restores
     )
@@ -92,6 +139,35 @@ def test_projection_equals_the_oracle(generated):
     assert {rate.label: rate.value for rate in projection.basis} == rates
     assert projection.backup_times_s == backup_times_s
     assert projection.restore_times_s == restore_times_s
+
+
+@settings(deadline=None, max_examples=100)
+@given(scenarios())
+def test_cost_equals_the_oracle(generated):
+    # With the test volume, and without one, which prices the measured state.
+    doc, files = generated
+    measured = {key: value for key, value in doc.items() if key != "test_data_mb"}
+    for variant in (doc, measured):
+        storage, transaction, instance = cost_oracle(variant, files)
+        with scenario_on_disk(variant, files) as scenario:
+            cost = Evaluation(scenario).cost
+        assert (cost.storage_cost, cost.transaction_cost, cost.instance_cost) == (
+            storage, transaction, instance
+        )
+        assert cost.total == storage + transaction + instance
+
+
+def test_cost_oracle_gives_the_bundled_costs():
+    # The paper's figures, from the bundled files with and without their test volume.
+    for system, volume_cost, measured_cost in (
+        (SystemKind.HYBRID, 11.66024, 1.57912),
+        (SystemKind.CLOUD_VAULT, 43.7893376, 7.8270144),
+    ):
+        doc = BASES[system]
+        files = {name: data_path(name).read_text() for name in doc["job_logs"].values()}
+        measured = {key: value for key, value in doc.items() if key != "test_data_mb"}
+        assert math.isclose(sum(cost_oracle(doc, files)), volume_cost, rel_tol=1e-12)
+        assert math.isclose(sum(cost_oracle(measured, files)), measured_cost, rel_tol=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
