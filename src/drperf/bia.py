@@ -41,7 +41,7 @@ class BiaTargets:
     backup_frequency_days: float = 1.0
     backup_retention_days: int = 14
     recovery_points_scheme: str = ""
-    cloud_tiering_threshold_days: int | None = None
+    cloud_tiering_threshold_days: int = 14
     rpo_target_days: float | None = None
     rto_target_h: float | None = None
     wrt_h: float | None = None

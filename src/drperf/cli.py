@@ -195,7 +195,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader has gone.  Point stdout at devnull, as the signal module's
         # documentation shows, so that the final flush at exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_ERROR
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,12 +28,6 @@ from .engine import Kind, Model, ModelComponent
 from .errors import ConfigError, DomainError
 from .metrics import JobSample, RateKind, RateRole, RestoreSample, Tier
 
-DEFAULT_TIERING_THRESHOLD_DAYS = 14
-# Monthly instance fees depend on the protected frontend size, which the
-# bundled vault measurements do not state; reproducing their published
-# cost requires the lowest fee tier, hence this documented default.
-DEFAULT_FRONTEND_GB = 50.0
-
 
 class SystemKind(str, Enum):
     HYBRID = "hybrid"

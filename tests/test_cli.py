@@ -455,6 +455,20 @@ def test_closed_stdout_exits_1_quietly():
             assert (done.returncode, done.stderr) == (1, ""), (argv, unbuffered)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    # main may be called again and again in one process, each time for a reader that has gone.
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        open_before = len(os.listdir("/proc/self/fd"))
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["compare", HYBRID, CLOUD]) == 1
+        monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == open_before - 1  # the closed write end
+
+
 # (command line, job-log files, restore-sample files); OUT is the plot's output path.
 @pytest.mark.parametrize(
     "argv, job_log_files, restore_files",

@@ -150,7 +150,11 @@ def test_cost_equals_the_oracle(generated):
     for variant in (doc, measured):
         storage, transaction, instance = cost_oracle(variant, files)
         with scenario_on_disk(variant, files) as scenario:
-            cost = Evaluation(scenario).cost
+            evaluation = Evaluation(scenario)
+            cost = evaluation.cost
+            model_cost = evaluation.basic_model.meta["monthly_cost"]
+        if variant is measured:  # simulate's MonthlyServiceCost prices the measured state
+            assert model_cost == storage + transaction + instance
         assert (cost.storage_cost, cost.transaction_cost, cost.instance_cost) == (
             storage, transaction, instance
         )

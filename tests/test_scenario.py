@@ -9,10 +9,12 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from drperf import scenario as scenario_module
+from drperf.bia import BiaTargets
 from drperf.costs import ObjectStoreRates, VaultRates
 from drperf.engine import run
 from drperf.errors import ConfigError, DomainError, ParseError
-from drperf.models import DEFAULT_FRONTEND_GB, SYSTEMS
+from drperf.models import SYSTEMS
 from drperf.scenario import (
     Evaluation,
     Scenario,
@@ -27,7 +29,7 @@ class TestBundledScenarios:
     def test_hybrid_fields(self, hybrid_scenario):
         assert hybrid_scenario.system is SystemKind.HYBRID
         assert isinstance(hybrid_scenario.pricing, ObjectStoreRates)
-        assert hybrid_scenario.tiering_threshold_days == 14
+        assert hybrid_scenario.bia.cloud_tiering_threshold_days == 14
         assert hybrid_scenario.test_data_mb == 531012
         assert hybrid_scenario.bia.agent == "Avamar"
         assert hybrid_scenario.reliability.mission_h == 372.0
@@ -63,8 +65,8 @@ class TestBundledScenarios:
 # Each field that only one system reads: a value other than its default, and the default.
 ONE_SYSTEM_FIELDS = {
     "transactions": (TransactionCounts(ingress_egress_ops=1, listing_ops=2), TransactionCounts()),
-    "bia.cloud_tiering_threshold_days": (3, None),
-    "frontend_gb": (123.0, DEFAULT_FRONTEND_GB),
+    "bia.cloud_tiering_threshold_days": (3, BiaTargets.cloud_tiering_threshold_days),
+    "frontend_gb": (123.0, Scenario.frontend_gb),
 }
 
 
@@ -218,6 +220,37 @@ class TestParseScenario:
         with pytest.raises(ConfigError) as parsed:
             parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
         assert str(built.value) == str(parsed.value) == message
+
+    @pytest.mark.parametrize(
+        "system, job_logs, message",
+        [
+            (SystemKind.HYBRID, {"backup": "hybrid_backup.csv", "job1": "cloud_job1.csv"},
+             "job_logs: unknown keys ['job1']"),
+            (SystemKind.CLOUD_VAULT, {"job1": "cloud_job1.csv"},
+             "job_logs: missing keys ['job2']"),
+        ],
+        ids=["extra", "missing"],
+    )
+    def test_job_log_labels_checked_on_construction(
+        self, hybrid_scenario, cloud_scenario, monkeypatch, system, job_logs, message
+    ):
+        # A scenario built in Python meets the parsed one's line, before any file is read.
+        base = hybrid_scenario if system is SystemKind.HYBRID else cloud_scenario
+        read, read_text = [], scenario_module._read_text
+
+        def recording(path):
+            read.append(path)
+            return read_text(path)
+
+        monkeypatch.setattr(scenario_module, "_read_text", recording)
+        with pytest.raises(ConfigError) as built:
+            Evaluation(dataclasses.replace(base, job_logs=job_logs)).compliance
+        doc = yaml.safe_load(render_scenario(base))
+        doc["job_logs"] = job_logs
+        with pytest.raises(ConfigError) as parsed:
+            parse_scenario(yaml.safe_dump(doc), base_dir=base.base_dir)
+        assert str(built.value) == str(parsed.value) == message
+        assert read == []
 
     def test_a_bad_pricing_block_is_reported_before_a_bad_supplied_average(
         self, hybrid_scenario
