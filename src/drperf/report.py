@@ -1,9 +1,12 @@
 """Plain-text and CSV report rendering.
 
-All numbers print with 6 significant digits so reports are stable,
-diff-friendly golden files.  The comparison report lines up one column
-per evaluated scenario: measured rates, projected times for the shared
-test volume, monthly cost, reliability, and the BIA verdict.
+Each renderer builds rows of values: a string, a number, or ``None`` for a
+gap.  One pass, shared by the text table and the CSV writer, turns them
+into text: a string stays as it is, a gap prints ``-`` and a number prints
+with 6 significant digits, so reports are stable, diff-friendly golden
+files.  The comparison lines up one column per evaluated scenario:
+measured rates, projected times for the shared test volume, monthly cost,
+reliability, and the BIA verdict.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import io
 import csv
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DomainError
@@ -25,13 +26,24 @@ if TYPE_CHECKING:
     from .reliability import SeriesSystem
     from .scenario import Evaluation, Scenario
 
+Cell = str | float | None  # a row cell: text, a number, or None for a gap
+
 
 def fmt_num(value: float) -> str:
     """Render a number with 6 significant digits."""
     return f"{value:.6g}"
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
+def _text(rows: list[list[Cell]]) -> list[list[str]]:
+    """Every cell as text; ``type(c) is str`` costs less per cell than ``isinstance``."""
+    return [
+        [c if type(c) is str else "-" if c is None else fmt_num(c) for c in row]
+        for row in rows
+    ]
+
+
+def _table(headers: list[str], rows: list[list[Cell]]) -> str:
+    rows = _text(rows)
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -45,18 +57,18 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv(headers: list[str], rows: list[list[str]]) -> str:
+def _csv(headers: list[str], rows: list[list[Cell]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)
-    writer.writerows(rows)
+    writer.writerows(_text(rows))
     return buffer.getvalue()
 
 
 def render_run_summary(model: Model, result: RunResult) -> str:
     """Final value of every component, one row per name."""
     rows = [
-        [comp.name, comp.kind.value, comp.unit, fmt_num(result.values(comp.name)[-1])]
+        [comp.name, comp.kind.value, comp.unit, result.values(comp.name)[-1]]
         for comp in sorted(model.components, key=lambda c: c.name)
     ]
     header = f"model: {model.name}  horizon: {model.horizon}  digest: {result.digest[:12]}\n"
@@ -65,27 +77,21 @@ def render_run_summary(model: Model, result: RunResult) -> str:
 
 def render_cost(breakdown: CostBreakdown, label: str) -> str:
     rows = [
-        ["storage", fmt_num(breakdown.storage_cost)],
-        ["transactions", fmt_num(breakdown.transaction_cost)],
-        ["instance fee", fmt_num(breakdown.instance_cost)],
-        ["total", fmt_num(breakdown.total)],
+        ["storage", breakdown.storage_cost],
+        ["transactions", breakdown.transaction_cost],
+        ["instance fee", breakdown.instance_cost],
+        ["total", breakdown.total],
     ]
     return f"monthly cost: {label}\n" + _table(["item", "USD/month"], rows)
 
 
 def render_projection(projection: Projection, label: str) -> str:
     basis_rows = [
-        [
-            r.label,
-            r.role.value,
-            fmt_num(r.value),
-            r.kind.value,
-            "supplied" if r.supplied else "computed",
-        ]
+        [r.label, r.role.value, r.value, r.kind.value, "supplied" if r.supplied else "computed"]
         for r in projection.basis
     ]
     time_rows = [
-        [f"{role} {label}", fmt_num(seconds), fmt_num(hours[label])]
+        [f"{role} {label}", seconds, hours[label]]
         for role, times, hours in (
             ("backup", projection.backup_times_s, projection.backup_times_h),
             ("restore", projection.restore_times_s, projection.restore_times_h),
@@ -108,24 +114,18 @@ def render_reliability(system: SeriesSystem) -> str:
             if comp.sla_based
             else f"MTBF {fmt_num(comp.mtbf_h)} h"
         )
-        rows.append([comp.name, basis, fmt_num(comp.reliability(system.mission_h))])
-    rows.append(["SYSTEM", f"series of {len(system.components)}", fmt_num(system.system_reliability())])
+        rows.append([comp.name, basis, comp.reliability(system.mission_h)])
+    rows.append(["SYSTEM", f"series of {len(system.components)}", system.system_reliability()])
     title = f"mission window: {fmt_num(system.mission_h)} h\n"
     return title + _table(["component", "basis", "reliability"], rows)
 
 
 def render_compliance(report: ComplianceReport, label: str) -> str:
-    def cell(value: float | None, unit: str) -> str:
-        return "-" if value is None else f"{fmt_num(value)} {unit}"
+    def cell(value: float | None, unit: str) -> str | None:
+        return None if value is None else f"{fmt_num(value)} {unit}"
 
     rows = [
-        [
-            v.metric,
-            cell(v.measured, v.unit),
-            "<=",
-            cell(v.target, v.unit),
-            v.status.value,
-        ]
+        [v.metric, cell(v.measured, v.unit), "<=", cell(v.target, v.unit), v.status.value]
         for v in report.verdicts
     ]
     lines = [f"scenario: {label}"]
@@ -135,39 +135,28 @@ def render_compliance(report: ComplianceReport, label: str) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Evaluations compared on an identical test data volume."""
-
-    columns: tuple[Evaluation, ...]
-
-    def __post_init__(self):
-        if not self.columns:
-            raise ConfigError("comparison needs at least one scenario")
-        volumes = {c.test_data_mb for c in self.columns}
-        if len(volumes) > 1:
-            raise ConfigError(
-                f"scenarios must share one test_data_mb, got {sorted(volumes, key=str)}"
-            )
-        names = [c.scenario.name for c in self.columns]
-        if len(names) != len(set(names)):
-            raise ConfigError(f"duplicate scenario names: {names}")
-
-
 def compile_comparison(
     scenarios: list[Scenario], test_data_mb: float | None = None
-) -> ComparisonReport:
-    """Each scenario evaluated at the shared volume; fields are derived as rows render."""
+) -> tuple[Evaluation, ...]:
+    """One column per scenario, each evaluated at the one shared volume.
+
+    A column's fields are derived as the comparison renders its rows of values.
+    """
     from .scenario import Evaluation  # here, so importing report does not load YAML
 
-    return ComparisonReport(tuple(Evaluation(s, test_data_mb) for s in scenarios))
+    columns = tuple(Evaluation(s, test_data_mb) for s in scenarios)
+    if not columns:
+        raise ConfigError("comparison needs at least one scenario")
+    volumes = {c.test_data_mb for c in columns}
+    if len(volumes) > 1:
+        raise ConfigError(f"scenarios must share one test_data_mb, got {sorted(volumes, key=str)}")
+    names = [c.scenario.name for c in columns]
+    if len(names) != len(set(names)):
+        raise ConfigError(f"duplicate scenario names: {names}")
+    return columns
 
 
-def _cells(values: Iterable[float | None]) -> list[str]:
-    return ["-" if v is None else fmt_num(v) for v in values]
-
-
-def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str]]]:
+def _comparison_rows(columns: tuple[Evaluation, ...]) -> tuple[list[str], list[list[Cell]]]:
     from .metrics import RateKind, RateRole  # here, so importing report does not load metrics
 
     def measured(rate: Rate) -> float:
@@ -182,7 +171,6 @@ def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str
             )
         return seconds
 
-    columns = report.columns
     volume = columns[0].test_data_mb
     rates = [{(r.role, r.label): r for r in c.rates} for c in columns]  # per column, by key
     # One key per rate row: backup rates first, labels in the order the columns give them.
@@ -191,7 +179,7 @@ def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str
     )
     rows = [
         ["system", *(c.scenario.system.value for c in columns)],
-        ["test data (MB)", *_cells(volume for _ in columns)],
+        ["test data (MB)", *(volume for _ in columns)],
     ]
     for key in keys:
         role, label = key
@@ -200,7 +188,7 @@ def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str
             if role is RateRole.BACKUP
             else f"restore time per MB {label} (s/MB)"
         )
-        cells = _cells(measured(by_key[key]) if key in by_key else None for by_key in rates)
+        cells = [measured(by_key[key]) if key in by_key else None for by_key in rates]
         rows.append([title, *cells])
     if volume is not None:
         # A projection holds one time per rate, under the rate's own label and role.
@@ -210,34 +198,34 @@ def _comparison_rows(report: ComparisonReport) -> tuple[list[str], list[list[str
             for c in columns
         ]
         for role, label in keys:
-            cells = _cells(by_role[role].get(label) for by_role in hours)
+            cells = [by_role[role].get(label) for by_role in hours]
             rows.append([f"projected {role.value} time {label} (h)", *cells])
     chains = [c.scenario.reliability for c in columns]
     rows += [
-        ["monthly cost (USD)", *_cells(c.cost.total for c in columns)],
-        ["mission window (h)", *_cells(chain.mission_h for chain in chains)],
-        ["system reliability", *_cells(chain.system_reliability() for chain in chains)],
+        ["monthly cost (USD)", *(c.cost.total for c in columns)],
+        ["mission window (h)", *(chain.mission_h for chain in chains)],
+        ["system reliability", *(chain.system_reliability() for chain in chains)],
         ["BIA compliance", *map(_verdict, columns)],
     ]
     return ["metric", *(c.scenario.name for c in columns)], rows
 
 
-def _verdict(evaluation: Evaluation) -> str:
+def _verdict(evaluation: Evaluation) -> str | None:
     if evaluation.test_data_mb is None:
-        return "-"
+        return None
     compliance = evaluation.compliance
     if compliance.compliant:
         return "PASS"
     return f"FAIL ({len(compliance.failures)} of {len(compliance.verdicts)})"
 
 
-def render_comparison(report: ComparisonReport) -> str:
+def render_comparison(columns: tuple[Evaluation, ...]) -> str:
     """Aligned plain-text comparison table."""
-    headers, rows = _comparison_rows(report)
+    headers, rows = _comparison_rows(columns)
     return _table(headers, rows)
 
 
-def render_comparison_csv(report: ComparisonReport) -> str:
+def render_comparison_csv(columns: tuple[Evaluation, ...]) -> str:
     """The same comparison as CSV."""
-    headers, rows = _comparison_rows(report)
+    headers, rows = _comparison_rows(columns)
     return _csv(headers, rows)

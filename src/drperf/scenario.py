@@ -74,9 +74,14 @@ class Scenario:
         """Absolute path of a referenced file, as error messages name it.
 
         Reading and checking use ``base_dir / relative`` as it is: resolving
-        costs one ``lstat`` per path component.
+        costs one ``lstat`` per path component.  A symlink loop cannot be
+        resolved, so such a path is named without following its links.
         """
-        return (self.base_dir / relative).resolve()
+        path = self.base_dir / relative
+        try:
+            return path.resolve()
+        except (RuntimeError, OSError):  # a loop: RuntimeError before Python 3.13, then OSError
+            return path.absolute()
 
 
 # Checks one document value and returns it as the field's type; the second

@@ -20,6 +20,10 @@ system table, model, engine or ``Evaluation`` in between.
 
 ``cost_oracle``: the monthly cost items of a scenario, from the same raw
 inputs and README's definitions, with no cost function or record either.
+
+``verdict_oracle``: each BIA verdict and the MTD of a scenario, from
+``projection_oracle``'s times and the raw inputs, with no BIA function or
+record.
 """
 
 from __future__ import annotations
@@ -255,3 +259,36 @@ def cost_oracle(doc: Mapping, files: Mapping[str, str]) -> tuple[float, float, f
         blocks = math.ceil(frontend_gb / float(pricing["block_gb"]))
         fee = blocks * float(pricing["block_fee"])
     return stored_gb * float(pricing["per_gb_month"]), 0.0, fee
+
+
+def verdict_oracle(
+    doc: Mapping, files: Mapping[str, str]
+) -> tuple[list[tuple[str, float | None, float | None, str]], float | None]:
+    """((metric, measured, target, unit) of each BIA verdict, MTD in hours or None).
+
+    Each projected time is in hours (seconds / 3600): each restore time is
+    checked against the RTO target and each backup time against the backup
+    window, the backup frequency in hours; the achieved RPO is the backup
+    frequency, against the RPO target.  When the BIA sets a data-loss
+    ceiling, the data lost is the largest day's data summed over the agents
+    in log order.
+    When it sets a WRT, the MTD is the fastest restore time plus the WRT.
+    """
+    bia = doc["bia"]
+    frequency_days = float(bia.get("backup_frequency_days", 1.0))
+    _, backup_s, restore_s = projection_oracle(doc, files)
+    restore_h = {label: seconds / 3600 for label, seconds in restore_s.items()}
+    backup_h = {label: seconds / 3600 for label, seconds in backup_s.items()}
+    verdicts = [
+        (f"restore time ({label})", restore_h[label], bia.get("rto_target_h"), "h")
+        for label in sorted(restore_h)
+    ]
+    for label in sorted(backup_h):
+        verdicts.append((f"backup time ({label})", backup_h[label], frequency_days * 24, "h"))
+    verdicts.append(("achieved RPO", frequency_days, bia.get("rpo_target_days"), "days"))
+    if bia.get("max_data_loss_mb") is not None:
+        logs = [list(csv.DictReader(io.StringIO(files[name]))) for name in doc["job_logs"].values()]
+        daily = [sum(float(row["data_mb"]) for row in day) for day in zip(*logs)]
+        verdicts.append(("data loss", max(daily), bia["max_data_loss_mb"], "MB"))
+    wrt_h = bia.get("wrt_h")
+    return verdicts, None if wrt_h is None else min(restore_h.values()) + wrt_h

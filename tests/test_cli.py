@@ -538,6 +538,26 @@ def test_non_utf8_input_is_one_error_line(command, name, old, line, tmp_path, ca
     assert captured.err == f"error: {name}: line {line}: not UTF-8 text (byte 0xe9)\n"
 
 
+@pytest.mark.parametrize(
+    "name, error",
+    [("hybrid_backup.csv", "job log 'backup' not found"),
+     ("hybrid_restore.csv", "restore samples not found")],
+    ids=["job-log", "restore-samples"],
+)
+def test_symlink_loop_is_one_error_line(name, error, tmp_path, capsys):
+    scenario = _hybrid_copy(tmp_path)
+    target, other = tmp_path / name, tmp_path / "loop.csv"
+    target.unlink()
+    try:
+        target.symlink_to(other.name)
+        other.symlink_to(target.name)
+    except OSError:
+        pytest.skip("symlinks cannot be made here")
+    assert main(["project", str(scenario)]) == 1
+    # The loop cannot be resolved, so the error names the path as the scenario gives it.
+    assert capsys.readouterr() == ("", f"error: {error}: {target.absolute()}\n")
+
+
 def test_job_log_duration_overflowing_in_seconds_is_one_error_line(tmp_path, capsys):
     scenario = _hybrid_copy(tmp_path)
     log = tmp_path / "hybrid_backup.csv"

@@ -3,19 +3,22 @@
 Each example writes a scenario of either system with generated job logs,
 restore samples, supplied averages, test volume, BIA targets and pricing,
 parses it as the CLI does, and compares evaluations, reliability chains, or
-the outputs of every subcommand, that differ in one input.  The projection
-and the cost of each generated scenario are also checked against
-``oracles.projection_oracle`` and ``oracles.cost_oracle``.
+the outputs of every subcommand, that differ in one input.  The projection,
+the cost and the BIA verdicts of each generated scenario are also checked
+against ``oracles.projection_oracle``, ``oracles.cost_oracle`` and
+``oracles.verdict_oracle``, and the text and CSV comparisons of generated
+scenarios against each other.
 """
 
 from __future__ import annotations
 
 import copy
+import csv
 import io
 import math
 import tempfile
 from collections.abc import Iterator
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import yaml
@@ -25,9 +28,10 @@ from drperf.bia import Status
 from drperf.cli import main
 from drperf.data import data_path
 from drperf.models import SYSTEMS, SystemKind
+from drperf.report import compile_comparison, render_comparison, render_comparison_csv
 from drperf.scenario import Evaluation, Scenario, parse_scenario
 
-from .oracles import cost_oracle, projection_oracle
+from .oracles import cost_oracle, projection_oracle, verdict_oracle
 
 BASES = {
     SystemKind.HYBRID: yaml.safe_load(data_path("hybrid_reference.yaml").read_text()),
@@ -110,6 +114,9 @@ def scenarios(draw) -> tuple[dict, dict[str, str]]:
     doc["bia"]["backup_frequency_days"] = draw(st.floats(0.1, 30.0))
     doc["bia"]["rto_target_h"] = draw(TARGET)
     doc["bia"]["rpo_target_days"] = draw(TARGET)
+    doc["bia"].update(draw(st.fixed_dictionaries(
+        {}, optional={"max_data_loss_mb": st.floats(1.0, 500_000.0), "wrt_h": st.floats(0.0, 100.0)}
+    )))
     return doc, files
 
 
@@ -159,6 +166,40 @@ def test_cost_equals_the_oracle(generated):
             storage, transaction, instance
         )
         assert cost.total == storage + transaction + instance
+
+
+@settings(deadline=None, max_examples=100)
+@given(scenarios())
+def test_verdicts_equal_the_oracle(generated):
+    verdicts, mtd_hours = verdict_oracle(*generated)
+    with scenario_on_disk(*generated) as scenario:
+        report = Evaluation(scenario).compliance
+    assert [(v.metric, v.measured, v.target, v.unit) for v in report.verdicts] == verdicts
+    assert report.mtd_hours == mtd_hours
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(scenarios(), min_size=1, max_size=3), st.booleans())
+def test_comparison_text_cut_at_its_column_widths_gives_the_csv_rows(generated, with_volume):
+    volume = generated[0][0]["test_data_mb"]
+    with ExitStack() as stack:
+        parsed = []
+        for i, (doc, files) in enumerate(generated):
+            variant = {key: value for key, value in doc.items() if key != "test_data_mb"}
+            variant["name"] = f"scenario-{i}"
+            if with_volume:
+                variant["test_data_mb"] = volume
+            parsed.append(stack.enter_context(scenario_on_disk(variant, files)))
+        comparison = compile_comparison(parsed)
+        text, table = render_comparison(comparison), render_comparison_csv(comparison)
+    header, dashes, *body = text.splitlines()
+    widths = [len(dash) for dash in dashes.split("  ")]
+    starts = [sum(widths[:i]) + 2 * i for i in range(len(widths))]
+    cut = [
+        [line[start:start + width].rstrip() for start, width in zip(starts, widths)]
+        for line in (header, *body)
+    ]
+    assert cut == list(csv.reader(io.StringIO(table)))
 
 
 def test_cost_oracle_gives_the_bundled_costs():

@@ -66,7 +66,7 @@ class TestComparison:
             compile_comparison([])
 
     def test_volume_override(self, hybrid_scenario):
-        (column,) = compile_comparison([hybrid_scenario], test_data_mb=1000.0).columns
+        (column,) = compile_comparison([hybrid_scenario], test_data_mb=1000.0)
         assert column.test_data_mb == 1000.0
         assert column.projection.test_data_mb == 1000.0
 
