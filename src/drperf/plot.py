@@ -7,7 +7,6 @@ test artifacts.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 
 from .errors import DomainError
@@ -40,23 +39,22 @@ def render_svg(
     title: str = "",
     y_label: str = "",
 ) -> str:
-    """Render one polyline per named series; x axis is the period index."""
+    """Render one polyline per named series of (period, value) pairs for periods 1..n."""
     if not series:
         raise DomainError("nothing to plot: no series given")
-    for name, points in series.items():
-        if not points:
-            raise DomainError(f"nothing to plot: series {name!r} is empty")
-
     names = sorted(series)
-    columns = [tuple(zip(*series[name])) for name in names]  # (periods, values) per series
-    periods = sorted({p for series_periods, _ in columns for p in series_periods})
-    values = [v for _, series_values in columns for v in series_values]
-    x_lo, x_hi = min(periods), max(periods)
+    columns = []  # values per series
+    for name in names:
+        if not series[name]:
+            raise DomainError(f"nothing to plot: series {name!r} is empty")
+        series_periods, series_values = zip(*series[name])
+        if series_periods != tuple(range(1, len(series_periods) + 1)):
+            raise DomainError(f"cannot plot series {name!r}: its periods are not 1, 2, 3, ...")
+        columns.append(series_values)
+    values = [v for series_values in columns for v in series_values]
+    longest = max(map(len, columns))
+    x_lo, x_hi = 1, max(longest, 2)
     y_lo, y_hi = min(0.0, min(values)), max(values)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1
-        if x_hi == x_lo:  # a float period too large for 1 to move: span up to the next float
-            x_hi = math.nextafter(x_lo, math.inf)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
         if y_hi == y_lo:  # a negative value too large for 1.0 to move: span up to zero
@@ -93,7 +91,7 @@ def render_svg(
         f'stroke="black"/>'
     )
 
-    x_ticks = periods if len(periods) <= 16 else _ticks(x_lo, x_hi, 9)
+    x_ticks = range(1, longest + 1) if longest <= 16 else _ticks(x_lo, x_hi, 9)
     for tick in x_ticks:
         x = sx(tick)
         parts.append(
@@ -134,12 +132,12 @@ def render_svg(
     # be the same: it rounds differently.
     left, top = float(MARGIN_LEFT), float(MARGIN_TOP)
     width, height, x_span = float(plot_w), float(plot_h), x_hi - x_lo
-    xs = tuple([left + (p - x_lo) / x_span * width for p in periods])
-    x_text = dict(zip(periods, ("%.2f " * len(xs) % xs).split()))
-    for i, (name, (series_periods, series_values)) in enumerate(zip(names, columns)):
+    xs = tuple([left + (p - x_lo) / x_span * width for p in range(1, longest + 1)])
+    x_text = ("%.2f " * longest % xs).split()
+    for i, (name, series_values) in enumerate(zip(names, columns)):
         color = PALETTE[i % len(PALETTE)]
         cells = [None] * (2 * len(series_values))
-        cells[::2] = map(x_text.__getitem__, series_periods)
+        cells[::2] = x_text[: len(series_values)]
         cells[1::2] = [top + (y_hi - v) / y_span * height for v in series_values]
         points = ("%s,%.2f " * len(series_values))[:-1] % tuple(cells)
         parts.append(

@@ -157,13 +157,13 @@ def compile_comparison(
 
 
 def _comparison_rows(columns: tuple[Evaluation, ...]) -> tuple[list[str], list[list[Cell]]]:
-    from .metrics import RateKind, RateRole  # here, so importing report does not load metrics
+    from .metrics import RateRole  # here, so importing report does not load metrics
 
     def measured(rate: Rate) -> float:
         """A backup rate as it is, a restore rate as seconds per MB."""
-        if rate.role is RateRole.BACKUP or rate.kind is RateKind.SECONDS_PER_MB:
+        if rate.role is RateRole.BACKUP:
             return rate.value
-        seconds = 1.0 / rate.value
+        seconds = rate.time_s(1.0)
         if not math.isfinite(seconds):  # a supplied throughput near zero
             raise DomainError(
                 f"rate {rate.label!r} of {rate.value} {rate.kind.value} gives a"

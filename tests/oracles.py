@@ -64,16 +64,17 @@ def retention_tiering_oracle(
 
 
 def polyline_points(series: Mapping[str, Sequence[tuple[int, float]]]) -> list[str]:
-    """Each series' ``points`` attribute, in name order, one point at a time."""
+    """Each series' ``points`` attribute, in name order, one point at a time.
+
+    Each series holds the pairs of periods 1..n, so the x axis runs from 1 to
+    the largest n.
+    """
     names = sorted(series)
-    periods = sorted({p for name in names for p, _ in series[name]})
     values = [v for name in names for _, v in series[name]]
-    x_lo, x_hi = min(periods), max(periods)
+    x_lo, x_hi = 1, max(len(series[name]) for name in names)
     y_lo, y_hi = min(0.0, min(values)), max(values)
     if x_hi == x_lo:
         x_hi = x_lo + 1
-        if x_hi == x_lo:  # a float period too large for 1 to move: span up to the next float
-            x_hi = math.nextafter(x_lo, math.inf)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
         if y_hi == y_lo:  # a negative value too large for 1.0 to move: span up to zero

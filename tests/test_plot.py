@@ -36,10 +36,10 @@ EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e30
 
 @st.composite
 def charts(draw):
-    """1-3 series over sorted periods with gaps; each series is a prefix, so some end early."""
+    """1-3 series over periods 1..size; each series is a prefix, so some end early."""
     size = draw(st.integers(1, 1500))
     rng = draw(st.randoms(use_true_random=False))
-    periods = sorted(rng.sample(range(1, 3 * size + 1), size))
+    periods = range(1, size + 1)
 
     def value() -> float:
         roll = rng.random()
@@ -87,10 +87,20 @@ def test_constant_series_at_or_below_zero_draws_a_horizontal_line(value):
 
 
 @pytest.mark.parametrize("period", [1e17, -1e17, 2.0**53])
-def test_lone_float_period_that_one_cannot_move_sits_at_the_left_edge(period):
-    # period + 1 == period, so the x span reaches up to the next float instead.
-    points = re.findall(r'points="([^"]*)"', render_svg({"a": [(period, 1.0)]}))
-    assert points == ["70.00,40.00"]
+def test_lone_float_period_is_rejected(period):
+    with pytest.raises(DomainError, match="'a'"):
+        render_svg({"a": [(period, 1.0)]})
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[(1, 1.0), (3, 2.0)], [(2, 1.0)], [(2, 1.0), (1, 2.0)], [(1e17, 1.0)]],
+    ids=["gap", "late-start", "reversed", "float"],
+)
+def test_periods_other_than_one_to_n_are_rejected(points):
+    with pytest.raises(DomainError, match="series 'late'") as caught:
+        render_svg({"early": [(1, 1.0), (2, 2.0)], "late": points})
+    assert "'early'" not in str(caught.value)
 
 
 def test_empty_series_rejected():
