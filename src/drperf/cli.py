@@ -77,10 +77,8 @@ def _cmd_bia_check(args) -> int:
 def _cmd_compare(args) -> int:
     scenarios = [load_scenario(path) for path in args.scenarios]
     comparison = report.compile_comparison(scenarios, args.test_data_mb)
-    if args.format == "csv":
-        print(report.render_comparison_csv(comparison), end="")
-    else:
-        print(report.render_comparison(comparison), end="")
+    render = report.render_comparison_csv if args.format == "csv" else report.render_comparison
+    print(render(comparison), end="")
     return EXIT_OK
 
 
@@ -88,14 +86,9 @@ def _cmd_plot(args) -> int:
     scenario = load_scenario(args.scenario)
     model = Evaluation(scenario).basic_model
     result = run(model)
-    series = {}
-    units = []
-    for name in args.component:
-        component = model.component(name)
-        series[name] = result.series[name]
-        if component.unit and component.unit not in units:
-            units.append(component.unit)
-    svg = render_svg(series, title=scenario.name, y_label=" / ".join(units))
+    units = dict.fromkeys(model.component(name).unit for name in args.component)
+    series = {name: result.series[name] for name in args.component}
+    svg = render_svg(series, title=scenario.name, y_label=" / ".join(filter(None, units)))
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -125,49 +118,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    one = argparse.ArgumentParser(add_help=False)
+    one.add_argument("scenario", help="scenario YAML file")
+    volume = argparse.ArgumentParser(add_help=False)
+    volume.add_argument("--test-data-mb", type=float, default=None,
+                        help="override the scenario's test data volume (MB)")
+    for name, parents, handler, summary in (
+        ("simulate", [one], _cmd_simulate, "run the basic model and print every component"),
+        ("project", [one, volume], _cmd_project, "project backup/restore times for a data volume"),
+        ("cost", [one, volume], _cmd_cost, "monthly cloud cost breakdown"),
+        ("reliability", [one], _cmd_reliability, "component and system mission reliability"),
+        ("bia-check", [one, volume], _cmd_bia_check,
+         "check projected metrics against BIA targets"),
+    ):
+        sub.add_parser(name, parents=parents, help=summary).set_defaults(func=handler)
 
-    def scenario_arg(p):
-        p.add_argument("scenario", help="scenario YAML file")
-
-    def test_data_arg(p):
-        p.add_argument(
-            "--test-data-mb",
-            type=float,
-            default=None,
-            help="override the scenario's test data volume (MB)",
-        )
-
-    p = sub.add_parser("simulate", help="run the basic model and print every component")
-    scenario_arg(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("project", help="project backup/restore times for a data volume")
-    scenario_arg(p)
-    test_data_arg(p)
-    p.set_defaults(func=_cmd_project)
-
-    p = sub.add_parser("cost", help="monthly cloud cost breakdown")
-    scenario_arg(p)
-    test_data_arg(p)
-    p.set_defaults(func=_cmd_cost)
-
-    p = sub.add_parser("reliability", help="component and system mission reliability")
-    scenario_arg(p)
-    p.set_defaults(func=_cmd_reliability)
-
-    p = sub.add_parser("bia-check", help="check projected metrics against BIA targets")
-    scenario_arg(p)
-    test_data_arg(p)
-    p.set_defaults(func=_cmd_bia_check)
-
-    p = sub.add_parser("compare", help="side-by-side comparison of scenarios")
+    p = sub.add_parser("compare", parents=[volume], help="side-by-side comparison of scenarios")
     p.add_argument("scenarios", nargs="+", help="scenario YAML files")
-    test_data_arg(p)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("plot", help="write an SVG trajectory chart")
-    scenario_arg(p)
+    p = sub.add_parser("plot", parents=[one], help="write an SVG trajectory chart")
     p.add_argument(
         "--component",
         action="append",

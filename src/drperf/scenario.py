@@ -69,6 +69,8 @@ class Scenario:
         models.check_supplied_averages(self.system, self.supplied_averages)
         if self.test_data_mb is not None and not self.test_data_mb > 0:
             raise ConfigError(f"test_data_mb must be > 0, got {self.test_data_mb}")
+        if not self.frontend_gb >= 0:
+            raise ConfigError(f"frontend_gb must be >= 0, got {self.frontend_gb}")
 
     def resolve(self, relative: str) -> Path:
         """Absolute path of a referenced file, as error messages name it.

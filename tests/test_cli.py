@@ -215,6 +215,18 @@ def test_version(capsys):
     assert "drperf" in capsys.readouterr().out
 
 
+def test_help_golden(golden, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    pages = []
+    for command in ([], ["simulate"], ["project"], ["cost"], ["reliability"], ["bia-check"],
+                    ["compare"], ["plot"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--help"])
+        assert excinfo.value.code == 0
+        pages.append(capsys.readouterr().out)
+    golden("help.txt", "\n".join(pages))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -328,6 +340,8 @@ MALFORMED_FIELDS = [
     # bounds checked by the record itself
     ("hybrid", "reliability", "reliability.mission_h", "-1", "must be >= 0, got -1.0"),
     ("cloud", "bia-check", "bia.backup_frequency_days", "0", "must be > 0, got 0.0"),
+    ("cloud", "reliability", "frontend_gb", "-1", "must be >= 0, got -1.0"),
+    ("cloud", "project", "frontend_gb", "-1", "must be >= 0, got -1.0"),
     # before, bia-check printed this backup window target as "inf h"
     ("cloud", "bia-check", "bia.backup_frequency_days", "1.0e+308",
      "gives a backup window beyond float range in hours, got 1e+308"),

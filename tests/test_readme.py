@@ -5,6 +5,9 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import pytest
+
+from drperf.cli import main
 from drperf.models import SYSTEMS
 
 README = Path(__file__).parents[1] / "README.md"
@@ -15,6 +18,8 @@ SUPPLIED_AVERAGE_ROW = re.compile(
     r"\| (?:`(?P<system>[^`]+)` )?\| `(?P<average>\w+)` \((?P<unit>[^)]+)\)"
     r" \| (?P<role>\w+) `(?P<label>\w+)` \|"
 )
+# `project`, `cost`, `bia-check`, and `compare` accept `--test-data-mb`
+VOLUME_SENTENCE = re.compile(r"((?:`[\w-]+`,? (?:and )?)+)accept `--test-data-mb`")
 
 
 def test_supplied_average_table_lists_the_rate_rows_of_every_system():
@@ -32,3 +37,17 @@ def test_supplied_average_table_lists_the_rate_rows_of_every_system():
         for system, spec in SYSTEMS.items()
         for row in spec.rates
     ]
+
+
+def _help(argv: list[str], capsys) -> str:
+    with pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    return capsys.readouterr().out
+
+
+def test_volume_sentence_names_the_commands_that_accept_the_option(capsys):
+    sentence = VOLUME_SENTENCE.findall(README.read_text(encoding="utf-8"))
+    assert len(sentence) == 1
+    commands = re.search(r"\{([\w,-]+)\}", _help([], capsys))[1].split(",")
+    accepting = [command for command in commands if "--test-data-mb" in _help([command], capsys)]
+    assert re.findall(r"`([\w-]+)`", sentence[0]) == accepting
