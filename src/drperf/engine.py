@@ -119,7 +119,7 @@ class Model:
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ModelError(f"duplicate component names: {dupes}")
-        by_name = self.by_name
+        by_name = {c.name: c for c in self.components}
         for comp in self.components:
             for dep in comp.depends:
                 if dep not in by_name:
@@ -154,15 +154,11 @@ class Model:
             if comp.is_exogenous and comp.name not in self.exogenous:
                 raise ModelError(f"no exogenous series supplied for {comp.name!r}")
 
-    @property
-    def by_name(self) -> dict[str, ModelComponent]:
-        return {c.name: c for c in self.components}
-
     def component(self, name: str) -> ModelComponent:
-        try:
-            return self.by_name[name]
-        except KeyError:
-            raise ModelError(f"model {self.name!r} has no component {name!r}") from None
+        for comp in self.components:
+            if comp.name == name:
+                return comp
+        raise ModelError(f"model {self.name!r} has no component {name!r}")
 
     def digest(self) -> str:
         """Configuration digest over structure, inputs, and meta (not code)."""

@@ -83,17 +83,11 @@ class ReliabilityComponent:
         if self.sla_period_h <= 0:
             raise DomainError(f"component {self.name!r}: sla_period_h must be > 0")
 
-    @property
-    def sla_based(self) -> bool:
-        return self.sla is not None
-
-    def effective_mtbf_h(self) -> float:
-        if self.mtbf_h is not None:
-            return self.mtbf_h
-        return sla_to_mtbf(self.sla, self.sla_period_h)
-
     def reliability(self, mission_h: float) -> float:
-        return component_reliability(self.effective_mtbf_h(), mission_h)
+        mtbf_h = self.mtbf_h
+        if mtbf_h is None:
+            mtbf_h = sla_to_mtbf(self.sla, self.sla_period_h)
+        return component_reliability(mtbf_h, mission_h)
 
 
 @dataclass(frozen=True)
@@ -114,11 +108,8 @@ class SeriesSystem:
         if self.mission_h < 0:
             raise DomainError(f"mission_h must be >= 0, got {self.mission_h}")
 
-    def component_values(self) -> dict[str, float]:
-        return {comp.name: comp.reliability(self.mission_h) for comp in self.components}
-
     def system_reliability(self) -> float:
-        return series_reliability(self.component_values().values())
+        return series_reliability(c.reliability(self.mission_h) for c in self.components)
 
 
 def default_recovery_chain() -> SeriesSystem:

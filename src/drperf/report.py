@@ -111,7 +111,7 @@ def render_reliability(system: SeriesSystem) -> str:
     for comp in system.components:
         basis = (
             f"SLA {fmt_num(comp.sla)} over {fmt_num(comp.sla_period_h)} h"
-            if comp.sla_based
+            if comp.sla is not None
             else f"MTBF {fmt_num(comp.mtbf_h)} h"
         )
         rows.append([comp.name, basis, comp.reliability(system.mission_h)])

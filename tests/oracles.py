@@ -24,6 +24,10 @@ inputs and README's definitions, with no cost function or record either.
 ``verdict_oracle``: each BIA verdict and the MTD of a scenario, from
 ``projection_oracle``'s times and the raw inputs, with no BIA function or
 record.
+
+``reliability_oracle``: the mission reliability of each link of a scenario's
+recovery chain and of the chain, from the raw YAML mapping and README's
+definitions, with no component or system record.
 """
 
 from __future__ import annotations
@@ -293,3 +297,38 @@ def verdict_oracle(
         verdicts.append(("data loss", max(daily), bia["max_data_loss_mb"], "MB"))
     wrt_h = bia.get("wrt_h")
     return verdicts, None if wrt_h is None else min(restore_h.values()) + wrt_h
+
+
+# The recovery chain and mission (h) that README gives for a scenario without a
+# ``reliability`` block: each link's MTBF in hours.
+_DEFAULT_CHAIN = {"DataCenter": 61_320.0, "CloudProvider": 61_320.0, "ISPLink": 17_520.0}
+_DEFAULT_MISSION_H = 372.0
+_DEFAULT_SLA_PERIOD_H = 360.0
+
+
+def reliability_oracle(doc: Mapping) -> tuple[dict[str, float], float]:
+    """(mission reliability of each link by name, of the whole chain).
+
+    A link survives the mission with probability exp(-mission_h / mtbf_h);
+    an SLA link's MTBF is sla_period_h / -ln(sla).  The links are in series,
+    so the chain's value is their product, taken from 1.0 in document order.
+    """
+    block = doc.get("reliability")
+    if block is None:
+        mission_h = _DEFAULT_MISSION_H
+        links = [{"name": name, "mtbf_h": mtbf_h} for name, mtbf_h in _DEFAULT_CHAIN.items()]
+    else:
+        mission_h = float(block.get("mission_h", _DEFAULT_MISSION_H))
+        links = block["components"]
+    values = {}
+    for link in links:
+        if "sla" in link:
+            period_h = float(link.get("sla_period_h", _DEFAULT_SLA_PERIOD_H))
+            mtbf_h = period_h / -math.log(float(link["sla"]))
+        else:
+            mtbf_h = float(link["mtbf_h"])
+        values[link["name"]] = math.exp(-mission_h / mtbf_h)
+    system = 1.0
+    for value in values.values():
+        system *= value
+    return values, system

@@ -6,7 +6,8 @@ parses it as the CLI does, and compares evaluations, reliability chains, or
 the outputs of every subcommand, that differ in one input.  The projection,
 the cost and the BIA verdicts of each generated scenario are also checked
 against ``oracles.projection_oracle``, ``oracles.cost_oracle`` and
-``oracles.verdict_oracle``, and the text and CSV comparisons of generated
+``oracles.verdict_oracle``, each generated reliability chain against
+``oracles.reliability_oracle``, and the text and CSV comparisons of generated
 scenarios against each other.
 """
 
@@ -31,7 +32,7 @@ from drperf.models import SYSTEMS, SystemKind
 from drperf.report import compile_comparison, render_comparison, render_comparison_csv
 from drperf.scenario import Evaluation, Scenario, parse_scenario
 
-from .oracles import cost_oracle, projection_oracle, verdict_oracle
+from .oracles import cost_oracle, projection_oracle, reliability_oracle, verdict_oracle
 
 BASES = {
     SystemKind.HYBRID: yaml.safe_load(data_path("hybrid_reference.yaml").read_text()),
@@ -362,3 +363,50 @@ def test_adding_a_component_to_a_reliability_chain_never_raises_its_reliability(
             assert len(scenario.reliability.components) == len(variant)
             reliability[name] = scenario.reliability.system_reliability()
     assert reliability["longer"] <= reliability["base"]
+
+
+def _reliability_cells(doc: dict, files: dict[str, str]) -> dict[str, str]:
+    """The reliability cell of each row of ``drperf reliability``, by its first cell."""
+    with scenario_file(doc, files) as path:
+        code, out, err = _run(("reliability",), path, "")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[3:]  # after the mission line, the header and its rule
+    return {row.split()[0]: row.split()[-1] for row in rows}
+
+
+def _assert_reliability_equals_the_oracle(doc: dict, files: dict[str, str]) -> None:
+    values, system = reliability_oracle(doc)
+    with scenario_on_disk(doc, files) as scenario:
+        chain = scenario.reliability
+    assert {c.name: c.reliability(chain.mission_h) for c in chain.components} == values
+    assert chain.system_reliability() == system
+    assert _reliability_cells(doc, files) == {
+        **{name: f"{value:.6g}" for name, value in values.items()}, "SYSTEM": f"{system:.6g}"
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    scenarios(), st.lists(COMPONENT, min_size=1, max_size=12), st.floats(0.0, 10_000.0),
+    st.data(),
+)
+def test_reliability_equals_the_oracle(generated, chain, mission_h, data):
+    doc, files = generated
+    components = []
+    for i, component in enumerate(chain):
+        if "sla" in component and data.draw(st.booleans()):
+            component = {**component, "sla_period_h": data.draw(st.floats(1.0, 10_000.0))}
+        components.append({"name": f"C{i}", **component})
+    doc = {**doc, "reliability": {"mission_h": mission_h, "components": components}}
+    _assert_reliability_equals_the_oracle(doc, files)
+
+
+@settings(deadline=None, max_examples=10)
+@given(scenarios(), st.booleans())
+def test_default_reliability_chain_equals_the_oracle(generated, null_block):
+    # A missing or null ``reliability`` block is the three-link default chain.
+    doc, files = generated
+    doc = {key: value for key, value in doc.items() if key != "reliability"}
+    if null_block:
+        doc["reliability"] = None
+    _assert_reliability_equals_the_oracle(doc, files)
