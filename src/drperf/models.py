@@ -21,12 +21,16 @@ import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from . import costs, metrics
-from .costs import CostBreakdown, ObjectStoreRates, TransactionCounts, VaultRates
+from .costs import CostBreakdown, ObjectStoreRates, VaultRates
 from .engine import Kind, Model, ModelComponent
 from .errors import ConfigError, DomainError
 from .metrics import JobSample, RateKind, RateRole, RestoreSample, Tier
+
+if TYPE_CHECKING:  # scenario imports this module
+    from .scenario import Scenario
 
 
 class SystemKind(str, Enum):
@@ -61,7 +65,7 @@ class SystemSpec:
     rates: tuple[RateRow, ...]
     pricing: type[ObjectStoreRates] | type[VaultRates]
     billed: str  # the meta key of the MB its pricing bills
-    settings: tuple[str, ...]  # the settings of build_basic it reads, kept in meta
+    settings: tuple[str, ...]  # the scenario settings it reads, kept in meta
     fields: tuple[str, ...]  # the scenario fields, dotted, that only it reads
 
 
@@ -199,55 +203,44 @@ def _average(row: RateRow, job_logs: Mapping, by_tier: Mapping) -> float:
     return metrics.restore_time_per_mb(by_tier[row.source])
 
 
-def monthly_cost(
-    rates: ObjectStoreRates | VaultRates,
-    billed_mb: float,
-    frontend_gb: float | None,
-    transactions: TransactionCounts,
-) -> CostBreakdown:
-    """Monthly cost of the MB a system's pricing bills (``SystemSpec.billed``).
+def monthly_cost(scenario: Scenario, billed_mb: float, frontend_gb: float | None) -> CostBreakdown:
+    """Monthly cost, at the ``scenario``'s prices, of the MB its system bills
+    (``SystemSpec.billed``).
 
-    An object store adds its operations; a vault adds the instance fee of
-    its protected frontend: ``frontend_gb``, or if None the billed data
-    itself, as a test volume is.
+    An object store adds the scenario's operations; a vault adds the
+    instance fee of its protected frontend: ``frontend_gb``, or if None the
+    billed data itself, as a test volume is.
     """
     billed_gb = metrics.mb_to_gb(billed_mb)
+    rates = scenario.pricing
     if isinstance(rates, VaultRates):
         frontend_gb = billed_gb if frontend_gb is None else frontend_gb
         return costs.cloud_vault_cost(frontend_gb, billed_gb, rates)
-    return costs.hybrid_cloud_cost(billed_gb, transactions, rates)
+    return costs.hybrid_cloud_cost(billed_gb, scenario.transactions, rates)
 
 
 def build_basic(
-    system: SystemKind,
+    scenario: Scenario,
     job_logs: Mapping[str, Sequence[JobSample]],
     restore_samples: Sequence[RestoreSample],
-    rates: ObjectStoreRates | VaultRates,
-    *,
-    tiering_threshold_days: int,
-    transactions: TransactionCounts,
-    frontend_gb: float,
 ) -> Model:
-    """The ``system`` model over one backup cycle plus one trailing period.
+    """The ``scenario``'s system model over one backup cycle plus one trailing period.
 
     ``job_logs`` maps each agent's label to its log, which covers the
     cycle's days exactly; ``restore_samples`` has one sample per restore
     tier.  A tiering system moves each day's copy on at day + threshold.
-    A system reads only the settings its entry names.
+    A system reads only the scenario fields its entry names.
     """
     # Looked up when called: bench/spans.py times model building by wrapping these names.
-    build = build_hybrid_basic if SYSTEMS[system].model == "hybrid-basic" else build_cloud_basic
-    return build(
-        system, job_logs, restore_samples, rates, tiering_threshold_days, transactions, frontend_gb
-    )
+    build = build_hybrid_basic if scenario.system is SystemKind.HYBRID else build_cloud_basic
+    return build(scenario, job_logs, restore_samples)
 
 
-def _build(system, job_logs, restore_samples, rates, threshold, transactions, frontend_gb) -> Model:
+def _build(scenario: Scenario, job_logs, restore_samples) -> Model:
+    system, threshold = scenario.system, scenario.bia.cloud_tiering_threshold_days
     spec = SYSTEMS[system]
-    if not isinstance(rates, spec.pricing):
-        raise ConfigError(f"a {system.value} model is priced by {spec.pricing.__name__}")
     if spec.tiering and threshold < 1:
-        raise ConfigError(f"tiering_threshold_days must be >= 1, got {threshold}")
+        raise ConfigError(f"bia.cloud_tiering_threshold_days must be >= 1, got {threshold}")
     for agent in spec.agents:
         _check_days(job_logs.get(agent.log, ()), spec.days, agent.log)
     daily = daily_ingest(system, job_logs)
@@ -306,19 +299,19 @@ def _build(system, job_logs, restore_samples, rates, threshold, transactions, fr
     components += [
         constant(row.average, averages[row.average], row.kind.value) for row in spec.rates
     ]
-    cost = monthly_cost(rates, billed_mb, frontend_gb, transactions).total
+    cost = monthly_cost(scenario, billed_mb, scenario.frontend_gb).total
     components.append(constant("MonthlyServiceCost", cost, "USD/month"))
     settings = {
         "tiering_threshold_days": threshold,
-        "ingress_egress_ops": transactions.ingress_egress_ops,
-        "listing_ops": transactions.listing_ops,
-        "frontend_gb": frontend_gb,
+        "ingress_egress_ops": scenario.transactions.ingress_egress_ops,
+        "listing_ops": scenario.transactions.listing_ops,
+        "frontend_gb": scenario.frontend_gb,
     }
     meta = {
         "system": system.value,
         "extended": False,
         **{name: settings[name] for name in spec.settings},
-        "pricing": dataclasses.asdict(rates),
+        "pricing": dataclasses.asdict(scenario.pricing),
         "averages": averages,
         spec.billed: billed_mb,
         "monthly_cost": cost,

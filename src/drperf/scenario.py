@@ -43,8 +43,8 @@ class Scenario:
     Each field but ``base_dir`` is a key of the scenario document;
     ``base_dir`` is where the document was read, and ``compare=False`` keeps
     it out of the document and of equality.  Construction checks the job-log
-    labels and the supplied averages against the system, so a scenario built
-    in Python is checked as a parsed one is.
+    labels, the pricing record and the supplied averages against the system,
+    so a scenario built in Python is checked as a parsed one is.
     """
 
     name: str
@@ -64,8 +64,11 @@ class Scenario:
     base_dir: Path = field(default=Path("."), compare=False)
 
     def __post_init__(self):
-        labels = frozenset(agent.log for agent in models.SYSTEMS[self.system].agents)
+        spec = models.SYSTEMS[self.system]
+        labels = frozenset(agent.log for agent in spec.agents)
         _check_keys(self.job_logs, "job_logs", labels, labels)
+        if not isinstance(self.pricing, spec.pricing):
+            raise ConfigError(f"a {self.system.value} model is priced by {spec.pricing.__name__}")
         models.check_supplied_averages(self.system, self.supplied_averages)
         if self.test_data_mb is not None and not self.test_data_mb > 0:
             raise ConfigError(f"test_data_mb must be > 0, got {self.test_data_mb}")
@@ -386,16 +389,7 @@ class Evaluation:
     @cached_property
     def basic_model(self) -> Model:
         """The scenario's basic stock-and-flow model."""
-        scenario = self.scenario
-        return models.build_basic(
-            scenario.system,
-            self.job_logs,
-            self.restore_samples,
-            scenario.pricing,
-            tiering_threshold_days=scenario.bia.cloud_tiering_threshold_days,
-            transactions=scenario.transactions,
-            frontend_gb=scenario.frontend_gb,
-        )
+        return models.build_basic(self.scenario, self.job_logs, self.restore_samples)
 
     @cached_property
     def rates(self) -> tuple[Rate, ...]:
@@ -426,7 +420,7 @@ class Evaluation:
         if volume is None:
             volume = self.basic_model.meta[models.SYSTEMS[scenario.system].billed]
             frontend_gb = scenario.frontend_gb
-        return models.monthly_cost(scenario.pricing, volume, frontend_gb, scenario.transactions)
+        return models.monthly_cost(scenario, volume, frontend_gb)
 
     @cached_property
     def compliance(self) -> ComplianceReport:

@@ -11,6 +11,7 @@ that printing cannot explain.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from hypothesis import given, settings
@@ -34,14 +35,14 @@ from drperf.metrics import (
     summarize_throughput,
     throughput,
 )
-from drperf.models import SystemKind, build_basic
+from drperf.models import build_basic
 from drperf.reliability import (
     component_reliability,
     default_recovery_chain,
     series_reliability,
     sla_to_mtbf,
 )
-from drperf.scenario import Evaluation
+from drperf.scenario import Evaluation, Scenario
 from .oracles import retention_tiering_oracle
 
 TEST_DATA_MB = 531012.0
@@ -49,10 +50,8 @@ HOUR = 3600.0
 # The reference table prints reliabilities to 6 decimals: each figure
 # stands for every value within half a unit of its last digit.
 PRINT_HALF_UNIT = 5e-7
-# The paper's prices and monthly operation counts are the records' defaults, and its
-# vault frontend is 50 GB.
-STORE, VAULT, OPS = ObjectStoreRates(), VaultRates(), TransactionCounts()
-FRONTEND_GB = 50.0
+# The paper's prices are the records' defaults.
+STORE, VAULT = ObjectStoreRates(), VaultRates()
 
 
 def _verdict(criterion: str, checks: list[tuple[str, bool]]) -> None:
@@ -256,15 +255,19 @@ def test_extended_model_digests_are_pinned(hybrid_scenario, cloud_scenario):
         assert Evaluation(scenario, volume).extended_model.digest()[:12] == digest
 
 
-def test_criterion_7b_conservation(hybrid_restores):
+def _tiering_after(scenario: Scenario, threshold: int) -> Scenario:
+    """The hybrid ``scenario`` with its copies tiered after ``threshold`` days."""
+    bia = dataclasses.replace(scenario.bia, cloud_tiering_threshold_days=threshold)
+    return dataclasses.replace(scenario, bia=bia)
+
+
+def test_criterion_7b_conservation(hybrid_scenario, hybrid_restores):
     @given(datas=_LOG_DATAS, threshold=st.integers(1, 14))
     @settings(max_examples=1000, deadline=None)
     def check(datas: list[int], threshold: int) -> None:
         log = _random_log(datas)
-        model = build_basic(
-            SystemKind.HYBRID, {"backup": log}, hybrid_restores, STORE,
-            tiering_threshold_days=threshold, transactions=OPS, frontend_gb=FRONTEND_GB,
-        )
+        scenario = _tiering_after(hybrid_scenario, threshold)
+        model = build_basic(scenario, {"backup": log}, hybrid_restores)
         result = run(model)
         local, cloud = result.values("LocalStorage"), result.values("CloudTier")
         cumulative = 0.0
@@ -284,17 +287,14 @@ def test_criterion_7b_conservation(hybrid_restores):
     )
 
 
-def test_criterion_7b_conservation_cloud_vault(cloud_restore):
+def test_criterion_7b_conservation_cloud_vault(cloud_scenario, cloud_restore):
     week = st.lists(st.integers(0, 200_000), min_size=7, max_size=7)
 
     @given(job1=week, job2=week)
     @settings(max_examples=500, deadline=None)
     def check(job1: list[int], job2: list[int]) -> None:
         logs = {"job1": _random_log(job1), "job2": _random_log(job2)}
-        model = build_basic(
-            SystemKind.CLOUD_VAULT, logs, (cloud_restore,), VAULT,
-            tiering_threshold_days=14, transactions=OPS, frontend_gb=FRONTEND_GB,
-        )
+        model = build_basic(cloud_scenario, logs, (cloud_restore,))
         result = run(model)
         cumulative = 0.0
         for period in range(1, model.horizon + 1):
@@ -327,15 +327,13 @@ def test_criterion_7c_extension_neutrality(hybrid_scenario, cloud_scenario):
     _verdict("7c", checks)
 
 
-def test_criterion_7d_retention_oracle(hybrid_restores):
+def test_criterion_7d_retention_oracle(hybrid_scenario, hybrid_restores):
     @given(datas=_LOG_DATAS, threshold=st.integers(1, 14))
     @settings(max_examples=250, deadline=None)
     def check(datas: list[int], threshold: int) -> None:
         log = _random_log(datas)
-        model = build_basic(
-            SystemKind.HYBRID, {"backup": log}, hybrid_restores, STORE,
-            tiering_threshold_days=threshold, transactions=OPS, frontend_gb=FRONTEND_GB,
-        )
+        scenario = _tiering_after(hybrid_scenario, threshold)
+        model = build_basic(scenario, {"backup": log}, hybrid_restores)
         result = run(model)
         local, cloud = retention_tiering_oracle(log, threshold, model.horizon)
         assert list(result.values("LocalStorage")) == local

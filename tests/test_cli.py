@@ -322,6 +322,8 @@ MALFORMED_FIELDS = [
      "must be a number, got 'fast'"),
     ("cloud", "project", "supplied_averages.AvgJob1Throughput", ".nan", "must be finite, got nan"),
     ("hybrid", "project", "test_data_mb", "true", "must be a number, got True"),
+    # YAML 1.1 reads an exponent as a number only after a decimal point and with a sign
+    ("hybrid", "project", "test_data_mb", "5.31012e5", "must be a number, got '5.31012e5'"),
     ("hybrid", "bia-check", "bia.rto_target_h", ".nan", "must be finite, got nan"),
     ("hybrid", "bia-check", "bia.wrt_h", ".nan", "must be finite, got nan"),
     ("cloud", "bia-check", "bia.max_data_loss_mb", ".inf", "must be finite, got inf"),
@@ -375,6 +377,40 @@ def test_malformed_field_is_one_error_line_naming_it(
     argv = [command, str(scenario)] + ([HYBRID] if command == "compare" else [])
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {dotted} {message}\n")
+
+
+# The paper's monthly costs of the measured data: the data in the hybrid cloud tier,
+# and the vault contents behind the 50 GB frontend.
+MEASURED_STATE_COST = {
+    "hybrid": (
+        "monthly cost: hybrid-reference\n"
+        "item          USD/month\n"
+        "------------  ---------\n"
+        "storage       0.53912\n"
+        "transactions  1.04\n"
+        "instance fee  0\n"
+        "total         1.57912\n"
+    ),
+    "cloud": (
+        "monthly cost: cloud-reference\n"
+        "item          USD/month\n"
+        "------------  ---------\n"
+        "storage       2.82701\n"
+        "transactions  0\n"
+        "instance fee  5\n"
+        "total         7.82701\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("system", ["hybrid", "cloud"])
+def test_cost_without_a_test_volume_prices_the_measured_state(system, tmp_path, capsys):
+    scenario = _scenario_copy(tmp_path, system)
+    doc = yaml.safe_load(scenario.read_text())
+    del doc["test_data_mb"]
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["cost", str(scenario)]) == 0
+    assert capsys.readouterr() == (MEASURED_STATE_COST[system], "")
 
 
 @pytest.mark.parametrize("command", ["project", "bia-check", "compare"])

@@ -6,7 +6,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drperf.costs import ObjectStoreRates, TransactionCounts, VaultRates
+from drperf.bia import BiaTargets
 from drperf.engine import run
 from drperf.errors import ConfigError, DomainError
 from drperf.metrics import (
@@ -18,7 +18,7 @@ from drperf.metrics import (
     project,
 )
 from drperf.models import SYSTEMS, SystemKind, build_basic, daily_ingest
-from drperf.scenario import Evaluation
+from drperf.scenario import Evaluation, Scenario
 
 from .oracles import retention_tiering_oracle
 
@@ -28,24 +28,28 @@ HYBRID_DAILY_MB = (
 )
 
 
-# The paper's settings: its prices and monthly operation counts are the records'
-# defaults, copies tier after 14 days, and the vault's frontend is 50 GB.
-PAPER_SETTINGS = {"tiering_threshold_days": 14, "transactions": TransactionCounts(),
-                  "frontend_gb": 50.0}
-
-
-def build_hybrid(log, restores, **settings):
-    return build_basic(
-        SystemKind.HYBRID, {"backup": log}, restores, ObjectStoreRates(),
-        **{**PAPER_SETTINGS, **settings},
+def paper_scenario(system: SystemKind, threshold: int = 14) -> Scenario:
+    """A ``system`` scenario at the paper's settings, which are the defaults: its prices,
+    monthly operation counts, 14-day tiering threshold and 50 GB vault frontend.  The
+    files it names are never read: the tests pass the logs to the builder."""
+    spec = SYSTEMS[system]
+    return Scenario(
+        name=spec.model,
+        system=system,
+        job_logs={agent.log: f"{agent.log}.csv" for agent in spec.agents},
+        restore_samples="restore.csv",
+        pricing=spec.pricing(),
+        bia=BiaTargets("agent", cloud_tiering_threshold_days=threshold),
     )
+
+
+def build_hybrid(log, restores, threshold=14):
+    return build_basic(paper_scenario(SystemKind.HYBRID, threshold), {"backup": log}, restores)
 
 
 def build_cloud(job1, job2, restore):
-    return build_basic(
-        SystemKind.CLOUD_VAULT, {"job1": job1, "job2": job2}, (restore,), VaultRates(),
-        **PAPER_SETTINGS,
-    )
+    scenario = paper_scenario(SystemKind.CLOUD_VAULT)
+    return build_basic(scenario, {"job1": job1, "job2": job2}, (restore,))
 
 
 def int_job_logs(days: int):
@@ -142,8 +146,12 @@ class TestHybridBuilder:
             build_hybrid(hybrid_log, vault)
 
     def test_rejects_bad_threshold(self, hybrid_log, hybrid_restores):
-        with pytest.raises(ConfigError):
-            build_hybrid(hybrid_log, hybrid_restores, tiering_threshold_days=0)
+        # A threshold of 0 is out of BiaTargets' bounds; one of 0.5 is in them.
+        with pytest.raises(DomainError, match=r"^cloud_tiering_threshold_days must be > 0"):
+            build_hybrid(hybrid_log, hybrid_restores, 0)
+        wanted = r"^bia\.cloud_tiering_threshold_days must be >= 1, got 0\.5$"
+        with pytest.raises(ConfigError, match=wanted):
+            build_hybrid(hybrid_log, hybrid_restores, 0.5)
 
 
 def test_total_ingest_that_overflows_is_rejected(hybrid_restores, cloud_restore):
@@ -185,13 +193,6 @@ class TestCloudBuilder:
         result = run(build_cloud(job1, job2, cloud_restore))
         data = result.values("RestoreData")
         assert data[7] == 7690.0 and sum(data) == 7690.0
-
-    def test_rejects_the_other_systems_pricing(self, cloud_logs, cloud_restore):
-        logs = dict(zip(("job1", "job2"), cloud_logs))
-        with pytest.raises(ConfigError, match="cloud-vault model is priced by VaultRates"):
-            build_basic(
-                SystemKind.CLOUD_VAULT, logs, (cloud_restore,), ObjectStoreRates(), **PAPER_SETTINGS
-            )
 
     def test_rejects_wrong_tier_or_count(self, cloud_logs, cloud_restore):
         job1, job2 = cloud_logs
@@ -286,7 +287,7 @@ class TestRandomLogProperties:
     @given(log=int_job_logs(14), threshold=st.integers(1, 20))
     @settings(max_examples=200, deadline=None)
     def test_oracle_equivalence(self, hybrid_restores, log, threshold):
-        model = build_hybrid(log, hybrid_restores, tiering_threshold_days=threshold)
+        model = build_hybrid(log, hybrid_restores, threshold)
         result = run(model)
         local, cloud = retention_tiering_oracle(log, threshold, model.horizon)
         assert list(result.values("LocalStorage")) == local
@@ -322,7 +323,7 @@ class TestDailyIngest:
     def test_tiering_moves_are_the_daily_ingest_shifted_by_the_threshold(
         self, hybrid_restores, log, threshold
     ):
-        model = build_hybrid(log, hybrid_restores, tiering_threshold_days=threshold)
+        model = build_hybrid(log, hybrid_restores, threshold)
         daily = daily_ingest(SystemKind.HYBRID, {"backup": log})
         result = run(model)
         shifted = [0.0] * threshold + list(daily)
@@ -330,6 +331,6 @@ class TestDailyIngest:
         assert float.hex(model.meta["tiered_mb"]) == float.hex(result.values("CloudTier")[-1])
 
     def test_a_threshold_past_any_horizon_moves_nothing(self, hybrid_log, hybrid_restores):
-        model = build_hybrid(hybrid_log, hybrid_restores, tiering_threshold_days=10**9)
+        model = build_hybrid(hybrid_log, hybrid_restores, 10**9)
         assert model.exogenous["TieringMove"] == (0.0,) * model.horizon
         assert model.meta["tiered_mb"] == 0.0

@@ -19,22 +19,35 @@ NOT_LOADED = (
 )
 # Every drperf module they load, so a new eager import on this path fails too.
 ENGINE_PATH = ("drperf", "drperf.engine", "drperf.errors", "drperf.plot", "drperf.report")
+# Every drperf module the builder loads: it names the scenario layer, which imports
+# it, only for type checking.
+MODELS_PATH = (
+    "drperf", "drperf.costs", "drperf.engine", "drperf.errors", "drperf.metrics", "drperf.models"
+)
 
 
-def test_engine_report_and_plot_do_not_load_yaml_or_scenarios():
+def _loaded_by(modules: str) -> list[str]:
+    """Every module a fresh interpreter has loaded once it imports ``modules``."""
     src = str(Path(drperf.__file__).parents[1])
-    code = (
-        "import sys; import drperf.engine, drperf.report, drperf.plot; "
-        "print(*sorted(sys.modules), sep='\\n')"
-    )
+    code = f"import sys; import {modules}; print(*sorted(sys.modules), sep='\\n')"
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
         check=True,
     )
-    loaded = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+def test_engine_report_and_plot_do_not_load_yaml_or_scenarios():
+    loaded = _loaded_by("drperf.engine, drperf.report, drperf.plot")
     assert [m for m in NOT_LOADED if m in loaded] == []
     assert tuple(m for m in loaded if m.split(".")[0] == "drperf") == ENGINE_PATH
+
+
+def test_models_does_not_load_yaml_or_the_scenario_layer():
+    loaded = _loaded_by("drperf.models")
+    assert "yaml" not in loaded
+    assert tuple(m for m in loaded if m.split(".")[0] == "drperf") == MODELS_PATH
 
 
 def test_every_export_is_its_defining_modules_object():

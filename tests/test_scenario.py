@@ -252,6 +252,17 @@ class TestParseScenario:
         assert str(built.value) == str(parsed.value) == message
         assert read == []
 
+    def test_rejects_the_other_systems_pricing(self, hybrid_scenario, cloud_scenario):
+        # Checked where a scenario is made, so no scheme prices the other system's record.
+        wrong = [
+            (hybrid_scenario, VaultRates(), "a hybrid model is priced by ObjectStoreRates"),
+            (cloud_scenario, ObjectStoreRates(), "a cloud-vault model is priced by VaultRates"),
+        ]
+        for base, pricing, message in wrong:
+            with pytest.raises(ConfigError) as excinfo:
+                dataclasses.replace(base, pricing=pricing)
+            assert str(excinfo.value) == message
+
     def test_a_bad_pricing_block_is_reported_before_a_bad_supplied_average(
         self, hybrid_scenario
     ):
