@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import DomainError
@@ -48,6 +48,10 @@ class BiaTargets:
     max_data_loss_mb: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
         if self.backup_frequency_days <= 0:
             raise DomainError(f"backup_frequency_days must be > 0, got {self.backup_frequency_days}")
         if not math.isfinite(self.backup_frequency_days * HOURS_PER_DAY):
@@ -57,7 +61,11 @@ class BiaTargets:
             )
         if self.backup_retention_days <= 0:
             raise DomainError(f"backup_retention_days must be > 0, got {self.backup_retention_days}")
-        for name in ("cloud_tiering_threshold_days", "rpo_target_days", "rto_target_h", "max_data_loss_mb"):
+        if self.cloud_tiering_threshold_days < 1:
+            raise DomainError(
+                f"cloud_tiering_threshold_days must be >= 1, got {self.cloud_tiering_threshold_days}"
+            )
+        for name in ("rpo_target_days", "rto_target_h", "max_data_loss_mb"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise DomainError(f"{name} must be > 0 when given, got {value}")

@@ -164,7 +164,7 @@ def project(test_data_mb: float, rates: Iterable[Rate]) -> Projection:
 
     Each rate must be finite and > 0, and so must each time it gives.
     """
-    if test_data_mb <= 0:
+    if not test_data_mb > 0:
         raise DomainError(f"test_data_mb must be > 0, got {test_data_mb}")
     basis = tuple(rates)
     if not basis:

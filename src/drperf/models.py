@@ -119,22 +119,6 @@ SYSTEMS = {
 }
 
 
-def check_supplied_averages(system: SystemKind, averages: Mapping[str, float]) -> None:
-    """Reject averages that a ``system`` model does not have, and values not finite and > 0."""
-    names = [row.average for row in SYSTEMS[system].rates]
-    unknown = averages.keys() - set(names)
-    if unknown:
-        raise ConfigError(
-            f"supplied_averages: unknown keys {sorted(unknown, key=str)}; "
-            f"a {system.value} model has {names}"
-        )
-    for name, value in averages.items():
-        if not -math.inf < value < math.inf:  # a NaN fails both comparisons
-            raise ConfigError(f"supplied_averages.{name} must be finite, got {value}")
-        if not value > 0:
-            raise ConfigError(f"supplied_averages.{name} must be > 0, got {value}")
-
-
 def constant(name: str, value: float, unit: str) -> ModelComponent:
     """A converter that holds ``value`` in every period."""
     value = float(value)
@@ -239,8 +223,6 @@ def build_basic(
 def _build(scenario: Scenario, job_logs, restore_samples) -> Model:
     system, threshold = scenario.system, scenario.bia.cloud_tiering_threshold_days
     spec = SYSTEMS[system]
-    if spec.tiering and threshold < 1:
-        raise ConfigError(f"bia.cloud_tiering_threshold_days must be >= 1, got {threshold}")
     for agent in spec.agents:
         _check_days(job_logs.get(agent.log, ()), spec.days, agent.log)
     daily = daily_ingest(system, job_logs)

@@ -44,7 +44,8 @@ class Scenario:
     ``base_dir`` is where the document was read, and ``compare=False`` keeps
     it out of the document and of equality.  Construction checks the job-log
     labels, the pricing record and the supplied averages against the system,
-    so a scenario built in Python is checked as a parsed one is.
+    and holds the test volume as a float, finite and > 0; a scenario built in
+    Python or by ``dataclasses.replace`` is checked as a parsed one is.
     """
 
     name: str
@@ -69,9 +70,22 @@ class Scenario:
         _check_keys(self.job_logs, "job_logs", labels, labels)
         if not isinstance(self.pricing, spec.pricing):
             raise ConfigError(f"a {self.system.value} model is priced by {spec.pricing.__name__}")
-        models.check_supplied_averages(self.system, self.supplied_averages)
-        if self.test_data_mb is not None and not self.test_data_mb > 0:
-            raise ConfigError(f"test_data_mb must be > 0, got {self.test_data_mb}")
+        names = [row.average for row in spec.rates]
+        unknown = self.supplied_averages.keys() - set(names)
+        if unknown:
+            raise ConfigError(
+                f"supplied_averages: unknown keys {sorted(unknown, key=str)}; "
+                f"a {self.system.value} model has {names}"
+            )
+        for name, value in self.supplied_averages.items():
+            if not _to_float(value, f"supplied_averages.{name}") > 0:
+                raise ConfigError(f"supplied_averages.{name} must be > 0, got {value}")
+        if self.test_data_mb is not None:
+            volume = _to_float(self.test_data_mb, "test_data_mb")
+            if not volume > 0:
+                raise ConfigError(f"test_data_mb must be > 0, got {volume}")
+            # Held as a float, so an int volume digests as the equal float does.
+            object.__setattr__(self, "test_data_mb", volume)
         if not self.frontend_gb >= 0:
             raise ConfigError(f"frontend_gb must be >= 0, got {self.frontend_gb}")
 
@@ -349,30 +363,17 @@ def _read(path: Path, parse):
 class Evaluation:
     """One scenario evaluated at one test data volume.
 
-    The volume is the override if given, else the scenario's own; it is
-    held as a float and must be finite and > 0.  Each field is derived on first use and kept, so a
-    command reads each input file at most once and pays only for the
-    fields it prints.
+    An override volume replaces the scenario's own, through
+    ``dataclasses.replace``, so the scenario checks it as it checks its own.
+    Each field is derived on first use and kept, so a command reads each
+    input file at most once and pays only for the fields it prints.
     """
 
     def __init__(self, scenario: Scenario, test_data_mb: float | None = None):
-        volume = test_data_mb if test_data_mb is not None else scenario.test_data_mb
-        if volume is not None:
-            try:
-                volume = float(volume)  # an int volume digests as the equal float does
-            except OverflowError:
-                raise ConfigError(f"test_data_mb is out of range, got {volume}") from None
-            if not math.isfinite(volume):
-                raise ConfigError(f"test_data_mb must be finite, got {volume}")
-            if volume <= 0:
-                raise ConfigError(f"test_data_mb must be > 0, got {volume}")
+        if test_data_mb is not None:
+            scenario = dataclasses.replace(scenario, test_data_mb=test_data_mb)
         self.scenario = scenario
-        self.test_data_mb = volume
-
-    def _volume(self) -> float:
-        if self.test_data_mb is None:
-            raise ConfigError(f"scenario {self.scenario.name!r} has no test_data_mb")
-        return self.test_data_mb
+        self.test_data_mb = scenario.test_data_mb
 
     @cached_property
     def job_logs(self) -> dict[str, tuple[JobSample, ...]]:
@@ -404,7 +405,9 @@ class Evaluation:
     @cached_property
     def projection(self) -> Projection:
         """Projected backup/restore times for the test volume."""
-        return project(self._volume(), self.rates)
+        if self.test_data_mb is None:
+            raise ConfigError(f"scenario {self.scenario.name!r} has no test_data_mb")
+        return project(self.test_data_mb, self.rates)
 
     @cached_property
     def cost(self) -> CostBreakdown:

@@ -99,6 +99,14 @@ class TestTargets:
         with pytest.raises(DomainError):
             targets(wrt_h=-1)
 
+    def test_tiering_threshold_is_at_least_one_day(self):
+        assert targets(cloud_tiering_threshold_days=1).cloud_tiering_threshold_days == 1
+        for threshold in (0, 0.5):
+            with pytest.raises(DomainError) as excinfo:
+                BiaTargets("a", cloud_tiering_threshold_days=threshold)
+            wanted = f"cloud_tiering_threshold_days must be >= 1, got {threshold}"
+            assert str(excinfo.value) == wanted
+
     def test_backup_window_must_be_finite_in_hours(self):
         assert targets(backup_frequency_days=7.4e306).backup_frequency_days == 7.4e306
         with pytest.raises(DomainError, match="backup_frequency_days gives a backup window"):

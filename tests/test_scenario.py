@@ -15,6 +15,7 @@ from drperf.costs import ObjectStoreRates, VaultRates
 from drperf.engine import run
 from drperf.errors import ConfigError, DomainError, ParseError
 from drperf.models import SYSTEMS
+from drperf.reliability import ReliabilityComponent, SeriesSystem, default_recovery_chain
 from drperf.scenario import (
     Evaluation,
     Scenario,
@@ -291,6 +292,34 @@ class TestParseScenario:
         assert str(excinfo.value) == message
 
 
+_BIA_FIELDS = (
+    "backup_frequency_days", "backup_retention_days", "cloud_tiering_threshold_days",
+    "rpo_target_days", "rto_target_h", "wrt_h", "max_data_loss_mb",
+)
+# A record class, the arguments it is made with, and the field then set non-finite.
+_RECORD_FIELDS = [
+    *((BiaTargets, {"agent": "a"}, name) for name in _BIA_FIELDS),
+    (ReliabilityComponent, {"name": "c"}, "mtbf_h"),
+    (ReliabilityComponent, {"name": "c"}, "sla"),
+    (ReliabilityComponent, {"name": "c", "mtbf_h": 100.0}, "sla_period_h"),
+    (SeriesSystem, {"components": default_recovery_chain().components}, "mission_h"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize(
+    "record, arguments, name",
+    _RECORD_FIELDS,
+    ids=[f"{record.__name__}.{name}" for record, _, name in _RECORD_FIELDS],
+)
+def test_a_record_made_in_python_rejects_a_non_finite_value(record, arguments, name, value):
+    # The reader rejects these values first, with the same words after the field's path.
+    with pytest.raises(DomainError) as excinfo:
+        record(**arguments, **{name: value})
+    message = str(excinfo.value).removeprefix("component 'c': ")
+    assert message == f"{name} must be finite, got {value}"
+
+
 class TestEvaluationHelpers:
     """The fields of ``Evaluation``, each derived once from the scenario."""
 
@@ -302,16 +331,40 @@ class TestEvaluationHelpers:
         assert projection.test_data_mb == 1000.0
 
     def test_volume_is_held_as_a_float(self, hybrid_scenario):
-        evaluation = Evaluation(dataclasses.replace(hybrid_scenario, test_data_mb=531012))
-        assert type(evaluation.test_data_mb) is float
+        # The scenario converts its volume, so an int one digests as the equal float
+        # does; a volume with no float, 10**400, is one of the BAD_VOLUMES.
+        as_int = dataclasses.replace(hybrid_scenario, test_data_mb=531012)
+        assert type(as_int.test_data_mb) is float
+        assert type(Evaluation(as_int).test_data_mb) is float
         assert type(Evaluation(hybrid_scenario, 1000).projection.test_data_mb) is float
-        for scenario, volume in (
-            (hybrid_scenario, 10**400),
-            (dataclasses.replace(hybrid_scenario, test_data_mb=10**400), None),
+        as_float = dataclasses.replace(hybrid_scenario, test_data_mb=531012.0)
+        digests = {Evaluation(s).extended_model.digest() for s in (as_int, as_float)}
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize(
+        "volume, message",
+        [
+            (0, "must be > 0, got 0.0"),
+            (-1.0, "must be > 0, got -1.0"),
+            (math.nan, "must be finite, got nan"),
+            (math.inf, "must be finite, got inf"),
+            (10**400, f"is out of range, got {10**400}"),
+            ("5", "must be a number, got '5'"),
+            (True, "must be a number, got True"),
+        ],
+        ids=["zero", "negative", "nan", "inf", "10**400", "str", "bool"],
+    )
+    def test_bad_volume_fails_alike_in_the_scenario_and_as_an_override(
+        self, hybrid_scenario, volume, message
+    ):
+        # The override goes through dataclasses.replace, so one rule checks both.
+        for make in (
+            lambda: dataclasses.replace(hybrid_scenario, test_data_mb=volume),
+            lambda: Evaluation(hybrid_scenario, volume),
         ):
             with pytest.raises(ConfigError) as excinfo:
-                Evaluation(scenario, volume)
-            assert str(excinfo.value) == f"test_data_mb is out of range, got {10**400}"
+                make()
+            assert str(excinfo.value) == f"test_data_mb {message}"
 
     def test_extended_model_requires_a_volume(self, hybrid_scenario):
         bare = dataclasses.replace(hybrid_scenario, test_data_mb=None)
