@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
-from .metrics import HOURS_PER_DAY, Projection
+from .errors import DomainError, check_numbers
+from .metrics import HOURS_PER_DAY, Projection, RateRole
 
 
 def mtd(rto_h: float, wrt_h: float) -> float:
@@ -48,10 +48,7 @@ class BiaTargets:
     max_data_loss_mb: float | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"{f.name} must be finite, got {value}")
+        check_numbers(self)
         if self.backup_frequency_days <= 0:
             raise DomainError(f"backup_frequency_days must be > 0, got {self.backup_frequency_days}")
         if not math.isfinite(self.backup_frequency_days * HOURS_PER_DAY):
@@ -140,7 +137,7 @@ def evaluate(
     WRT is set and the projection holds a restore time, using the fastest
     restore path.
     """
-    restore_h, backup_h = projection.restore_times_h, projection.backup_times_h
+    restore_h, backup_h = projection.times_h(RateRole.RESTORE), projection.times_h(RateRole.BACKUP)
     verdicts = [
         *_time_verdicts("restore time", restore_h, targets.rto_target_h),
         *_time_verdicts("backup time", backup_h, targets.backup_frequency_days * HOURS_PER_DAY),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_numbers
 
 OPS_PER_BLOCK = 10_000
 
@@ -27,6 +27,7 @@ class ObjectStoreRates:
     per_10k_listing: float = 0.50
 
     def __post_init__(self):
+        check_numbers(self)
         for name in ("per_gb_month", "per_10k_ingress_egress", "per_10k_listing"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -40,10 +41,11 @@ class TransactionCounts:
     listing_ops: int = 10_000
 
     def __post_init__(self):
-        if self.ingress_egress_ops < 0 or self.listing_ops < 0:
-            raise ConfigError("transaction counts must be >= 0")
+        check_numbers(self)
         for name in ("ingress_egress_ops", "listing_ops"):
             value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
             try:
                 float(value)  # the cost functions price counts as floats
             except OverflowError:
@@ -56,6 +58,9 @@ class FeeTier:
 
     upper_gb: float  # inclusive upper bound of the tier
     fee: float
+
+    def __post_init__(self):
+        check_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,7 @@ class VaultRates:
     block_fee: float = 10.0
 
     def __post_init__(self):
+        check_numbers(self)
         if self.per_gb_month < 0:
             raise DomainError(f"per_gb_month must be >= 0, got {self.per_gb_month}")
         if not self.instance_fee_tiers:
@@ -82,8 +88,10 @@ class VaultRates:
         fees = [t.fee for t in self.instance_fee_tiers]
         if any(f < 0 for f in fees) or any(f > g for f, g in zip(fees, fees[1:])):
             raise DomainError(f"tier fees must be >= 0 and non-decreasing: {fees}")
-        if self.block_gb <= 0 or self.block_fee < 0:
-            raise DomainError("block_gb must be > 0 and block_fee >= 0")
+        if self.block_gb <= 0:
+            raise DomainError(f"block_gb must be > 0, got {self.block_gb}")
+        if self.block_fee < 0:
+            raise DomainError(f"block_fee must be >= 0, got {self.block_fee}")
         # The fee just past the last flat tier must not drop below that tier.
         past_last = math.nextafter(bounds[-1], math.inf) / self.block_gb
         if not math.isfinite(past_last):

@@ -132,58 +132,51 @@ class Rate:
     supplied: bool = False  # True when overridden externally instead of computed
 
     def time_s(self, data_mb: float) -> float:
-        if self.kind is RateKind.THROUGHPUT:
-            return data_mb / self.value
-        return data_mb * self.value
+        """Seconds to move ``data_mb`` at this rate; a time that is not finite raises."""
+        seconds = data_mb / self.value if self.kind is RateKind.THROUGHPUT else data_mb * self.value
+        if not math.isfinite(seconds):  # a throughput near zero, or s/MB times a huge volume
+            raise DomainError(
+                f"rate {self.label!r} of {self.value} {self.kind.value} gives a"
+                f" {self.role.value} time of {seconds} s for {data_mb} MB"
+            )
+        return seconds
 
 
 @dataclass(frozen=True)
 class Projection:
-    """Backup/restore times projected for a test data volume.
+    """Backup and restore times projected for a test data volume.
 
-    Times are stored in seconds; the ``*_h`` helpers convert to hours.
-    ``basis`` records the exact rates the times were derived from.
+    ``times_s[role][label]`` is the seconds the rate of that role and label
+    gives, roles in ``RateRole`` order (backup first); ``times_h(role)`` gives
+    hours.  ``basis`` records the exact rates the times were derived from.
     """
 
     test_data_mb: float
-    backup_times_s: Mapping[str, float]
-    restore_times_s: Mapping[str, float]
+    times_s: Mapping[RateRole, Mapping[str, float]]
     basis: tuple[Rate, ...]
 
-    @property
-    def backup_times_h(self) -> dict[str, float]:
-        return {k: seconds_to_hours(v) for k, v in self.backup_times_s.items()}
-
-    @property
-    def restore_times_h(self) -> dict[str, float]:
-        return {k: seconds_to_hours(v) for k, v in self.restore_times_s.items()}
+    def times_h(self, role: RateRole) -> dict[str, float]:
+        return {k: seconds_to_hours(v) for k, v in self.times_s[role].items()}
 
 
 def project(test_data_mb: float, rates: Iterable[Rate]) -> Projection:
-    """Project backup/restore times for ``test_data_mb`` from average rates.
+    """Project the time of each rate for ``test_data_mb``, keyed by role and label.
 
-    Each rate must be finite and > 0, and so must each time it gives.
+    Each rate must be finite, > 0 and unique in its role; ``Rate.time_s`` checks each time.
     """
     if not test_data_mb > 0:
         raise DomainError(f"test_data_mb must be > 0, got {test_data_mb}")
     basis = tuple(rates)
     if not basis:
         raise DomainError("at least one rate is required")
-    backup: dict[str, float] = {}
-    restore: dict[str, float] = {}
+    times: dict[RateRole, dict[str, float]] = {role: {} for role in RateRole}
     for rate in basis:
         if not math.isfinite(rate.value):
             raise DomainError(f"rate {rate.label!r} must be finite, got {rate.value}")
         if rate.value <= 0:
             raise DomainError(f"rate {rate.label!r} must be > 0, got {rate.value}")
-        bucket = backup if rate.role is RateRole.BACKUP else restore
+        bucket = times[rate.role]
         if rate.label in bucket:
             raise DomainError(f"duplicate {rate.role.value} rate {rate.label!r}")
-        seconds = rate.time_s(test_data_mb)
-        if not math.isfinite(seconds):  # a throughput near zero, or s/MB times a huge volume
-            raise DomainError(
-                f"rate {rate.label!r} of {rate.value} {rate.kind.value} gives a"
-                f" {rate.role.value} time of {seconds} s for {test_data_mb} MB"
-            )
-        bucket[rate.label] = seconds
-    return Projection(test_data_mb, backup, restore, basis)
+        bucket[rate.label] = rate.time_s(test_data_mb)
+    return Projection(test_data_mb, times, basis)

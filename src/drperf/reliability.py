@@ -10,10 +10,10 @@ product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, check_numbers
 
 DEFAULT_MISSION_HOURS = 372.0
 # The bundled reference scenarios describe their analysis window as 15 days
@@ -76,10 +76,7 @@ class ReliabilityComponent:
     def __post_init__(self):
         if (self.mtbf_h is None) == (self.sla is None):
             raise DomainError(f"component {self.name!r}: give exactly one of mtbf_h or sla")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"component {self.name!r}: {f.name} must be finite, got {value}")
+        check_numbers(self, f"component {self.name!r}: ")
         if self.mtbf_h is not None and self.mtbf_h <= 0:
             raise DomainError(f"component {self.name!r}: mtbf_h must be > 0, got {self.mtbf_h}")
         if self.sla is not None and not 0 < self.sla < 1:
@@ -109,8 +106,7 @@ class SeriesSystem:
             if comp.name in names:
                 raise DomainError(f"duplicate component name {comp.name!r}")
             names.add(comp.name)
-        if not math.isfinite(self.mission_h):
-            raise DomainError(f"mission_h must be finite, got {self.mission_h}")
+        check_numbers(self)
         if self.mission_h < 0:
             raise DomainError(f"mission_h must be >= 0, got {self.mission_h}")
 

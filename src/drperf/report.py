@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import io
 import csv
-import math
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 if TYPE_CHECKING:
     from .bia import ComplianceReport
@@ -90,14 +89,12 @@ def render_projection(projection: Projection, label: str) -> str:
         [r.label, r.role.value, r.value, r.kind.value, "supplied" if r.supplied else "computed"]
         for r in projection.basis
     ]
-    time_rows = [
-        [f"{role} {label}", seconds, hours[label]]
-        for role, times, hours in (
-            ("backup", projection.backup_times_s, projection.backup_times_h),
-            ("restore", projection.restore_times_s, projection.restore_times_h),
+    time_rows = []
+    for role, times in projection.times_s.items():
+        hours = projection.times_h(role)
+        time_rows += (
+            [f"{role.value} {label}", times[label], hours[label]] for label in sorted(times)
         )
-        for label, seconds in sorted(times.items())
-    ]
     return (
         f"projection for {fmt_num(projection.test_data_mb)} MB: {label}\n"
         + _table(["rate", "role", "value", "unit", "source"], basis_rows)
@@ -161,15 +158,7 @@ def _comparison_rows(columns: tuple[Evaluation, ...]) -> tuple[list[str], list[l
 
     def measured(rate: Rate) -> float:
         """A backup rate as it is, a restore rate as seconds per MB."""
-        if rate.role is RateRole.BACKUP:
-            return rate.value
-        seconds = rate.time_s(1.0)
-        if not math.isfinite(seconds):  # a supplied throughput near zero
-            raise DomainError(
-                f"rate {rate.label!r} of {rate.value} {rate.kind.value} gives a"
-                f" {rate.role.value} time of {seconds} s per MB"
-            )
-        return seconds
+        return rate.value if rate.role is RateRole.BACKUP else rate.time_s(1.0)
 
     volume = columns[0].test_data_mb
     rates = [{(r.role, r.label): r for r in c.rates} for c in columns]  # per column, by key
@@ -191,14 +180,8 @@ def _comparison_rows(columns: tuple[Evaluation, ...]) -> tuple[list[str], list[l
         cells = [measured(by_key[key]) if key in by_key else None for by_key in rates]
         rows.append([title, *cells])
     if volume is not None:
-        # A projection holds one time per rate, under the rate's own label and role.
-        hours = [
-            {RateRole.BACKUP: c.projection.backup_times_h,
-             RateRole.RESTORE: c.projection.restore_times_h}
-            for c in columns
-        ]
         for role, label in keys:
-            cells = [by_role[role].get(label) for by_role in hours]
+            cells = [c.projection.times_h(role).get(label) for c in columns]
             rows.append([f"projected {role.value} time {label} (h)", *cells])
     chains = [c.scenario.reliability for c in columns]
     rows += [

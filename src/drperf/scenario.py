@@ -86,7 +86,7 @@ class Scenario:
                 raise ConfigError(f"test_data_mb must be > 0, got {volume}")
             # Held as a float, so an int volume digests as the equal float does.
             object.__setattr__(self, "test_data_mb", volume)
-        if not self.frontend_gb >= 0:
+        if not _to_float(self.frontend_gb, "frontend_gb") >= 0:
             raise ConfigError(f"frontend_gb must be >= 0, got {self.frontend_gb}")
 
     def resolve(self, relative: str) -> Path:
@@ -436,10 +436,9 @@ class Evaluation:
     def extended_model(self) -> Model:
         """Basic model plus converters holding the projection and the cost."""
         basic, projection = self.basic_model, self.projection
-        times = {**projection.backup_times_s, **projection.restore_times_s}
         extra = (
             models.constant("TestData", projection.test_data_mb, "MB"),
-            *(models.constant(row.what_if, times[row.label], "s")
+            *(models.constant(row.what_if, projection.times_s[row.role][row.label], "s")
               for row in models.SYSTEMS[self.scenario.system].rates),
             models.constant("TotalServiceCostTestData", self.cost.total, "USD/month"),
         )

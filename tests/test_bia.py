@@ -11,7 +11,7 @@ from drperf.bia import (
     mtd,
 )
 from drperf.errors import DomainError
-from drperf.metrics import SECONDS_PER_HOUR, Projection
+from drperf.metrics import SECONDS_PER_HOUR, Projection, RateRole
 
 
 class TestMtd:
@@ -101,11 +101,10 @@ class TestTargets:
 
     def test_tiering_threshold_is_at_least_one_day(self):
         assert targets(cloud_tiering_threshold_days=1).cloud_tiering_threshold_days == 1
-        for threshold in (0, 0.5):
+        for threshold, wanted in ((0, "must be >= 1, got 0"), (0.5, "must be an integer, got 0.5")):
             with pytest.raises(DomainError) as excinfo:
                 BiaTargets("a", cloud_tiering_threshold_days=threshold)
-            wanted = f"cloud_tiering_threshold_days must be >= 1, got {threshold}"
-            assert str(excinfo.value) == wanted
+            assert str(excinfo.value) == f"cloud_tiering_threshold_days {wanted}"
 
     def test_backup_window_must_be_finite_in_hours(self):
         assert targets(backup_frequency_days=7.4e306).backup_frequency_days == 7.4e306
@@ -124,7 +123,8 @@ def projection(backup_h=None, restore_h=None) -> Projection:
     def seconds(hours):
         return {label: h * SECONDS_PER_HOUR for label, h in (hours or {}).items()}
 
-    return Projection(1.0, seconds(backup_h), seconds(restore_h), ())
+    times = {RateRole.BACKUP: seconds(backup_h), RateRole.RESTORE: seconds(restore_h)}
+    return Projection(1.0, times, ())
 
 
 class TestEvaluate:

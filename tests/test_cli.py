@@ -344,6 +344,11 @@ MALFORMED_FIELDS = [
     ("hybrid", "reliability", "reliability.mission_h", "-1", "must be >= 0, got -1.0"),
     ("cloud", "bia-check", "bia.backup_frequency_days", "0", "must be > 0, got 0.0"),
     ("cloud", "reliability", "frontend_gb", "-1", "must be >= 0, got -1.0"),
+    # each pricing bound names its own field and value
+    ("cloud", "cost", "pricing.block_gb", "0", "must be > 0, got 0.0"),
+    ("cloud", "cost", "pricing.block_fee", "-1", "must be >= 0, got -1.0"),
+    ("hybrid", "cost", "transactions.ingress_egress_ops", "-1", "must be >= 0, got -1"),
+    ("hybrid", "simulate", "transactions.listing_ops", "-1", "must be >= 0, got -1"),
     ("cloud", "project", "frontend_gb", "-1", "must be >= 0, got -1.0"),
     # before, bia-check printed this backup window target as "inf h"
     ("cloud", "bia-check", "bia.backup_frequency_days", "1.0e+308",
@@ -439,7 +444,7 @@ def test_compare_rejects_a_restore_time_per_mb_that_overflows(fmt, volume, tmp_p
     scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
     assert main(["compare", str(scenario), "--format", fmt, *volume]) == 1
     assert capsys.readouterr() == (
-        "", "error: rate 'Vault' of 1e-320 MB/s gives a restore time of inf s per MB\n"
+        "", "error: rate 'Vault' of 1e-320 MB/s gives a restore time of inf s for 1.0 MB\n"
     )
 
 

@@ -46,8 +46,10 @@ class TestHybridCloudCost:
     def test_rejects_negative_inputs(self):
         with pytest.raises(DomainError):
             hybrid_cloud_cost(-1.0, OPS, STORE)
-        with pytest.raises(ConfigError, match="^transaction counts must be >= 0$"):
-            TransactionCounts(-1, 0)
+        for counts, name in (((-1, 0), "ingress_egress_ops"), ((0, -1), "listing_ops")):
+            with pytest.raises(ConfigError) as excinfo:
+                TransactionCounts(*counts)
+            assert str(excinfo.value) == f"{name} must be >= 0, got -1"
 
     @given(
         st.floats(0, 1e6),

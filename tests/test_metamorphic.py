@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from drperf.bia import Status
 from drperf.cli import main
 from drperf.data import data_path
+from drperf.metrics import RateRole
 from drperf.models import SYSTEMS, SystemKind
 from drperf.report import compile_comparison, render_comparison, render_comparison_csv
 from drperf.scenario import Evaluation, Scenario, parse_scenario
@@ -145,8 +146,9 @@ def test_projection_equals_the_oracle(generated):
     with scenario_on_disk(*generated) as scenario:
         projection = Evaluation(scenario).projection
     assert {rate.label: rate.value for rate in projection.basis} == rates
-    assert projection.backup_times_s == backup_times_s
-    assert projection.restore_times_s == restore_times_s
+    assert projection.times_s == {
+        RateRole.BACKUP: backup_times_s, RateRole.RESTORE: restore_times_s
+    }
 
 
 @settings(deadline=None, max_examples=100)
@@ -224,13 +226,12 @@ def test_scaling_test_data_by_a_power_of_two_scales_every_time_exactly(generated
         base = Evaluation(scenario).projection
         for j in range(-4, 5):
             scaled = Evaluation(scenario, scenario.test_data_mb * 2.0**j).projection
-            for times, base_times in (
-                (scaled.backup_times_s, base.backup_times_s),
-                (scaled.restore_times_s, base.restore_times_s),
-                (scaled.backup_times_h, base.backup_times_h),
-                (scaled.restore_times_h, base.restore_times_h),
-            ):
-                assert times == {label: t * 2.0**j for label, t in base_times.items()}, j
+            for role in RateRole:
+                for times, base_times in (
+                    (scaled.times_s[role], base.times_s[role]),
+                    (scaled.times_h(role), base.times_h(role)),
+                ):
+                    assert times == {label: t * 2.0**j for label, t in base_times.items()}, j
 
 
 @settings(deadline=None, max_examples=60)
@@ -279,11 +280,11 @@ def test_scaling_a_job_logs_durations_by_a_power_of_two_scales_its_backup_time_e
         k = 1.0 if supplied else 2.0**j
         assert rates == {**base_rates, row.label: base_rates[row.label] / k}, j
         for scaled, unscaled in (
-            (times.backup_times_s, base_times.backup_times_s),
-            (times.backup_times_h, base_times.backup_times_h),
+            (times.times_s[RateRole.BACKUP], base_times.times_s[RateRole.BACKUP]),
+            (times.times_h(RateRole.BACKUP), base_times.times_h(RateRole.BACKUP)),
         ):
             assert scaled == {**unscaled, row.label: unscaled[row.label] * k}, j
-        assert times.restore_times_s == base_times.restore_times_s
+        assert times.times_s[RateRole.RESTORE] == base_times.times_s[RateRole.RESTORE]
 
 
 # Names of one length drawn from letters that no report prints: the tables pad each

@@ -134,9 +134,25 @@ class TestProject:
 
     def test_both_rate_kinds(self):
         projection = project(1000.0, self.rates())
-        assert projection.backup_times_s["Backup"] == pytest.approx(20.0)
-        assert projection.restore_times_s["Local"] == pytest.approx(20.0)
-        assert projection.backup_times_h["Backup"] == pytest.approx(20.0 / 3600)
+        assert projection.times_s[RateRole.BACKUP]["Backup"] == pytest.approx(20.0)
+        assert projection.times_s[RateRole.RESTORE]["Local"] == pytest.approx(20.0)
+        assert projection.times_h(RateRole.BACKUP)["Backup"] == pytest.approx(20.0 / 3600)
+
+    def test_times_are_keyed_by_role_backup_first(self):
+        # Restore rates first in the basis, and a restore rate that shares a backup
+        # rate's label: each role keeps its own time, and backup still comes first.
+        basis = (
+            Rate("Job1", 0.02, RateKind.SECONDS_PER_MB, RateRole.RESTORE),
+            Rate("Job1", 50.0, RateKind.THROUGHPUT, RateRole.BACKUP),
+        )
+        projection = project(1000.0, basis)
+        assert list(projection.times_s) == [RateRole.BACKUP, RateRole.RESTORE]
+        assert projection.times_s == {
+            RateRole.BACKUP: {"Job1": 20.0}, RateRole.RESTORE: {"Job1": 20.0}
+        }
+        restore_only = project(1000.0, basis[:1])
+        assert list(restore_only.times_s) == list(RateRole)
+        assert restore_only.times_h(RateRole.BACKUP) == {}
 
     def test_rejects_bad_volume_and_rates(self):
         with pytest.raises(DomainError):
@@ -172,14 +188,29 @@ class TestProject:
         with pytest.raises(DomainError, match="rate 'Vault' .* restore time of inf s"):
             project(1e308, [slow])
 
+    def test_a_rate_rejects_a_non_finite_time_on_its_own(self):
+        # Rate.time_s checks every time it computes, whoever asks for it.
+        tiny = Rate("Job1", 1e-320, RateKind.THROUGHPUT, RateRole.BACKUP)
+        with pytest.raises(DomainError) as excinfo:
+            tiny.time_s(1.0)
+        assert str(excinfo.value) == (
+            "rate 'Job1' of 1e-320 MB/s gives a backup time of inf s for 1.0 MB"
+        )
+        slow = Rate("Vault", 10.0, RateKind.SECONDS_PER_MB, RateRole.RESTORE)
+        with pytest.raises(DomainError) as excinfo:
+            slow.time_s(1e308)
+        assert str(excinfo.value) == (
+            "rate 'Vault' of 10.0 s/MB gives a restore time of inf s for 1e+308 MB"
+        )
+        assert slow.time_s(1e307) == 1e308
+
     @given(st.floats(0.001, 1e9))
     def test_linearity(self, volume):
         one = project(volume, self.rates())
         two = project(2 * volume, self.rates())
-        for label, time in one.backup_times_s.items():
-            assert two.backup_times_s[label] == pytest.approx(2 * time, rel=1e-12)
-        for label, time in one.restore_times_s.items():
-            assert two.restore_times_s[label] == pytest.approx(2 * time, rel=1e-12)
+        for role, times in one.times_s.items():
+            for label, time in times.items():
+                assert two.times_s[role][label] == pytest.approx(2 * time, rel=1e-12)
 
 
 def test_unit_helpers():

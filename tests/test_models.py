@@ -146,11 +146,12 @@ class TestHybridBuilder:
             build_hybrid(hybrid_log, vault)
 
     def test_rejects_bad_threshold(self):
-        # A threshold below 1 fails as the scenario's BiaTargets is made, so the builder
-        # never sees one; any threshold from 1 up builds (test_oracle_equivalence).
-        for threshold in (0, 0.5):
-            with pytest.raises(DomainError, match=r"^cloud_tiering_threshold_days must be >= 1"):
+        # A threshold below 1 or not an int fails as the scenario's BiaTargets is made, so
+        # the builder never sees one; any int from 1 up builds (test_oracle_equivalence).
+        for threshold, wanted in ((0, ">= 1, got 0"), (0.5, "an integer, got 0.5")):
+            with pytest.raises(DomainError) as excinfo:
                 paper_scenario(SystemKind.HYBRID, threshold)
+            assert str(excinfo.value) == f"cloud_tiering_threshold_days must be {wanted}"
 
 
 def test_total_ingest_that_overflows_is_rejected(hybrid_restores, cloud_restore):
@@ -224,12 +225,12 @@ class TestExtension:
         evaluation = Evaluation(hybrid_scenario, 100_000)
         projection = project(100_000, evaluation.rates)
         extended = run(evaluation.extended_model)
-        times = {**projection.backup_times_s, **projection.restore_times_s}
+        backup, restore = (projection.times_s[role] for role in RateRole)
         for name, value in (
             ("TestData", 100_000),
-            ("BackupTimeTestData", times["Backup"]),
-            ("RestoreTimeLocalTestData", times["Local"]),
-            ("RestoreTimeArchiveTestData", times["Archive"]),
+            ("BackupTimeTestData", backup["Backup"]),
+            ("RestoreTimeLocalTestData", restore["Local"]),
+            ("RestoreTimeArchiveTestData", restore["Archive"]),
             ("TotalServiceCostTestData", evaluation.cost.total),
         ):
             assert extended.values(name)[-1] == value, name

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from drperf import scenario as scenario_module
 from drperf.bia import BiaTargets
-from drperf.costs import ObjectStoreRates, VaultRates
+from drperf.costs import FeeTier, ObjectStoreRates, VaultRates
 from drperf.engine import run
 from drperf.errors import ConfigError, DomainError, ParseError
+from drperf.metrics import RateRole
 from drperf.models import SYSTEMS
 from drperf.reliability import ReliabilityComponent, SeriesSystem, default_recovery_chain
 from drperf.scenario import (
@@ -275,7 +276,7 @@ class TestParseScenario:
         "extra, error, message",
         [
             ("transactions:\n  listing_ops: -1\n", ConfigError,
-             "transactions: transaction counts must be >= 0"),
+             "transactions.listing_ops must be >= 0, got -1"),
             ("reliability:\n  components: []\n", DomainError,
              "reliability: a series system needs at least one component"),
             ("reliability:\n  components:\n    - name: Disk\n      mtbf_h: -2\n", DomainError,
@@ -286,7 +287,8 @@ class TestParseScenario:
     def test_record_bound_error_names_the_record_path(
         self, hybrid_scenario, extra, error, message
     ):
-        # a message that does not start with a field name gets the path and a colon
+        # a message that starts with one of the record's fields gets the path and a dot,
+        # any other the path and a colon
         with pytest.raises(error) as excinfo:
             parse_scenario(MINIMAL_HYBRID + extra, base_dir=self.base_dir(hybrid_scenario))
         assert str(excinfo.value) == message
@@ -296,6 +298,13 @@ _BIA_FIELDS = (
     "backup_frequency_days", "backup_retention_days", "cloud_tiering_threshold_days",
     "rpo_target_days", "rto_target_h", "wrt_h", "max_data_loss_mb",
 )
+# A record class, the arguments it is made with, and the field declared int.
+_INT_FIELDS = [
+    (BiaTargets, {"agent": "a"}, "backup_retention_days"),
+    (BiaTargets, {"agent": "a"}, "cloud_tiering_threshold_days"),
+    (TransactionCounts, {}, "ingress_egress_ops"),
+    (TransactionCounts, {}, "listing_ops"),
+]
 # A record class, the arguments it is made with, and the field then set non-finite.
 _RECORD_FIELDS = [
     *((BiaTargets, {"agent": "a"}, name) for name in _BIA_FIELDS),
@@ -303,6 +312,12 @@ _RECORD_FIELDS = [
     (ReliabilityComponent, {"name": "c"}, "sla"),
     (ReliabilityComponent, {"name": "c", "mtbf_h": 100.0}, "sla_period_h"),
     (SeriesSystem, {"components": default_recovery_chain().components}, "mission_h"),
+    *((ObjectStoreRates, {}, name)
+      for name in ("per_gb_month", "per_10k_ingress_egress", "per_10k_listing")),
+    *((VaultRates, {}, name) for name in ("per_gb_month", "block_gb", "block_fee")),
+    (FeeTier, {"fee": 5.0}, "upper_gb"),
+    (FeeTier, {"upper_gb": 50.0}, "fee"),
+    *_INT_FIELDS[2:],
 ]
 
 
@@ -313,11 +328,49 @@ _RECORD_FIELDS = [
     ids=[f"{record.__name__}.{name}" for record, _, name in _RECORD_FIELDS],
 )
 def test_a_record_made_in_python_rejects_a_non_finite_value(record, arguments, name, value):
-    # The reader rejects these values first, with the same words after the field's path.
+    # The reader rejects these values first, with the same words after the field's path;
+    # a field declared int rejects every float as not an integer.
     with pytest.raises(DomainError) as excinfo:
         record(**arguments, **{name: value})
     message = str(excinfo.value).removeprefix("component 'c': ")
-    assert message == f"{name} must be finite, got {value}"
+    if (record, arguments, name) in _INT_FIELDS:
+        assert message == f"{name} must be an integer, got {value!r}"
+    else:
+        assert message == f"{name} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("value", [2.5, 14.0, True], ids=str)
+@pytest.mark.parametrize(
+    "record, arguments, name",
+    _INT_FIELDS,
+    ids=[f"{record.__name__}.{name}" for record, _, name in _INT_FIELDS],
+)
+def test_a_record_made_in_python_rejects_a_count_that_is_not_an_int(
+    record, arguments, name, value
+):
+    # The reader reads 14.0 as 14 and rejects the others first, with the same words.
+    with pytest.raises(DomainError) as excinfo:
+        record(**arguments, **{name: value})
+    assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "frontend_gb, message",
+    [
+        (math.inf, "must be finite, got inf"),
+        (math.nan, "must be finite, got nan"),
+        (-1.0, "must be >= 0, got -1.0"),
+        ("5", "must be a number, got '5'"),
+    ],
+    ids=["inf", "nan", "negative", "str"],
+)
+def test_a_scenario_made_in_python_rejects_a_bad_frontend_size(
+    cloud_scenario, frontend_gb, message
+):
+    # Rejected as the scenario is made, with the reader's words.
+    with pytest.raises(ConfigError) as excinfo:
+        dataclasses.replace(cloud_scenario, frontend_gb=frontend_gb)
+    assert str(excinfo.value) == f"frontend_gb {message}"
 
 
 class TestEvaluationHelpers:
@@ -443,9 +496,8 @@ class TestEvaluationHelpers:
             evaluation = Evaluation(scenario)
             projection = evaluation.projection
             result = run(evaluation.extended_model)
-            times = {"backup": projection.backup_times_s, "restore": projection.restore_times_s}
             for name, (role, label) in converters[scenario.name].items():
-                assert result.values(name)[-1] == times[role][label]
+                assert result.values(name)[-1] == projection.times_s[RateRole(role)][label]
             assert result.values("TotalServiceCostTestData")[-1] == evaluation.cost.total
             assert result.values("TestData")[-1] == evaluation.test_data_mb
 
