@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, check_numbers
+from .errors import DomainError, check_fields
 from .metrics import HOURS_PER_DAY, Projection, RateRole
 
 
@@ -48,7 +48,7 @@ class BiaTargets:
     max_data_loss_mb: float | None = None
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if self.backup_frequency_days <= 0:
             raise DomainError(f"backup_frequency_days must be > 0, got {self.backup_frequency_days}")
         if not math.isfinite(self.backup_frequency_days * HOURS_PER_DAY):

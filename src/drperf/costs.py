@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, check_numbers
+from .errors import ConfigError, DomainError, check_fields
 
 OPS_PER_BLOCK = 10_000
 
@@ -27,7 +27,7 @@ class ObjectStoreRates:
     per_10k_listing: float = 0.50
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         for name in ("per_gb_month", "per_10k_ingress_egress", "per_10k_listing"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -41,7 +41,7 @@ class TransactionCounts:
     listing_ops: int = 10_000
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         for name in ("ingress_egress_ops", "listing_ops"):
             value = getattr(self, name)
             if value < 0:
@@ -60,7 +60,7 @@ class FeeTier:
     fee: float
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class VaultRates:
     block_fee: float = 10.0
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if self.per_gb_month < 0:
             raise DomainError(f"per_gb_month must be >= 0, got {self.per_gb_month}")
         if not self.instance_fee_tiers:

@@ -132,7 +132,11 @@ class Rate:
     supplied: bool = False  # True when overridden externally instead of computed
 
     def time_s(self, data_mb: float) -> float:
-        """Seconds to move ``data_mb`` at this rate; a time that is not finite raises."""
+        """Seconds to move ``data_mb``; a rate not finite or <= 0, or a time not finite, raises."""
+        if not math.isfinite(self.value):
+            raise DomainError(f"rate {self.label!r} must be finite, got {self.value}")
+        if not self.value > 0:
+            raise DomainError(f"rate {self.label!r} must be > 0, got {self.value}")
         seconds = data_mb / self.value if self.kind is RateKind.THROUGHPUT else data_mb * self.value
         if not math.isfinite(seconds):  # a throughput near zero, or s/MB times a huge volume
             raise DomainError(
@@ -162,7 +166,7 @@ class Projection:
 def project(test_data_mb: float, rates: Iterable[Rate]) -> Projection:
     """Project the time of each rate for ``test_data_mb``, keyed by role and label.
 
-    Each rate must be finite, > 0 and unique in its role; ``Rate.time_s`` checks each time.
+    Each rate must be unique in its role; ``Rate.time_s`` checks each rate and its time.
     """
     if not test_data_mb > 0:
         raise DomainError(f"test_data_mb must be > 0, got {test_data_mb}")
@@ -171,10 +175,6 @@ def project(test_data_mb: float, rates: Iterable[Rate]) -> Projection:
         raise DomainError("at least one rate is required")
     times: dict[RateRole, dict[str, float]] = {role: {} for role in RateRole}
     for rate in basis:
-        if not math.isfinite(rate.value):
-            raise DomainError(f"rate {rate.label!r} must be finite, got {rate.value}")
-        if rate.value <= 0:
-            raise DomainError(f"rate {rate.label!r} must be > 0, got {rate.value}")
         bucket = times[rate.role]
         if rate.label in bucket:
             raise DomainError(f"duplicate {rate.role.value} rate {rate.label!r}")

@@ -187,18 +187,16 @@ def _average(row: RateRow, job_logs: Mapping, by_tier: Mapping) -> float:
     return metrics.restore_time_per_mb(by_tier[row.source])
 
 
-def monthly_cost(scenario: Scenario, billed_mb: float, frontend_gb: float | None) -> CostBreakdown:
+def monthly_cost(scenario: Scenario, billed_mb: float, frontend_gb: float) -> CostBreakdown:
     """Monthly cost, at the ``scenario``'s prices, of the MB its system bills
     (``SystemSpec.billed``).
 
     An object store adds the scenario's operations; a vault adds the
-    instance fee of its protected frontend: ``frontend_gb``, or if None the
-    billed data itself, as a test volume is.
+    instance fee of its protected frontend of ``frontend_gb``.
     """
     billed_gb = metrics.mb_to_gb(billed_mb)
     rates = scenario.pricing
     if isinstance(rates, VaultRates):
-        frontend_gb = billed_gb if frontend_gb is None else frontend_gb
         return costs.cloud_vault_cost(frontend_gb, billed_gb, rates)
     return costs.hybrid_cloud_cost(billed_gb, scenario.transactions, rates)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError, check_numbers
+from .errors import DomainError, check_fields
 
 DEFAULT_MISSION_HOURS = 372.0
 # The bundled reference scenarios describe their analysis window as 15 days
@@ -76,7 +76,7 @@ class ReliabilityComponent:
     def __post_init__(self):
         if (self.mtbf_h is None) == (self.sla is None):
             raise DomainError(f"component {self.name!r}: give exactly one of mtbf_h or sla")
-        check_numbers(self, f"component {self.name!r}: ")
+        check_fields(self, f"component {self.name!r}: ")
         if self.mtbf_h is not None and self.mtbf_h <= 0:
             raise DomainError(f"component {self.name!r}: mtbf_h must be > 0, got {self.mtbf_h}")
         if self.sla is not None and not 0 < self.sla < 1:
@@ -106,7 +106,7 @@ class SeriesSystem:
             if comp.name in names:
                 raise DomainError(f"duplicate component name {comp.name!r}")
             names.add(comp.name)
-        check_numbers(self)
+        check_fields(self)
         if self.mission_h < 0:
             raise DomainError(f"mission_h must be >= 0, got {self.mission_h}")
 

@@ -14,7 +14,6 @@ from a single read of its input files.
 from __future__ import annotations
 
 import dataclasses
-import math
 import types
 import typing
 from collections.abc import Callable, Mapping
@@ -29,9 +28,9 @@ from . import models
 from .bia import BiaTargets, ComplianceReport, evaluate
 from .costs import CostBreakdown, ObjectStoreRates, TransactionCounts, VaultRates
 from .engine import Model
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError, ParseError, check_fields, to_float, to_str
 from .joblog import parse_job_log, parse_restore_samples
-from .metrics import JobSample, Projection, Rate, RestoreSample, project
+from .metrics import JobSample, Projection, Rate, RestoreSample, mb_to_gb, project
 from .models import SystemKind
 from .reliability import SeriesSystem, default_recovery_chain
 
@@ -42,10 +41,10 @@ class Scenario:
 
     Each field but ``base_dir`` is a key of the scenario document;
     ``base_dir`` is where the document was read, and ``compare=False`` keeps
-    it out of the document and of equality.  Construction checks the job-log
-    labels, the pricing record and the supplied averages against the system,
-    and holds the test volume as a float, finite and > 0; a scenario built in
-    Python or by ``dataclasses.replace`` is checked as a parsed one is.
+    it out of the document and of equality.  Construction checks its fields
+    (``errors.check_fields``), the test volume > 0, and the job-log labels, the
+    pricing record and the supplied averages against the system; a scenario built
+    in Python or by ``dataclasses.replace`` is checked as a parsed one is.
     """
 
     name: str
@@ -65,6 +64,7 @@ class Scenario:
     base_dir: Path = field(default=Path("."), compare=False)
 
     def __post_init__(self):
+        check_fields(self)
         spec = models.SYSTEMS[self.system]
         labels = frozenset(agent.log for agent in spec.agents)
         _check_keys(self.job_logs, "job_logs", labels, labels)
@@ -78,15 +78,11 @@ class Scenario:
                 f"a {self.system.value} model has {names}"
             )
         for name, value in self.supplied_averages.items():
-            if not _to_float(value, f"supplied_averages.{name}") > 0:
+            if not to_float(value, f"supplied_averages.{name}") > 0:
                 raise ConfigError(f"supplied_averages.{name} must be > 0, got {value}")
-        if self.test_data_mb is not None:
-            volume = _to_float(self.test_data_mb, "test_data_mb")
-            if not volume > 0:
-                raise ConfigError(f"test_data_mb must be > 0, got {volume}")
-            # Held as a float, so an int volume digests as the equal float does.
-            object.__setattr__(self, "test_data_mb", volume)
-        if not _to_float(self.frontend_gb, "frontend_gb") >= 0:
+        if self.test_data_mb is not None and not self.test_data_mb > 0:
+            raise ConfigError(f"test_data_mb must be > 0, got {self.test_data_mb}")
+        if not self.frontend_gb >= 0:
             raise ConfigError(f"frontend_gb must be >= 0, got {self.frontend_gb}")
 
     def resolve(self, relative: str) -> Path:
@@ -108,19 +104,6 @@ class Scenario:
 Converter = Callable[[object, str], object]
 
 
-def _to_float(value: object, path: str) -> float:
-    if type(value) is float:
-        if math.isfinite(value):
-            return value
-        raise ConfigError(f"{path} must be finite, got {value}")
-    if type(value) is int:  # not bool, whose type is its own
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"{path} is out of range, got {value}") from None
-    raise ConfigError(f"{path} must be a number, got {value!r}")
-
-
 def _to_int(value: object, path: str) -> int:
     if type(value) is int:
         return value
@@ -129,15 +112,7 @@ def _to_int(value: object, path: str) -> int:
     raise ConfigError(f"{path} must be an integer, got {value!r}")
 
 
-def _to_str(value: object, path: str) -> str:
-    if type(value) is not str:
-        raise ConfigError(f"{path} must be a string, got {value!r}")
-    if not value.isprintable():  # a newline or a NUL would break an error line or a path
-        raise ConfigError(f"{path} must be one line of printable text, got {value!r}")
-    return value
-
-
-_SCALARS: dict[type, Converter] = {float: _to_float, int: _to_int, str: _to_str}
+_SCALARS: dict[type, Converter] = {float: to_float, int: _to_int, str: to_str}
 
 
 def _key_path(path: str, key: object) -> str:
@@ -419,11 +394,10 @@ class Evaluation:
         frontend.
         """
         scenario, volume = self.scenario, self.test_data_mb
-        frontend_gb = None
         if volume is None:
-            volume = self.basic_model.meta[models.SYSTEMS[scenario.system].billed]
-            frontend_gb = scenario.frontend_gb
-        return models.monthly_cost(scenario, volume, frontend_gb)
+            billed = self.basic_model.meta[models.SYSTEMS[scenario.system].billed]
+            return models.monthly_cost(scenario, billed, scenario.frontend_gb)
+        return models.monthly_cost(scenario, volume, mb_to_gb(volume))
 
     @cached_property
     def compliance(self) -> ComplianceReport:

@@ -512,6 +512,56 @@ def test_int_and_float_spellings_give_one_model(tmp_path, capsys):
     assert capsys.readouterr() == as_written
 
 
+def _restore_rate_of_1e_320(tmp_path) -> str:
+    """A copy of the cloud scenario whose restore time per MB overflows."""
+    scenario = _scenario_copy(tmp_path, "cloud")
+    doc = yaml.safe_load(scenario.read_text())
+    _set(doc, "supplied_averages.RecoveryThroughput", 1.0e-320)
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    return str(scenario)
+
+
+# Arguments, exit code, stdout and stderr of a cold run in a temporary directory.  A
+# golden file stands for its bytes, and an argument that is a function for what it
+# returns given that directory.
+COLD_RUNS = [
+    *(pytest.param([command, scenario], code,
+                   GOLDEN_DIR / f"{command.replace('-', '_')}_{system}.txt", "",
+                   id=f"{command}-{system}")
+      for command, code in [("simulate", 0), ("project", 0), ("cost", 0), ("reliability", 0),
+                            ("bia-check", 2)]
+      for system, scenario in [("hybrid", HYBRID), ("cloud", CLOUD)]),
+    pytest.param(["compare", HYBRID, CLOUD], 0, GOLDEN_DIR / "comparison.txt", "", id="compare"),
+    pytest.param(["compare", HYBRID, CLOUD, "--format", "csv"], 0, GOLDEN_DIR / "comparison.csv",
+                 "", id="compare-csv"),
+    pytest.param(["plot", HYBRID, "--component", "LocalStorage", "--component", "CloudTier",
+                  "--out", "stocks.svg"], 0, "wrote stocks.svg\n", "", id="plot"),
+    pytest.param(["project", HYBRID, "--test-data-mb", "nan"], 1, "",
+                 "error: test_data_mb must be finite, got nan\n", id="project-volume-nan"),
+    pytest.param(["project", HYBRID, "--test-data-mb", "0"], 1, "",
+                 "error: test_data_mb must be > 0, got 0.0\n", id="project-volume-0"),
+    pytest.param(["compare", _restore_rate_of_1e_320], 1, "",
+                 "error: rate 'Vault' of 1e-320 MB/s gives a restore time of inf s for 1.0 MB\n",
+                 id="compare-restore-rate-1e-320"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", COLD_RUNS)
+def test_console_script_in_a_cold_process(argv, code, out, err, tmp_path):
+    """The body of the console script pyproject.toml declares, in a fresh interpreter."""
+    argv = [arg(tmp_path) if callable(arg) else arg for arg in argv]
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from drperf.cli import main; sys.exit(main())", *argv],
+        capture_output=True, timeout=60, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+    )
+    stdout = out.read_bytes() if isinstance(out, Path) else out.encode()
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (code, stdout, err)
+    if argv[0] == "plot":
+        svg = (tmp_path / "stocks.svg").read_bytes()
+        assert svg == (GOLDEN_DIR / "hybrid_stocks.svg").read_bytes()
+
+
 def test_closed_stdout_exits_1_quietly():
     """A reader that has gone: exit 1, nothing on stderr, buffered or not."""
     src = str(Path(cli.__file__).parents[1])

@@ -204,6 +204,19 @@ class TestProject:
         )
         assert slow.time_s(1e307) == 1e308
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(0.0, "must be > 0, got 0.0"), (-1.0, "must be > 0, got -1.0"),
+         (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf")],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("kind", list(RateKind))
+    def test_a_rate_rejects_a_bad_value_on_its_own(self, value, message, kind):
+        # Rate.time_s checks the rate itself, so a throughput of 0 is named, not divided by.
+        with pytest.raises(DomainError) as excinfo:
+            Rate("Job1", value, kind, RateRole.BACKUP).time_s(1.0)
+        assert str(excinfo.value) == f"rate 'Job1' {message}"
+
     @given(st.floats(0.001, 1e9))
     def test_linearity(self, volume):
         one = project(volume, self.rates())

@@ -169,7 +169,7 @@ class TestParseScenario:
     def test_mapping_key_that_is_not_printable_is_quoted_in_the_error(self, hybrid_scenario):
         # Found by the contract fuzz: the raw key put a carriage return in the error line.
         text = MINIMAL_HYBRID.replace("backup: hybrid_backup.csv", '"\\r": "\\x1F"')
-        with pytest.raises(ConfigError) as caught:
+        with pytest.raises(DomainError) as caught:
             parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
         assert str(caught.value) == (
             "job_logs['\\r'] must be one line of printable text, got '\\x1f'"
@@ -185,30 +185,31 @@ class TestParseScenario:
             parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
 
     @pytest.mark.parametrize(
-        "supplied, message",
+        "supplied, error, message",
         [
-            ({"NoSuchAverage": 1.0},
+            ({"NoSuchAverage": 1.0}, ConfigError,
              "supplied_averages: unknown keys ['NoSuchAverage']; a hybrid model has"
              " ['MeanDailyThroughput', 'RestoreTimePerMbLocal', 'RestoreTimePerMbArchive']"),
-            ({"MeanDailyThroughput": 0.0},
+            ({"MeanDailyThroughput": 0.0}, ConfigError,
              "supplied_averages.MeanDailyThroughput must be > 0, got 0.0"),
-            ({"RestoreTimePerMbLocal": -1.0},
+            ({"RestoreTimePerMbLocal": -1.0}, ConfigError,
              "supplied_averages.RestoreTimePerMbLocal must be > 0, got -1.0"),
-            # parsing rejects these first; a scenario built in Python meets only this check
-            ({"MeanDailyThroughput": math.inf},
+            # The float rule, errors.to_float, rejects these in the reader and in the
+            # scenario alike.
+            ({"MeanDailyThroughput": math.inf}, DomainError,
              "supplied_averages.MeanDailyThroughput must be finite, got inf"),
-            ({"MeanDailyThroughput": -math.inf},
+            ({"MeanDailyThroughput": -math.inf}, DomainError,
              "supplied_averages.MeanDailyThroughput must be finite, got -inf"),
-            ({"RestoreTimePerMbArchive": math.nan},
+            ({"RestoreTimePerMbArchive": math.nan}, DomainError,
              "supplied_averages.RestoreTimePerMbArchive must be finite, got nan"),
         ],
         ids=["unknown", "zero", "negative", "inf", "-inf", "nan"],
     )
     def test_bad_supplied_averages_rejected_on_construction(
-        self, hybrid_scenario, supplied, message
+        self, hybrid_scenario, supplied, error, message
     ):
         # Checked once, as any scenario is built: in Python as when parsed.
-        with pytest.raises(ConfigError) as built:
+        with pytest.raises(error) as built:
             Scenario(
                 name="tiny",
                 system=SystemKind.HYBRID,
@@ -219,7 +220,7 @@ class TestParseScenario:
                 supplied_averages=supplied,
             )
         text = MINIMAL_HYBRID + yaml.safe_dump({"supplied_averages": supplied})
-        with pytest.raises(ConfigError) as parsed:
+        with pytest.raises(error) as parsed:
             parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
         assert str(built.value) == str(parsed.value) == message
 
@@ -294,10 +295,6 @@ class TestParseScenario:
         assert str(excinfo.value) == message
 
 
-_BIA_FIELDS = (
-    "backup_frequency_days", "backup_retention_days", "cloud_tiering_threshold_days",
-    "rpo_target_days", "rto_target_h", "wrt_h", "max_data_loss_mb",
-)
 # A record class, the arguments it is made with, and the field declared int.
 _INT_FIELDS = [
     (BiaTargets, {"agent": "a"}, "backup_retention_days"),
@@ -305,9 +302,11 @@ _INT_FIELDS = [
     (TransactionCounts, {}, "ingress_egress_ops"),
     (TransactionCounts, {}, "listing_ops"),
 ]
-# A record class, the arguments it is made with, and the field then set non-finite.
-_RECORD_FIELDS = [
-    *((BiaTargets, {"agent": "a"}, name) for name in _BIA_FIELDS),
+# A record class, the arguments it is made with, and a field declared float.
+_FLOAT_FIELDS = [
+    *((BiaTargets, {"agent": "a"}, name) for name in (
+        "backup_frequency_days", "rpo_target_days", "rto_target_h", "wrt_h", "max_data_loss_mb"
+    )),
     (ReliabilityComponent, {"name": "c"}, "mtbf_h"),
     (ReliabilityComponent, {"name": "c"}, "sla"),
     (ReliabilityComponent, {"name": "c", "mtbf_h": 100.0}, "sla_period_h"),
@@ -317,26 +316,53 @@ _RECORD_FIELDS = [
     *((VaultRates, {}, name) for name in ("per_gb_month", "block_gb", "block_fee")),
     (FeeTier, {"fee": 5.0}, "upper_gb"),
     (FeeTier, {"upper_gb": 50.0}, "fee"),
-    *_INT_FIELDS[2:],
+]
+# The same for a field declared str.
+_STR_FIELDS = [
+    (BiaTargets, {}, "agent"),
+    (BiaTargets, {"agent": "a"}, "recovery_points_scheme"),
+    (ReliabilityComponent, {"mtbf_h": 100.0}, "name"),
+    (Scenario, {"system": SystemKind.HYBRID, "job_logs": {"backup": "hybrid_backup.csv"},
+                "restore_samples": "hybrid_restore.csv", "pricing": ObjectStoreRates(),
+                "bia": BiaTargets("a")}, "name"),
+]
+# Each kind of field, its fields, and the bad values it rejects with their words.
+_BAD_VALUES = [
+    (_FLOAT_FIELDS, [
+        (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
+        (-math.inf, "must be finite, got -inf"), ("5", "must be a number, got '5'"),
+        (True, "must be a number, got True"),
+    ]),
+    # A field declared int rejects every float as not an integer.
+    (_INT_FIELDS, [(value, f"must be an integer, got {value!r}")
+                   for value in (math.nan, math.inf, -math.inf)]),
+    (_STR_FIELDS, [("a\nb", "must be one line of printable text, got 'a\\nb'"),
+                   (5, "must be a string, got 5")]),
 ]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
 @pytest.mark.parametrize(
-    "record, arguments, name",
-    _RECORD_FIELDS,
-    ids=[f"{record.__name__}.{name}" for record, _, name in _RECORD_FIELDS],
+    "record, arguments, name, value, words",
+    [
+        pytest.param(
+            record, arguments, name, value, words,
+            id=f"{record.__name__}.{name}-{value if isinstance(value, float) else repr(value)}",
+        )
+        for fields, values in _BAD_VALUES
+        for record, arguments, name in fields
+        for value, words in values
+    ],
 )
-def test_a_record_made_in_python_rejects_a_non_finite_value(record, arguments, name, value):
-    # The reader rejects these values first, with the same words after the field's path;
-    # a field declared int rejects every float as not an integer.
+def test_a_record_made_in_python_rejects_a_non_finite_value(
+    record, arguments, name, value, words
+):
+    # The reader rejects these values first, with the same words after the field's path.
+    made = {**arguments, name: value}
     with pytest.raises(DomainError) as excinfo:
-        record(**arguments, **{name: value})
-    message = str(excinfo.value).removeprefix("component 'c': ")
-    if (record, arguments, name) in _INT_FIELDS:
-        assert message == f"{name} must be an integer, got {value!r}"
-    else:
-        assert message == f"{name} must be finite, got {value}"
+        record(**made)
+    assert str(excinfo.value).removeprefix(f"component {made.get('name')!r}: ") == (
+        f"{name} {words}"
+    )
 
 
 @pytest.mark.parametrize("value", [2.5, 14.0, True], ids=str)
@@ -355,20 +381,20 @@ def test_a_record_made_in_python_rejects_a_count_that_is_not_an_int(
 
 
 @pytest.mark.parametrize(
-    "frontend_gb, message",
+    "frontend_gb, error, message",
     [
-        (math.inf, "must be finite, got inf"),
-        (math.nan, "must be finite, got nan"),
-        (-1.0, "must be >= 0, got -1.0"),
-        ("5", "must be a number, got '5'"),
+        (math.inf, DomainError, "must be finite, got inf"),
+        (math.nan, DomainError, "must be finite, got nan"),
+        (-1.0, ConfigError, "must be >= 0, got -1.0"),
+        ("5", DomainError, "must be a number, got '5'"),
     ],
     ids=["inf", "nan", "negative", "str"],
 )
 def test_a_scenario_made_in_python_rejects_a_bad_frontend_size(
-    cloud_scenario, frontend_gb, message
+    cloud_scenario, frontend_gb, error, message
 ):
     # Rejected as the scenario is made, with the reader's words.
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(error) as excinfo:
         dataclasses.replace(cloud_scenario, frontend_gb=frontend_gb)
     assert str(excinfo.value) == f"frontend_gb {message}"
 
@@ -394,28 +420,38 @@ class TestEvaluationHelpers:
         digests = {Evaluation(s).extended_model.digest() for s in (as_int, as_float)}
         assert len(digests) == 1
 
+    def test_an_int_price_digests_as_the_equal_float(self, hybrid_scenario):
+        # A record holds each float field's int as the equal float, as the reader does.
+        digests = {
+            Evaluation(dataclasses.replace(
+                hybrid_scenario, pricing=ObjectStoreRates(per_gb_month=price)
+            )).basic_model.digest()
+            for price in (1, 1.0)
+        }
+        assert len(digests) == 1
+
     @pytest.mark.parametrize(
-        "volume, message",
+        "volume, error, message",
         [
-            (0, "must be > 0, got 0.0"),
-            (-1.0, "must be > 0, got -1.0"),
-            (math.nan, "must be finite, got nan"),
-            (math.inf, "must be finite, got inf"),
-            (10**400, f"is out of range, got {10**400}"),
-            ("5", "must be a number, got '5'"),
-            (True, "must be a number, got True"),
+            (0, ConfigError, "must be > 0, got 0.0"),
+            (-1.0, ConfigError, "must be > 0, got -1.0"),
+            (math.nan, DomainError, "must be finite, got nan"),
+            (math.inf, DomainError, "must be finite, got inf"),
+            (10**400, DomainError, f"is out of range, got {10**400}"),
+            ("5", DomainError, "must be a number, got '5'"),
+            (True, DomainError, "must be a number, got True"),
         ],
         ids=["zero", "negative", "nan", "inf", "10**400", "str", "bool"],
     )
     def test_bad_volume_fails_alike_in_the_scenario_and_as_an_override(
-        self, hybrid_scenario, volume, message
+        self, hybrid_scenario, volume, error, message
     ):
         # The override goes through dataclasses.replace, so one rule checks both.
         for make in (
             lambda: dataclasses.replace(hybrid_scenario, test_data_mb=volume),
             lambda: Evaluation(hybrid_scenario, volume),
         ):
-            with pytest.raises(ConfigError) as excinfo:
+            with pytest.raises(error) as excinfo:
                 make()
             assert str(excinfo.value) == f"test_data_mb {message}"
 
