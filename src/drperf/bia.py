@@ -13,7 +13,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, check_fields
+from .errors import DomainError
+from .fields import check_fields
 from .metrics import HOURS_PER_DAY, Projection, RateRole
 
 

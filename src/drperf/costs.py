@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, check_fields
+from .errors import ConfigError, DomainError
+from .fields import check_fields, to_float
 
 OPS_PER_BLOCK = 10_000
 
@@ -46,10 +47,7 @@ class TransactionCounts:
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
-            try:
-                float(value)  # the cost functions price counts as floats
-            except OverflowError:
-                raise ConfigError(f"{name} is out of range, got {value}") from None
+            to_float(value, name)  # the cost functions price counts as floats
 
 
 @dataclass(frozen=True)

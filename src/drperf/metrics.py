@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
+from .fields import check_fields
 
 MB_PER_GB = 1000.0  # decimal gigabytes throughout
 SECONDS_PER_HOUR = 3600.0
@@ -44,6 +45,7 @@ class JobSample:
     duration_s: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.day < 1:
             raise DomainError(f"day index must be >= 1, got {self.day}")
         if self.data_mb < 0:
@@ -61,6 +63,7 @@ class RestoreSample:
     duration_s: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.data_mb <= 0:
             raise DomainError(f"data_mb must be > 0, got {self.data_mb}")
         if self.duration_s <= 0:
@@ -123,7 +126,7 @@ class RateRole(str, Enum):
 
 @dataclass(frozen=True)
 class Rate:
-    """A labelled average rate used as the basis of a projection."""
+    """A labelled, finite average rate used as the basis of a projection."""
 
     label: str
     value: float
@@ -131,10 +134,11 @@ class Rate:
     role: RateRole
     supplied: bool = False  # True when overridden externally instead of computed
 
+    def __post_init__(self):
+        check_fields(self)
+
     def time_s(self, data_mb: float) -> float:
-        """Seconds to move ``data_mb``; a rate not finite or <= 0, or a time not finite, raises."""
-        if not math.isfinite(self.value):
-            raise DomainError(f"rate {self.label!r} must be finite, got {self.value}")
+        """Seconds to move ``data_mb``; a rate <= 0, or a time not finite, raises."""
         if not self.value > 0:
             raise DomainError(f"rate {self.label!r} must be > 0, got {self.value}")
         seconds = data_mb / self.value if self.kind is RateKind.THROUGHPUT else data_mb * self.value

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError, check_fields
+from .errors import DomainError
+from .fields import check_fields
 
 DEFAULT_MISSION_HOURS = 372.0
 # The bundled reference scenarios describe their analysis window as 15 days
@@ -74,9 +75,9 @@ class ReliabilityComponent:
     sla_period_h: float = STATED_MISSION_HOURS
 
     def __post_init__(self):
+        check_fields(self)
         if (self.mtbf_h is None) == (self.sla is None):
             raise DomainError(f"component {self.name!r}: give exactly one of mtbf_h or sla")
-        check_fields(self, f"component {self.name!r}: ")
         if self.mtbf_h is not None and self.mtbf_h <= 0:
             raise DomainError(f"component {self.name!r}: mtbf_h must be > 0, got {self.mtbf_h}")
         if self.sla is not None and not 0 < self.sla < 1:
@@ -99,6 +100,7 @@ class SeriesSystem:
     mission_h: float = DEFAULT_MISSION_HOURS
 
     def __post_init__(self):
+        check_fields(self)
         if not self.components:
             raise DomainError("a series system needs at least one component")
         names = set()
@@ -106,7 +108,6 @@ class SeriesSystem:
             if comp.name in names:
                 raise DomainError(f"duplicate component name {comp.name!r}")
             names.add(comp.name)
-        check_fields(self)
         if self.mission_h < 0:
             raise DomainError(f"mission_h must be >= 0, got {self.mission_h}")
 

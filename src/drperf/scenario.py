@@ -3,23 +3,24 @@
 A scenario names the system kind, points at measured job logs and restore
 samples, and carries pricing, BIA targets, reliability components, and
 the optional test data volume.  Its schema is the dataclasses it builds:
-each key is read by its field's declared type, and each record's
-``__post_init__`` holds its bounds.  ``parse_scenario(render_scenario(s))``
-reproduces ``s`` exactly; paths stay relative and resolve against the
-scenario's base directory at load time.  ``Evaluation`` derives every
-number of one scenario (model, rates, projection, cost, BIA verdicts)
-from a single read of its input files.
+each record converts its fields by their declared types and holds its
+bounds, and the reader adds what a document alone has: keys, a null read
+as absent, the other system's fields and the pricing record's class.
+``parse_scenario(render_scenario(s))`` reproduces ``s`` exactly; paths stay
+relative and resolve against the scenario's base directory at load time.
+``Evaluation`` derives every number of one scenario (model, rates,
+projection, cost, BIA verdicts) from a single read of its input files.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import types
-import typing
-from collections.abc import Callable, Mapping
-from dataclasses import MISSING, dataclass, field
+import os
+import stat
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -28,7 +29,8 @@ from . import models
 from .bia import BiaTargets, ComplianceReport, evaluate
 from .costs import CostBreakdown, ObjectStoreRates, TransactionCounts, VaultRates
 from .engine import Model
-from .errors import ConfigError, DomainError, ParseError, check_fields, to_float, to_str
+from .errors import ConfigError, ParseError
+from .fields import arguments, build, check_fields, check_keys, schema
 from .joblog import parse_job_log, parse_restore_samples
 from .metrics import JobSample, Projection, Rate, RestoreSample, mb_to_gb, project
 from .models import SystemKind
@@ -42,7 +44,7 @@ class Scenario:
     Each field but ``base_dir`` is a key of the scenario document;
     ``base_dir`` is where the document was read, and ``compare=False`` keeps
     it out of the document and of equality.  Construction checks its fields
-    (``errors.check_fields``), the test volume > 0, and the job-log labels, the
+    (``fields.check_fields``), the test volume > 0, and the job-log labels, the
     pricing record and the supplied averages against the system; a scenario built
     in Python or by ``dataclasses.replace`` is checked as a parsed one is.
     """
@@ -67,7 +69,7 @@ class Scenario:
         check_fields(self)
         spec = models.SYSTEMS[self.system]
         labels = frozenset(agent.log for agent in spec.agents)
-        _check_keys(self.job_logs, "job_logs", labels, labels)
+        check_keys(self.job_logs, "job_logs", labels, labels)
         if not isinstance(self.pricing, spec.pricing):
             raise ConfigError(f"a {self.system.value} model is priced by {spec.pricing.__name__}")
         names = [row.average for row in spec.rates]
@@ -78,7 +80,7 @@ class Scenario:
                 f"a {self.system.value} model has {names}"
             )
         for name, value in self.supplied_averages.items():
-            if not to_float(value, f"supplied_averages.{name}") > 0:
+            if not value > 0:
                 raise ConfigError(f"supplied_averages.{name} must be > 0, got {value}")
         if self.test_data_mb is not None and not self.test_data_mb > 0:
             raise ConfigError(f"test_data_mb must be > 0, got {self.test_data_mb}")
@@ -99,143 +101,12 @@ class Scenario:
             return path.absolute()
 
 
-# Checks one document value and returns it as the field's type; the second
-# argument is the value's dotted path, which every error message starts with.
-Converter = Callable[[object, str], object]
-
-
-def _to_int(value: object, path: str) -> int:
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{path} must be an integer, got {value!r}")
-
-
-_SCALARS: dict[type, Converter] = {float: to_float, int: _to_int, str: to_str}
-
-
-def _key_path(path: str, key: object) -> str:
-    """``path.key``, with a key that would break an error line quoted: ``path['\\r']``."""
-    if isinstance(key, str) and not key.isprintable():
-        return f"{path}[{key!r}]"
-    return f"{path}.{key}"
-
-
-def _mapping(node: object, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path} must be a mapping, got {type(node).__name__}")
-    return node
-
-
-def _check_keys(node: dict, path: str, known, required: frozenset = frozenset()) -> None:
-    if node.keys() <= known and required <= node.keys():
-        return
-    unknown = node.keys() - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=str)}")
-    missing = required.difference(node)
-    if missing:
-        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
-
-
-def _converter(tp) -> Converter | None:
-    """The converter for values of the declared type ``tp``.
-
-    ``X | None`` converts as ``X``: a null is read as absent, and only
-    fields that default to None accept it.  A union of records
-    (``Scenario.pricing``) has none: the caller picks its class.
-    """
-    if tp in _SCALARS:
-        return _SCALARS[tp]
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:
-        members = [arg for arg in args if arg is not type(None)]
-        return _converter(members[0]) if len(members) == 1 else None
-    if origin is tuple:  # tuple[Record, ...]
-        item = _converter(args[0])
-
-        def convert_tuple(value, path):
-            if type(value) is not list:
-                raise ConfigError(f"{path} must be a list, got {value!r}")
-            return tuple([item(v, f"{path}[{i}]") for i, v in enumerate(value)])
-
-        return convert_tuple
-    if origin is Mapping:  # Mapping[str, X]; the caller checks the keys
-        item = _converter(args[1])
-        return lambda value, path: {
-            k: item(v, _key_path(path, k)) for k, v in _mapping(value, path).items()
-        }
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        known = ", ".join(member.value for member in tp)
-
-        def convert_enum(value, path):
-            try:
-                return tp(value)
-            except (ValueError, TypeError):
-                raise ConfigError(f"unknown {path} {value!r}; expected one of {known}") from None
-
-        return convert_enum
-    if dataclasses.is_dataclass(tp):
-        return lambda value, path: _record(tp, value, path)
-    raise TypeError(f"no scenario converter for {tp!r}")
-
-
-@cache
-def _schema(cls) -> tuple[dict[str, Converter | None], frozenset[str]]:
-    """A record class's converter per document field, and its fields without a default."""
-    hints = typing.get_type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if f.compare]
-    converters = {f.name: _converter(hints[f.name]) for f in fields}
-    required = frozenset(
-        f.name
-        for f in fields
-        if converters[f.name] and f.default is MISSING and f.default_factory is MISSING
-    )
-    return converters, required
-
-
-def _values(cls, node: object, path: str) -> dict:
-    """A ``cls`` record's field values read from the mapping ``node``.
-
-    A null means absent for a field with a default; a field with no converter
-    is left to the caller.
-    """
-    converters, required = _schema(cls)
-    context = path or "scenario"
-    node = _mapping(node, context)
-    _check_keys(node, context, converters.keys(), required)
-    prefix = f"{path}." if path else ""
-    values = {}
-    for key, value in node.items():
-        convert = converters[key]
-        if convert is not None and (value is not None or key in required):
-            values[key] = convert(value, prefix + key)
-    return values
-
-
-def _record(cls, node: object, path: str):
-    """The ``cls`` record read from the mapping ``node``.
-
-    A bound error from the record's ``__post_init__`` is raised again with
-    ``path`` in front: joined by a dot when the message starts with one of
-    the record's fields, by a colon otherwise.
-    """
-    values = _values(cls, node, path)
-    try:
-        return cls(**values)
-    except (ConfigError, DomainError) as exc:
-        message = str(exc)
-        joint = "." if message.partition(" ")[0] in _schema(cls)[0] else ": "
-        raise type(exc)(f"{path}{joint}{message}") from None
-
-
 def _pop(doc: dict, dotted: str):
-    """Remove the value at a dotted path from ``doc`` and return it; None
-    where the path stops at a null or a missing key."""
+    """Remove the value at a dotted path from ``doc`` and return it; None where the
+    path stops at a missing key or at a value that is not a mapping."""
     *heads, last = dotted.split(".")
     for head in heads:
-        doc = doc.get(head) or {}
+        doc = doc[head] if isinstance(doc.get(head), dict) else {}
     return doc.pop(last, None)
 
 
@@ -263,15 +134,13 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
         raise ParseError(f"invalid YAML: {_yaml_problem(exc)}", line=line) from exc
     except RecursionError:  # the composer takes stack frames for each level of nesting
         raise ParseError("invalid YAML: collections nested too deeply") from None
-    values = _values(Scenario, doc, "")
-    system = values["system"]
+    values = arguments(Scenario, doc, "scenario")
+    system = schema(Scenario)[0]["system"](values["system"], "system")
     for other, spec in models.SYSTEMS.items():
         for dotted in spec.fields:
-            if other is not system and _pop(doc, dotted) is not None:
+            if other is not system and _pop(values, dotted) is not None:
                 raise ConfigError(f"{dotted} applies only to {other.value} scenarios")
-    spec = models.SYSTEMS[system]
-    pricing = doc.get("pricing")
-    values["pricing"] = _record(spec.pricing, {} if pricing is None else pricing, "pricing")
+    values["pricing"] = build(models.SYSTEMS[system].pricing, values.get("pricing", {}), "pricing")
     scenario = Scenario(**values, base_dir=Path(base_dir))
     for label, relative in scenario.job_logs.items():
         if not (scenario.base_dir / relative).is_file():
@@ -314,11 +183,27 @@ def render_scenario(scenario: Scenario) -> str:
     return yaml.safe_dump(doc, sort_keys=False)
 
 
+# The most bytes one input file may hold: thousands of times the bundled
+# scenarios (at most 1281 bytes) and a daily job log of many years.
+MAX_INPUT_BYTES = 4 * 2**20
+_KINDS = {stat.S_IFDIR: "a directory", stat.S_IFIFO: "a FIFO", stat.S_IFCHR: "a character device"}
+
+
 def _read_text(path: Path) -> str:
-    """The file's text, without a leading byte-order mark; bytes that are not
-    UTF-8 are a ``ParseError`` naming the file."""
+    """The text of a regular file of at most ``MAX_INPUT_BYTES``, without a leading
+    byte-order mark; another file, a larger one or bytes that are not UTF-8 raise."""
+    shown, info = repr(os.fspath(path)), os.stat(path)  # not open: opening a FIFO waits
+    if not stat.S_ISREG(info.st_mode):
+        kind = _KINDS.get(stat.S_IFMT(info.st_mode), "a special file")
+        raise ConfigError(f"{shown} is {kind}, not a regular file")
+    if info.st_size > MAX_INPUT_BYTES:
+        raise ConfigError(f"{shown} holds {info.st_size} bytes, over the cap of {MAX_INPUT_BYTES}")
+    with open(path, "rb") as stream:
+        data = stream.read(info.st_size + 1)  # at most the cap and a byte, however it grows
+    if len(data) > info.st_size:
+        raise ConfigError(f"{shown} grew while it was read")
     try:
-        return path.read_text(encoding="utf-8-sig")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         byte = exc.object[exc.start]
@@ -372,8 +257,8 @@ class Evaluation:
         """The model's average rates, each overridden by its supplied average if any."""
         supplied, averages = self.scenario.supplied_averages, self.basic_model.meta["averages"]
         return tuple(
-            Rate(row.label, float(supplied.get(row.average, averages[row.average])), row.kind,
-                 row.role, supplied=row.average in supplied)
+            Rate(row.label, supplied.get(row.average, averages[row.average]), row.kind, row.role,
+                 supplied=row.average in supplied)
             for row in models.SYSTEMS[self.scenario.system].rates
         )
 

@@ -89,15 +89,26 @@ def targets(**overrides) -> BiaTargets:
 
 
 class TestTargets:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            targets(backup_frequency_days=0)
-        with pytest.raises(DomainError):
-            targets(backup_retention_days=0)
-        with pytest.raises(DomainError):
-            targets(rto_target_h=-5)
-        with pytest.raises(DomainError):
-            targets(wrt_h=-1)
+    @pytest.mark.parametrize(
+        "name, default, bad, words, good",
+        [
+            ("backup_frequency_days", 1.0, 0, "must be > 0, got 0.0", 1e-9),
+            ("backup_retention_days", 14, 0, "must be > 0, got 0", 1),
+            ("cloud_tiering_threshold_days", 14, 0, "must be >= 1, got 0", 1),
+            ("rpo_target_days", None, 0, "must be > 0 when given, got 0.0", 1e-9),
+            ("rto_target_h", None, 0, "must be > 0 when given, got 0.0", 1e-9),
+            ("rto_target_h", None, -5, "must be > 0 when given, got -5.0", 1e-9),
+            ("max_data_loss_mb", None, 0, "must be > 0 when given, got 0.0", 1e-9),
+            ("wrt_h", None, -1, "must be >= 0 when given, got -1.0", 0),
+        ],
+    )
+    def test_validation(self, name, default, bad, words, good):
+        # The documented default, and each bound from both sides.
+        assert getattr(BiaTargets("a"), name) == default
+        with pytest.raises(DomainError) as excinfo:
+            targets(**{name: bad})
+        assert str(excinfo.value) == f"{name} {words}"
+        assert getattr(targets(**{name: good}), name) == good
 
     def test_tiering_threshold_is_at_least_one_day(self):
         assert targets(cloud_tiering_threshold_days=1).cloud_tiering_threshold_days == 1

@@ -14,7 +14,7 @@ from xml.etree import ElementTree
 import pytest
 import yaml
 
-from drperf import __version__, cli, joblog
+from drperf import __version__, cli, joblog, scenario as scenario_module
 from drperf.cli import build_parser, main
 from drperf.data import cloud_scenario_path, data_path, hybrid_scenario_path
 
@@ -340,6 +340,8 @@ MALFORMED_FIELDS = [
     ("cloud", "simulate", "restore_samples", "5", "must be a string, got 5"),
     ("hybrid", "simulate", "job_logs.backup", '"a\\nb.csv"',
      "must be one line of printable text, got 'a\\nb.csv'"),
+    # the cloud reader looks under bia for the hybrid-only threshold before bia is read
+    ("cloud", "bia-check", "bia", "'0'", "must be a mapping, got str"),
     # bounds checked by the record itself
     ("hybrid", "reliability", "reliability.mission_h", "-1", "must be >= 0, got -1.0"),
     ("cloud", "bia-check", "bia.backup_frequency_days", "0", "must be > 0, got 0.0"),
@@ -521,6 +523,19 @@ def _restore_rate_of_1e_320(tmp_path) -> str:
     return str(scenario)
 
 
+def _fifo(tmp_path) -> str:
+    """A FIFO with no writer: opening it would wait for one."""
+    os.mkfifo(tmp_path / "scenario.fifo")
+    return "scenario.fifo"
+
+
+def _sparse_past_the_cap(tmp_path) -> str:
+    """A file one byte over the input cap that takes no disk space."""
+    with open(tmp_path / "big.yaml", "wb") as stream:
+        os.truncate(stream.fileno(), scenario_module.MAX_INPUT_BYTES + 1)
+    return "big.yaml"
+
+
 # Arguments, exit code, stdout and stderr of a cold run in a temporary directory.  A
 # golden file stands for its bytes, and an argument that is a function for what it
 # returns given that directory.
@@ -543,6 +558,20 @@ COLD_RUNS = [
     pytest.param(["compare", _restore_rate_of_1e_320], 1, "",
                  "error: rate 'Vault' of 1e-320 MB/s gives a restore time of inf s for 1.0 MB\n",
                  id="compare-restore-rate-1e-320"),
+    # An input that is not a regular file, or is over the cap, is refused before it is read.
+    pytest.param(["project", "missing.yaml"], 1, "",
+                 "error: [Errno 2] No such file or directory: 'missing.yaml'\n", id="missing"),
+    pytest.param(["project", "."], 1, "", "error: '.' is a directory, not a regular file\n",
+                 id="directory"),
+    pytest.param(["project", _fifo], 1, "",
+                 "error: 'scenario.fifo' is a FIFO, not a regular file\n", id="fifo",
+                 marks=pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")),
+    pytest.param(["project", "/dev/zero"], 1, "",
+                 "error: '/dev/zero' is a character device, not a regular file\n", id="dev-zero",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")),
+    pytest.param(["project", _sparse_past_the_cap], 1, "",
+                 "error: 'big.yaml' holds 4194305 bytes, over the cap of 4194304\n",
+                 id="over-the-cap"),
 ]
 
 

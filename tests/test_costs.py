@@ -101,9 +101,19 @@ class TestVaultInstanceFee:
 
 
 class TestVaultRatesValidation:
-    def test_bounds_must_increase(self):
-        with pytest.raises(DomainError):
-            VaultRates(instance_fee_tiers=(FeeTier(500, 5), FeeTier(50, 10)))
+    @pytest.mark.parametrize(
+        "bounds",
+        [(500, 50), (50, 50), (0, 500), (0,)],
+        ids=["decreasing", "equal", "zero-first", "zero-only"],
+    )
+    def test_bounds_must_increase(self, bounds):
+        tiers = tuple(FeeTier(bound, 5) for bound in bounds)
+        with pytest.raises(DomainError) as excinfo:
+            VaultRates(instance_fee_tiers=tiers)
+        listed = [float(bound) for bound in bounds]
+        assert str(excinfo.value) == (
+            f"tier boundaries must be positive and strictly increasing: {listed}"
+        )
 
     def test_fees_must_not_decrease(self):
         with pytest.raises(DomainError):

@@ -167,9 +167,11 @@ class TestProject:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("kind", list(RateKind))
     def test_non_finite_rate_rejected(self, value, kind):
-        # An infinite throughput would project a time of 0 s and pass every target.
-        with pytest.raises(DomainError, match=f"rate 'x' must be finite, got {value}"):
-            project(10.0, [Rate("x", value, kind, RateRole.RESTORE)])
+        # An infinite throughput would project a time of 0 s and pass every target, so
+        # the rate rejects it when it is made, before any projection.
+        with pytest.raises(DomainError) as excinfo:
+            Rate("x", value, kind, RateRole.RESTORE)
+        assert str(excinfo.value) == f"value must be finite, got {value}"
 
     def test_duplicate_labels_rejected(self):
         dupes = (
@@ -206,16 +208,17 @@ class TestProject:
 
     @pytest.mark.parametrize(
         "value, message",
-        [(0.0, "must be > 0, got 0.0"), (-1.0, "must be > 0, got -1.0"),
-         (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf")],
+        [(0.0, "rate 'Job1' must be > 0, got 0.0"), (-1.0, "rate 'Job1' must be > 0, got -1.0"),
+         (math.nan, "value must be finite, got nan"), (math.inf, "value must be finite, got inf")],
         ids=["zero", "negative", "nan", "inf"],
     )
     @pytest.mark.parametrize("kind", list(RateKind))
     def test_a_rate_rejects_a_bad_value_on_its_own(self, value, message, kind):
-        # Rate.time_s checks the rate itself, so a throughput of 0 is named, not divided by.
+        # Rate.time_s checks the rate itself, so a throughput of 0 is named, not divided by;
+        # a non-finite rate is rejected earlier, when it is made.
         with pytest.raises(DomainError) as excinfo:
             Rate("Job1", value, kind, RateRole.BACKUP).time_s(1.0)
-        assert str(excinfo.value) == f"rate 'Job1' {message}"
+        assert str(excinfo.value) == message
 
     @given(st.floats(0.001, 1e9))
     def test_linearity(self, volume):

@@ -22,7 +22,8 @@ ENGINE_PATH = ("drperf", "drperf.engine", "drperf.errors", "drperf.plot", "drper
 # Every drperf module the builder loads: it names the scenario layer, which imports
 # it, only for type checking.
 MODELS_PATH = (
-    "drperf", "drperf.costs", "drperf.engine", "drperf.errors", "drperf.metrics", "drperf.models"
+    "drperf", "drperf.costs", "drperf.engine", "drperf.errors", "drperf.fields", "drperf.metrics",
+    "drperf.models",
 )
 
 
@@ -48,6 +49,11 @@ def test_models_does_not_load_yaml_or_the_scenario_layer():
     loaded = _loaded_by("drperf.models")
     assert "yaml" not in loaded
     assert tuple(m for m in loaded if m.split(".")[0] == "drperf") == MODELS_PATH
+
+
+def test_errors_loads_no_other_drperf_module():
+    loaded = _loaded_by("drperf.errors")
+    assert tuple(m for m in loaded if m.split(".")[0] == "drperf") == ("drperf", "drperf.errors")
 
 
 def test_every_export_is_its_defining_modules_object():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tempfile
+import typing
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from drperf.bia import BiaTargets
 from drperf.costs import FeeTier, ObjectStoreRates, VaultRates
 from drperf.engine import run
 from drperf.errors import ConfigError, DomainError, ParseError
-from drperf.metrics import RateRole
+from drperf.fields import schema
+from drperf.metrics import JobSample, Rate, RateKind, RateRole, RestoreSample, Tier
 from drperf.models import SYSTEMS
 from drperf.reliability import ReliabilityComponent, SeriesSystem, default_recovery_chain
 from drperf.scenario import (
@@ -295,12 +297,20 @@ class TestParseScenario:
         assert str(excinfo.value) == message
 
 
+# Arguments that make each record, with the field under test replaced.
+_SCENARIO = {"name": "tiny", "system": SystemKind.HYBRID,
+             "job_logs": {"backup": "hybrid_backup.csv"}, "restore_samples": "hybrid_restore.csv",
+             "pricing": ObjectStoreRates(), "bia": BiaTargets("a")}
+_RATE = {"label": "x", "value": 1.0, "kind": RateKind.THROUGHPUT, "role": RateRole.BACKUP}
+_JOB = {"day": 1, "data_mb": 1.0, "duration_s": 1.0}
+_RESTORE = {"source_tier": Tier.LOCAL, "data_mb": 1.0, "duration_s": 1.0}
 # A record class, the arguments it is made with, and the field declared int.
 _INT_FIELDS = [
     (BiaTargets, {"agent": "a"}, "backup_retention_days"),
     (BiaTargets, {"agent": "a"}, "cloud_tiering_threshold_days"),
     (TransactionCounts, {}, "ingress_egress_ops"),
     (TransactionCounts, {}, "listing_ops"),
+    (JobSample, _JOB, "day"),
 ]
 # A record class, the arguments it is made with, and a field declared float.
 _FLOAT_FIELDS = [
@@ -316,15 +326,20 @@ _FLOAT_FIELDS = [
     *((VaultRates, {}, name) for name in ("per_gb_month", "block_gb", "block_fee")),
     (FeeTier, {"fee": 5.0}, "upper_gb"),
     (FeeTier, {"upper_gb": 50.0}, "fee"),
+    (Scenario, _SCENARIO, "test_data_mb"),
+    (Scenario, _SCENARIO, "frontend_gb"),
+    (Rate, _RATE, "value"),
+    *((JobSample, _JOB, name) for name in ("data_mb", "duration_s")),
+    *((RestoreSample, _RESTORE, name) for name in ("data_mb", "duration_s")),
 ]
 # The same for a field declared str.
 _STR_FIELDS = [
     (BiaTargets, {}, "agent"),
     (BiaTargets, {"agent": "a"}, "recovery_points_scheme"),
     (ReliabilityComponent, {"mtbf_h": 100.0}, "name"),
-    (Scenario, {"system": SystemKind.HYBRID, "job_logs": {"backup": "hybrid_backup.csv"},
-                "restore_samples": "hybrid_restore.csv", "pricing": ObjectStoreRates(),
-                "bia": BiaTargets("a")}, "name"),
+    (Scenario, _SCENARIO, "name"),
+    (Scenario, _SCENARIO, "restore_samples"),
+    (Rate, _RATE, "label"),
 ]
 # Each kind of field, its fields, and the bad values it rejects with their words.
 _BAD_VALUES = [
@@ -333,36 +348,87 @@ _BAD_VALUES = [
         (-math.inf, "must be finite, got -inf"), ("5", "must be a number, got '5'"),
         (True, "must be a number, got True"),
     ]),
-    # A field declared int rejects every float as not an integer.
+    # A field declared int rejects a str and every float that is not whole.
     (_INT_FIELDS, [(value, f"must be an integer, got {value!r}")
-                   for value in (math.nan, math.inf, -math.inf)]),
+                   for value in (math.nan, math.inf, -math.inf, "5")]),
     (_STR_FIELDS, [("a\nb", "must be one line of printable text, got 'a\\nb'"),
                    (5, "must be a string, got 5")]),
+]
+# Every other field: a record class, its arguments, the field, a bad value, and its error.
+_OTHER_BAD_VALUES = [
+    (Scenario, _SCENARIO, "system", "tape", ConfigError,
+     "unknown system 'tape'; expected one of hybrid, cloud-vault"),
+    (Scenario, _SCENARIO, "job_logs", {"backup": 5}, DomainError,
+     "job_logs.backup must be a string, got 5"),
+    (Scenario, _SCENARIO, "pricing", VaultRates(), ConfigError,
+     "a hybrid model is priced by ObjectStoreRates"),
+    (Scenario, _SCENARIO, "bia", 5, ConfigError, "bia must be a mapping, got int"),
+    (Scenario, _SCENARIO, "reliability", None, ConfigError,
+     "reliability must be a mapping, got NoneType"),
+    (Scenario, _SCENARIO, "supplied_averages", {"MeanDailyThroughput": "5"}, DomainError,
+     "supplied_averages.MeanDailyThroughput must be a number, got '5'"),
+    (Scenario, _SCENARIO, "transactions", "many", ConfigError,
+     "transactions must be a mapping, got str"),
+    (SeriesSystem, {}, "components", 5, ConfigError, "components must be a list, got 5"),
+    (VaultRates, {}, "instance_fee_tiers", [5], ConfigError,
+     "instance_fee_tiers[0] must be a mapping, got int"),
+    (Rate, _RATE, "kind", "MB/h", ConfigError, "unknown kind 'MB/h'; expected one of MB/s, s/MB"),
+    (Rate, _RATE, "role", "copy", ConfigError,
+     "unknown role 'copy'; expected one of backup, restore"),
+    (Rate, _RATE, "supplied", "yes", DomainError, "supplied must be true or false, got 'yes'"),
+    (RestoreSample, _RESTORE, "source_tier", "Tape", ConfigError,
+     "unknown source_tier 'Tape'; expected one of Local, Archive, Vault"),
+]
+_BAD_VALUE_CASES = [
+    *((record, arguments, name, value, DomainError, f"{name} {words}")
+      for fields, values in _BAD_VALUES
+      for record, arguments, name in fields
+      for value, words in values),
+    *_OTHER_BAD_VALUES,
 ]
 
 
 @pytest.mark.parametrize(
-    "record, arguments, name, value, words",
+    "record, arguments, name, value, error, message",
     [
         pytest.param(
-            record, arguments, name, value, words,
+            record, arguments, name, value, error, message,
             id=f"{record.__name__}.{name}-{value if isinstance(value, float) else repr(value)}",
         )
-        for fields, values in _BAD_VALUES
-        for record, arguments, name in fields
-        for value, words in values
+        for record, arguments, name, value, error, message in _BAD_VALUE_CASES
     ],
 )
 def test_a_record_made_in_python_rejects_a_non_finite_value(
-    record, arguments, name, value, words
+    record, arguments, name, value, error, message
 ):
-    # The reader rejects these values first, with the same words after the field's path.
-    made = {**arguments, name: value}
-    with pytest.raises(DomainError) as excinfo:
-        record(**made)
-    assert str(excinfo.value).removeprefix(f"component {made.get('name')!r}: ") == (
-        f"{name} {words}"
-    )
+    # The reader rejects these values with the same words after the field's path.
+    with pytest.raises(error) as excinfo:
+        record(**{**arguments, name: value})
+    assert str(excinfo.value) == message
+
+
+def _records_under(cls) -> set:
+    """``cls`` and every record class that its fields' declared types name."""
+    found = {cls}
+    for declared in typing.get_type_hints(cls).values():
+        for tp in (declared, *typing.get_args(declared)):
+            if dataclasses.is_dataclass(tp) and tp not in found:
+                found |= _records_under(tp)
+    return found
+
+
+def test_every_field_of_an_input_record_has_a_bad_value_case():
+    records = _records_under(Scenario) | {Rate, JobSample, RestoreSample}
+    fields = {f"{cls.__name__}.{name}" for cls in records for name in schema(cls)[0]}
+    covered = {f"{record.__name__}.{name}" for record, _, name, *_ in _BAD_VALUE_CASES}
+    assert sorted(fields - covered) == []
+
+
+def test_a_record_field_reads_a_document_value_as_the_reader_does(hybrid_scenario):
+    hybrid = dataclasses.replace(hybrid_scenario, system="hybrid")
+    assert hybrid.system is SystemKind.HYBRID
+    assert Evaluation(hybrid).basic_model.digest()[:12] == "3c732069323e"
+    assert dataclasses.replace(hybrid_scenario, bia={"agent": "a"}).bia == BiaTargets("a")
 
 
 @pytest.mark.parametrize("value", [2.5, 14.0, True], ids=str)
@@ -374,9 +440,15 @@ def test_a_record_made_in_python_rejects_a_non_finite_value(
 def test_a_record_made_in_python_rejects_a_count_that_is_not_an_int(
     record, arguments, name, value
 ):
-    # The reader reads 14.0 as 14 and rejects the others first, with the same words.
+    # One int rule for a record made in Python and for the reader: 14.0 reads as 14,
+    # as a float field holds 5 as 5.0, and the others are rejected with the same words.
+    made = {**arguments, name: value}
+    if value == 14.0:
+        held = getattr(record(**made), name)
+        assert (type(held), held) == (int, 14)
+        return
     with pytest.raises(DomainError) as excinfo:
-        record(**arguments, **{name: value})
+        record(**made)
     assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
 
 
@@ -397,6 +469,22 @@ def test_a_scenario_made_in_python_rejects_a_bad_frontend_size(
     with pytest.raises(error) as excinfo:
         dataclasses.replace(cloud_scenario, frontend_gb=frontend_gb)
     assert str(excinfo.value) == f"frontend_gb {message}"
+
+
+def test_a_file_at_the_input_cap_is_read_and_one_byte_more_is_not(
+    hybrid_scenario, tmp_path, monkeypatch
+):
+    text = render_scenario(hybrid_scenario).encode()
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(text)
+    monkeypatch.setattr(scenario_module, "MAX_INPUT_BYTES", len(text))
+    assert scenario_module._read_text(path) == text.decode()
+    monkeypatch.setattr(scenario_module, "MAX_INPUT_BYTES", len(text) - 1)
+    with pytest.raises(ConfigError) as excinfo:
+        scenario_module._read_text(path)
+    assert str(excinfo.value) == (
+        f"{str(path)!r} holds {len(text)} bytes, over the cap of {len(text) - 1}"
+    )
 
 
 class TestEvaluationHelpers:
