@@ -33,7 +33,7 @@ class BiaTargets:
     """Recovery targets for one backup agent.
 
     ``recovery_points_scheme`` is an opaque vendor string kept verbatim.
-    ``cloud_tiering_threshold_days`` only applies to hybrid appliances.
+    ``cloud_tiering_threshold_days`` applies to hybrid appliances, None elsewhere.
     ``max_data_loss_mb`` holds the tolerable data loss, when the BIA
     states one.
     """
@@ -42,7 +42,7 @@ class BiaTargets:
     backup_frequency_days: float = 1.0
     backup_retention_days: int = 14
     recovery_points_scheme: str = ""
-    cloud_tiering_threshold_days: int = 14
+    cloud_tiering_threshold_days: int | None = None
     rpo_target_days: float | None = None
     rto_target_h: float | None = None
     wrt_h: float | None = None
@@ -59,10 +59,9 @@ class BiaTargets:
             )
         if self.backup_retention_days <= 0:
             raise DomainError(f"backup_retention_days must be > 0, got {self.backup_retention_days}")
-        if self.cloud_tiering_threshold_days < 1:
-            raise DomainError(
-                f"cloud_tiering_threshold_days must be >= 1, got {self.cloud_tiering_threshold_days}"
-            )
+        threshold = self.cloud_tiering_threshold_days
+        if threshold is not None and threshold < 1:
+            raise DomainError(f"cloud_tiering_threshold_days must be >= 1, got {threshold}")
         for name in ("rpo_target_days", "rto_target_h", "max_data_loss_mb"):
             value = getattr(self, name)
             if value is not None and value <= 0:

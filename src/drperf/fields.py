@@ -131,8 +131,8 @@ def schema(cls) -> tuple[dict[str, Converter | None], frozenset[str]]:
     hints = typing.get_type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.compare]
     converters = {f.name: _converter(hints[f.name]) for f in fields}
-    required = frozenset(f.name for f in fields if converters[f.name]
-                         and f.default is MISSING and f.default_factory is MISSING)
+    required = frozenset(f.name for f in fields
+                         if f.default is MISSING and f.default_factory is MISSING)
     return converters, required
 
 

@@ -4,8 +4,8 @@ A scenario names the system kind, points at measured job logs and restore
 samples, and carries pricing, BIA targets, reliability components, and
 the optional test data volume.  Its schema is the dataclasses it builds:
 each record converts its fields by their declared types and holds its
-bounds, and the reader adds what a document alone has: keys, a null read
-as absent, the other system's fields and the pricing record's class.
+bounds, and the reader adds what a document alone has: keys and a null
+read as absent.  A scenario holds only its own system's fields.
 ``parse_scenario(render_scenario(s))`` reproduces ``s`` exactly; paths stay
 relative and resolve against the scenario's base directory at load time.
 ``Evaluation`` derives every number of one scenario (model, rates,
@@ -30,7 +30,7 @@ from .bia import BiaTargets, ComplianceReport, evaluate
 from .costs import CostBreakdown, ObjectStoreRates, TransactionCounts, VaultRates
 from .engine import Model
 from .errors import ConfigError, ParseError
-from .fields import arguments, build, check_fields, check_keys, schema
+from .fields import arguments, build, check_fields, check_keys
 from .joblog import parse_job_log, parse_restore_samples
 from .metrics import JobSample, Projection, Rate, RestoreSample, mb_to_gb, project
 from .models import SystemKind
@@ -43,31 +43,43 @@ class Scenario:
 
     Each field but ``base_dir`` is a key of the scenario document;
     ``base_dir`` is where the document was read, and ``compare=False`` keeps
-    it out of the document and of equality.  Construction checks its fields
-    (``fields.check_fields``), the test volume > 0, and the job-log labels, the
-    pricing record and the supplied averages against the system; a scenario built
-    in Python or by ``dataclasses.replace`` is checked as a parsed one is.
+    it out of the document and of equality.  A field that is not given is None.
+    Construction checks its fields (``fields.check_fields``); rejects a field of
+    another system's ``SystemSpec.defaults`` that is set, and fills its own
+    system's unset ones; builds a mapping or None as its system's pricing
+    record; and checks the test volume > 0, and the job-log labels, the pricing
+    record and the supplied averages against the system.  A scenario built in
+    Python or by ``dataclasses.replace`` is checked as a parsed one is.
     """
 
     name: str
     system: SystemKind
     job_logs: Mapping[str, str]
     restore_samples: str
-    pricing: ObjectStoreRates | VaultRates
     bia: BiaTargets
+    pricing: ObjectStoreRates | VaultRates | None = None
     reliability: SeriesSystem = field(default_factory=default_recovery_chain)
     test_data_mb: float | None = None
     supplied_averages: Mapping[str, float] = field(default_factory=dict)
-    # Monthly instance fees depend on the protected frontend size, which the
-    # bundled vault measurements do not state; reproducing their published
-    # cost requires the lowest fee tier, hence this documented default.
-    frontend_gb: float = 50.0
-    transactions: TransactionCounts = TransactionCounts()
+    frontend_gb: float | None = None
+    transactions: TransactionCounts | None = None
     base_dir: Path = field(default=Path("."), compare=False)
 
     def __post_init__(self):
         check_fields(self)
+        for system, spec in models.SYSTEMS.items():
+            for dotted, default in spec.defaults.items():
+                if system is not self.system and _get(self, dotted) is not None:
+                    raise ConfigError(f"{dotted} applies only to {system.value} scenarios")
+                if system is self.system and _get(self, dotted) is None:
+                    head, _, name = dotted.partition(".")
+                    if name:
+                        default = dataclasses.replace(getattr(self, head), **{name: default})
+                    object.__setattr__(self, head, default)
         spec = models.SYSTEMS[self.system]
+        if not dataclasses.is_dataclass(self.pricing):
+            pricing = {} if self.pricing is None else self.pricing
+            object.__setattr__(self, "pricing", build(spec.pricing, pricing, "pricing"))
         labels = frozenset(agent.log for agent in spec.agents)
         check_keys(self.job_logs, "job_logs", labels, labels)
         if not isinstance(self.pricing, spec.pricing):
@@ -84,7 +96,7 @@ class Scenario:
                 raise ConfigError(f"supplied_averages.{name} must be > 0, got {value}")
         if self.test_data_mb is not None and not self.test_data_mb > 0:
             raise ConfigError(f"test_data_mb must be > 0, got {self.test_data_mb}")
-        if not self.frontend_gb >= 0:
+        if self.frontend_gb is not None and self.frontend_gb < 0:
             raise ConfigError(f"frontend_gb must be >= 0, got {self.frontend_gb}")
 
     def resolve(self, relative: str) -> Path:
@@ -101,13 +113,11 @@ class Scenario:
             return path.absolute()
 
 
-def _pop(doc: dict, dotted: str):
-    """Remove the value at a dotted path from ``doc`` and return it; None where the
-    path stops at a missing key or at a value that is not a mapping."""
-    *heads, last = dotted.split(".")
-    for head in heads:
-        doc = doc[head] if isinstance(doc.get(head), dict) else {}
-    return doc.pop(last, None)
+def _get(record, dotted: str):
+    """The value of the field at a dotted path under ``record``."""
+    for name in dotted.split("."):
+        record = getattr(record, name)
+    return record
 
 
 def _yaml_problem(exc: Exception) -> str:
@@ -134,14 +144,7 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
         raise ParseError(f"invalid YAML: {_yaml_problem(exc)}", line=line) from exc
     except RecursionError:  # the composer takes stack frames for each level of nesting
         raise ParseError("invalid YAML: collections nested too deeply") from None
-    values = arguments(Scenario, doc, "scenario")
-    system = schema(Scenario)[0]["system"](values["system"], "system")
-    for other, spec in models.SYSTEMS.items():
-        for dotted in spec.fields:
-            if other is not system and _pop(values, dotted) is not None:
-                raise ConfigError(f"{dotted} applies only to {other.value} scenarios")
-    values["pricing"] = build(models.SYSTEMS[system].pricing, values.get("pricing", {}), "pricing")
-    scenario = Scenario(**values, base_dir=Path(base_dir))
+    scenario = Scenario(**arguments(Scenario, doc, "scenario"), base_dir=Path(base_dir))
     for label, relative in scenario.job_logs.items():
         if not (scenario.base_dir / relative).is_file():
             raise ConfigError(f"job log {label!r} not found: {scenario.resolve(relative)}")
@@ -174,18 +177,13 @@ def _plain(value):
 
 
 def render_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario to canonical YAML, without the other system's fields."""
-    doc = _plain(scenario)
-    for other, spec in models.SYSTEMS.items():
-        for dotted in spec.fields:
-            if other is not scenario.system:
-                _pop(doc, dotted)
-    return yaml.safe_dump(doc, sort_keys=False)
+    """Serialize a scenario to canonical YAML."""
+    return yaml.safe_dump(_plain(scenario), sort_keys=False)
 
 
-# The most bytes one input file may hold: thousands of times the bundled
-# scenarios (at most 1281 bytes) and a daily job log of many years.
-MAX_INPUT_BYTES = 4 * 2**20
+# The most bytes one input file may hold: 200 times the bundled scenarios (at
+# most 1281 bytes), and a daily job log of 36 years.
+MAX_INPUT_BYTES = 256 * 2**10
 _KINDS = {stat.S_IFDIR: "a directory", stat.S_IFIFO: "a FIFO", stat.S_IFCHR: "a character device"}
 
 

@@ -570,7 +570,7 @@ COLD_RUNS = [
                  "error: '/dev/zero' is a character device, not a regular file\n", id="dev-zero",
                  marks=pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")),
     pytest.param(["project", _sparse_past_the_cap], 1, "",
-                 "error: 'big.yaml' holds 4194305 bytes, over the cap of 4194304\n",
+                 "error: 'big.yaml' holds 262145 bytes, over the cap of 262144\n",
                  id="over-the-cap"),
 ]
 

@@ -39,7 +39,7 @@ def paper_scenario(system: SystemKind, threshold: int = 14) -> Scenario:
         job_logs={agent.log: f"{agent.log}.csv" for agent in spec.agents},
         restore_samples="restore.csv",
         pricing=spec.pricing(),
-        bia=BiaTargets("agent", cloud_tiering_threshold_days=threshold),
+        bia=BiaTargets("agent", cloud_tiering_threshold_days=threshold if spec.tiering else None),
     )
 
 
@@ -98,6 +98,12 @@ class TestHybridBuilder:
         assert result.values("DailyThroughput")[0] == pytest.approx(26956 / 525.0)
         assert result.values("DailyThroughput")[14] == 0.0
 
+    def test_a_backup_under_a_second_has_its_throughput(self, hybrid_log, hybrid_restores):
+        day3 = hybrid_log[2]
+        log = hybrid_log[:2] + (JobSample(3, day3.data_mb, 0.5),) + hybrid_log[3:]
+        result = run(build_hybrid(log, hybrid_restores))
+        assert result.values("DailyThroughput")[2] == day3.data_mb / 0.5
+
     def test_restore_events_sit_in_their_periods(self, hybrid_log, hybrid_restores):
         result = run(build_hybrid(hybrid_log, hybrid_restores))
         local = result.values("RestoreDataLocal")
@@ -131,9 +137,15 @@ class TestHybridBuilder:
             build_hybrid(shifted, hybrid_restores)
         with pytest.raises(ConfigError, match=wanted + "day 14 is missing$"):
             build_hybrid(hybrid_log[:13], hybrid_restores)
-        extra = hybrid_log + (JobSample(15, 1.0, 1.0),)
-        with pytest.raises(ConfigError, match=wanted + r"it has days \[1, 2, .*, 14, 15\]$"):
-            build_hybrid(extra, hybrid_restores)
+        # A log past the cycle names its first day beyond it, however long the log is;
+        # a search for the missing day that ran one day further would name 15 as missing.
+        for extra, first in (((15,), 15), ((16,), 16), (range(15, 13_012), 15)):
+            log = hybrid_log + tuple(JobSample(day, 1.0, 1.0) for day in extra)
+            with pytest.raises(ConfigError, match=wanted + f"day {first} is past the cycle$"):
+                build_hybrid(log, hybrid_restores)
+        # Only a log made in Python can hold every day out of order.
+        with pytest.raises(ConfigError, match=wanted + "its days repeat or are out of order$"):
+            build_hybrid(tuple(reversed(hybrid_log)), hybrid_restores)
 
     def test_rejects_bad_restore_samples(self, hybrid_log, hybrid_restores):
         with pytest.raises(ConfigError):

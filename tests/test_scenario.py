@@ -66,12 +66,21 @@ class TestBundledScenarios:
         assert first.digest == second.digest
 
 
-# Each field that only one system reads: a value other than its default, and the default.
-ONE_SYSTEM_FIELDS = {
-    "transactions": (TransactionCounts(ingress_egress_ops=1, listing_ops=2), TransactionCounts()),
-    "bia.cloud_tiering_threshold_days": (3, BiaTargets.cloud_tiering_threshold_days),
-    "frontend_gb": (123.0, Scenario.frontend_gb),
-}
+# Each field that only one system reads: that system, the value it holds when not
+# given (the paper's settings, as README states them), and another value.
+ONE_SYSTEM_FIELDS = [
+    (SystemKind.HYBRID, "transactions",
+     TransactionCounts(ingress_egress_ops=10_000, listing_ops=10_000), TransactionCounts(1, 2)),
+    (SystemKind.HYBRID, "bia.cloud_tiering_threshold_days", 14, 3),
+    (SystemKind.CLOUD_VAULT, "frontend_gb", 50.0, 123.0),
+]
+
+
+def test_every_field_of_one_system_has_a_row():
+    rows = [(system, dotted, default) for system, dotted, default, _ in ONE_SYSTEM_FIELDS]
+    held = [(system, dotted, default)
+            for system, spec in SYSTEMS.items() for dotted, default in spec.defaults.items()]
+    assert rows == held
 
 
 def _replaced(record, dotted: str, value):
@@ -82,23 +91,62 @@ def _replaced(record, dotted: str, value):
     return dataclasses.replace(record, **{head: value})
 
 
-@pytest.mark.parametrize("system", list(SystemKind), ids=lambda system: system.value)
-def test_render_drops_every_field_of_the_other_system(system, hybrid_scenario, cloud_scenario):
-    # A dotted field (bia.cloud_tiering_threshold_days) must go as well as a
-    # top-level one, or parse_scenario rejects the rendered text.
-    scenario = hybrid_scenario if system is SystemKind.HYBRID else cloud_scenario
-    other_fields = [
-        dotted for other, spec in SYSTEMS.items() if other is not system for dotted in spec.fields
-    ]
-    assert set(other_fields) <= ONE_SYSTEM_FIELDS.keys()
-    cluttered = expected = scenario
-    for dotted in other_fields:
-        value, default = ONE_SYSTEM_FIELDS[dotted]
-        cluttered = _replaced(cluttered, dotted, value)
-        expected = _replaced(expected, dotted, default)
-    assert cluttered != expected
-    again = parse_scenario(render_scenario(cluttered), base_dir=scenario.base_dir)
-    assert again == expected
+def _field(record, dotted: str):
+    for name in dotted.split("."):
+        record = getattr(record, name)
+    return record
+
+
+def _parent(doc: dict, dotted: str) -> tuple[dict, str]:
+    """The mapping of ``doc`` that holds the dotted key, and its last part."""
+    *heads, last = dotted.split(".")
+    for head in heads:
+        doc = doc[head]
+    return doc, last
+
+
+@pytest.mark.parametrize(
+    "owner, dotted, default, value", ONE_SYSTEM_FIELDS, ids=[row[1] for row in ONE_SYSTEM_FIELDS]
+)
+def test_a_field_of_one_system_is_filled_on_it_and_rejected_on_the_other(
+    owner, dotted, default, value, hybrid_scenario, cloud_scenario
+):
+    own, other = hybrid_scenario, cloud_scenario
+    if owner is SystemKind.CLOUD_VAULT:
+        own, other = other, own
+    # Unset on its own system's scenario, read or made in Python, it holds the default.
+    doc = yaml.safe_load(render_scenario(own))
+    parent, last = _parent(doc, dotted)
+    del parent[last]
+    assert _field(parse_scenario(yaml.safe_dump(doc), base_dir=own.base_dir), dotted) == default
+    assert _field(_replaced(own, dotted, None), dotted) == default
+    # Set, it holds its value, and renders and reads back to itself.
+    mine = _replaced(own, dotted, value)
+    assert _field(mine, dotted) == value
+    assert parse_scenario(render_scenario(mine), base_dir=own.base_dir) == mine
+    # The other system's scenario holds None, renders without the key and reads back.
+    assert _field(other, dotted) is None
+    assert parse_scenario(render_scenario(other), base_dir=other.base_dir) == other
+    # Set on the other system's scenario, one rule rejects it, made in Python or read.
+    message = f"{dotted} applies only to {owner.value} scenarios"
+    with pytest.raises(ConfigError) as excinfo:
+        _replaced(other, dotted, value)
+    assert str(excinfo.value) == message
+    doc = yaml.safe_load(render_scenario(other))
+    parent, last = _parent(doc, dotted)
+    mine_parent, _ = _parent(yaml.safe_load(render_scenario(mine)), dotted)
+    parent[last] = mine_parent[last]
+    with pytest.raises(ConfigError) as excinfo:
+        parse_scenario(yaml.safe_dump(doc), base_dir=other.base_dir)
+    assert str(excinfo.value) == message
+
+
+def test_a_malformed_value_of_the_other_system_reports_its_own_fault_first(cloud_scenario):
+    # The record converts its fields before it applies the system rule.
+    text = render_scenario(cloud_scenario) + "transactions:\n  listing_ops: -1\n"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_scenario(text, base_dir=cloud_scenario.base_dir)
+    assert str(excinfo.value) == "transactions.listing_ops must be >= 0, got -1"
 
 
 MINIMAL_HYBRID = """\
@@ -428,7 +476,8 @@ def test_a_record_field_reads_a_document_value_as_the_reader_does(hybrid_scenari
     hybrid = dataclasses.replace(hybrid_scenario, system="hybrid")
     assert hybrid.system is SystemKind.HYBRID
     assert Evaluation(hybrid).basic_model.digest()[:12] == "3c732069323e"
-    assert dataclasses.replace(hybrid_scenario, bia={"agent": "a"}).bia == BiaTargets("a")
+    held = dataclasses.replace(hybrid_scenario, bia={"agent": "a"}).bia
+    assert held == BiaTargets("a", cloud_tiering_threshold_days=14)
 
 
 @pytest.mark.parametrize("value", [2.5, 14.0, True], ids=str)
