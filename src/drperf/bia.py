@@ -12,9 +12,10 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from typing import Annotated
 
 from .errors import DomainError
-from .fields import check_fields
+from .fields import NonNegative, Positive, check_fields
 from .metrics import HOURS_PER_DAY, Projection, RateRole
 
 
@@ -39,35 +40,22 @@ class BiaTargets:
     """
 
     agent: str
-    backup_frequency_days: float = 1.0
-    backup_retention_days: int = 14
+    backup_frequency_days: Positive = 1.0
+    backup_retention_days: Annotated[int, (">", 0)] = 14
     recovery_points_scheme: str = ""
-    cloud_tiering_threshold_days: int | None = None
-    rpo_target_days: float | None = None
-    rto_target_h: float | None = None
-    wrt_h: float | None = None
-    max_data_loss_mb: float | None = None
+    cloud_tiering_threshold_days: Annotated[int, (">=", 1)] | None = None
+    rpo_target_days: Positive | None = None
+    rto_target_h: Positive | None = None
+    wrt_h: NonNegative | None = None
+    max_data_loss_mb: Positive | None = None
 
     def __post_init__(self):
         check_fields(self)
-        if self.backup_frequency_days <= 0:
-            raise DomainError(f"backup_frequency_days must be > 0, got {self.backup_frequency_days}")
         if not math.isfinite(self.backup_frequency_days * HOURS_PER_DAY):
             raise DomainError(
                 f"backup_frequency_days gives a backup window beyond float range in hours,"
                 f" got {self.backup_frequency_days}"
             )
-        if self.backup_retention_days <= 0:
-            raise DomainError(f"backup_retention_days must be > 0, got {self.backup_retention_days}")
-        threshold = self.cloud_tiering_threshold_days
-        if threshold is not None and threshold < 1:
-            raise DomainError(f"cloud_tiering_threshold_days must be >= 1, got {threshold}")
-        for name in ("rpo_target_days", "rto_target_h", "max_data_loss_mb"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise DomainError(f"{name} must be > 0 when given, got {value}")
-        if self.wrt_h is not None and self.wrt_h < 0:
-            raise DomainError(f"wrt_h must be >= 0 when given, got {self.wrt_h}")
 
 
 class Status(str, Enum):

@@ -5,16 +5,17 @@ per-10K-transaction charges (the hybrid appliance's cloud tier) and a
 recovery vault billed per GB stored plus a tiered fee per protected
 frontend instance.  All prices are USD per month; volumes are decimal GB.
 The records hold the paper's prices and operation counts as their defaults
-and check their own bounds; the cost functions take them whole.
+and declare their bounds in their field types; the cost functions take them whole.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
-from .errors import ConfigError, DomainError
-from .fields import check_fields, to_float
+from .errors import DomainError
+from .fields import NonNegative, Positive, check_fields, to_float
 
 OPS_PER_BLOCK = 10_000
 
@@ -23,31 +24,25 @@ OPS_PER_BLOCK = 10_000
 class ObjectStoreRates:
     """Object-store pricing: per-GB storage plus two per-10K-operation rates."""
 
-    per_gb_month: float = 0.02
-    per_10k_ingress_egress: float = 0.54
-    per_10k_listing: float = 0.50
+    per_gb_month: NonNegative = 0.02
+    per_10k_ingress_egress: NonNegative = 0.54
+    per_10k_listing: NonNegative = 0.50
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("per_gb_month", "per_10k_ingress_egress", "per_10k_listing"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class TransactionCounts:
     """Monthly object-store operation counts used for hybrid pricing."""
 
-    ingress_egress_ops: int = 10_000
-    listing_ops: int = 10_000
+    ingress_egress_ops: Annotated[int, (">=", 0)] = 10_000
+    listing_ops: Annotated[int, (">=", 0)] = 10_000
 
     def __post_init__(self):
         check_fields(self)
         for name in ("ingress_egress_ops", "listing_ops"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
-            to_float(value, name)  # the cost functions price counts as floats
+            to_float(getattr(self, name), name)  # the cost functions price counts as floats
 
 
 @dataclass(frozen=True)
@@ -69,15 +64,13 @@ class VaultRates:
     frontends pay ``block_fee`` for every started ``block_gb`` slice.
     """
 
-    per_gb_month: float = 0.0448
+    per_gb_month: NonNegative = 0.0448
     instance_fee_tiers: tuple[FeeTier, ...] = (FeeTier(50.0, 5.0), FeeTier(500.0, 10.0))
-    block_gb: float = 500.0
-    block_fee: float = 10.0
+    block_gb: Positive = 500.0
+    block_fee: NonNegative = 10.0
 
     def __post_init__(self):
         check_fields(self)
-        if self.per_gb_month < 0:
-            raise DomainError(f"per_gb_month must be >= 0, got {self.per_gb_month}")
         if not self.instance_fee_tiers:
             raise DomainError("instance_fee_tiers must not be empty")
         bounds = [t.upper_gb for t in self.instance_fee_tiers]
@@ -86,10 +79,6 @@ class VaultRates:
         fees = [t.fee for t in self.instance_fee_tiers]
         if any(f < 0 for f in fees) or any(f > g for f, g in zip(fees, fees[1:])):
             raise DomainError(f"tier fees must be >= 0 and non-decreasing: {fees}")
-        if self.block_gb <= 0:
-            raise DomainError(f"block_gb must be > 0, got {self.block_gb}")
-        if self.block_fee < 0:
-            raise DomainError(f"block_fee must be >= 0, got {self.block_fee}")
         # The fee just past the last flat tier must not drop below that tier.
         past_last = math.nextafter(bounds[-1], math.inf) / self.block_gb
         if not math.isfinite(past_last):

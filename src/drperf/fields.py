@@ -1,12 +1,14 @@
 """One rule for every input record: ``check_fields`` converts each field by its
-declared type, and a record field given a mapping builds the record, as the
-scenario reader does, so a record made in Python is read as a document is.
-Each error message starts with the path of the value it rejects."""
+declared type and checks the bounds the type declares (``Positive``,
+``Annotated[int, (">=", 1)]``), and a record field given a mapping builds the
+record, as the scenario reader does, so a record made in Python is read as a
+document is.  Each error message starts with the path of the value it rejects."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import re
 import types
 import typing
@@ -14,12 +16,18 @@ from collections.abc import Callable, Mapping
 from dataclasses import MISSING
 from enum import Enum
 from functools import cache
+from typing import Annotated
 
 from .errors import ConfigError, DomainError
 
 # Checks one value and returns it as the field's type; the second argument is
 # the value's path, which every error message starts with.
 Converter = Callable[[object, str], object]
+
+# A bound is an (operator, limit) pair after the type: Annotated[float, (">", 0)].
+Positive = Annotated[float, (">", 0)]
+NonNegative = Annotated[float, (">=", 0)]
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 
 
 def to_float(value: object, path: str) -> float:
@@ -86,11 +94,25 @@ def check_keys(node: Mapping, path: str, known, required: frozenset = frozenset(
 
 def _converter(tp) -> Converter | None:
     """The converter for values of the declared type ``tp``.  ``X | None`` converts as ``X``
-    and keeps None; a union of records (``Scenario.pricing``) has none."""
+    and keeps None; a union of records (``Scenario.pricing``) has none.  ``Annotated[X,
+    (op, limit), ...]`` converts as ``X``, then checks ``value op limit`` for each pair."""
     if tp in _SCALARS:
         return _SCALARS[tp]
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:
+    if origin is Annotated:
+        item = _converter(args[0])
+        bounds = [(op, _OPERATORS[op], limit) for op, limit in tp.__metadata__]
+
+        def convert_bounded(value, path):
+            value = item(value, path)
+            for op, holds, limit in bounds:
+                if not holds(value, limit):
+                    raise DomainError(f"{path} must be {op} {limit}, got {value}")
+            return value
+
+        return convert_bounded
+    # Annotated[X, ...] | None evaluates to typing.Optional, not to a types.UnionType
+    if origin is types.UnionType or origin is typing.Union:
         members = [arg for arg in args if arg is not type(None)]
         if len(members) > 1:
             return None
@@ -128,7 +150,7 @@ def _converter(tp) -> Converter | None:
 @cache
 def schema(cls) -> tuple[dict[str, Converter | None], frozenset[str]]:
     """A record class's converter per compared field, and its fields a mapping must give."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     fields = [f for f in dataclasses.fields(cls) if f.compare]
     converters = {f.name: _converter(hints[f.name]) for f in fields}
     required = frozenset(f.name for f in fields

@@ -11,9 +11,10 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import Annotated
 
 from .errors import DomainError
-from .fields import check_fields
+from .fields import NonNegative, Positive, check_fields
 
 MB_PER_GB = 1000.0  # decimal gigabytes throughout
 SECONDS_PER_HOUR = 3600.0
@@ -40,18 +41,12 @@ class Tier(str, Enum):
 class JobSample:
     """One measured backup job: 1-based day index, data amount, duration."""
 
-    day: int
-    data_mb: float
-    duration_s: float
+    day: Annotated[int, (">=", 1)]
+    data_mb: NonNegative
+    duration_s: Positive
 
     def __post_init__(self):
         check_fields(self)
-        if self.day < 1:
-            raise DomainError(f"day index must be >= 1, got {self.day}")
-        if self.data_mb < 0:
-            raise DomainError(f"data_mb must be >= 0, got {self.data_mb}")
-        if self.duration_s <= 0:
-            raise DomainError(f"duration_s must be > 0, got {self.duration_s}")
 
 
 @dataclass(frozen=True)
@@ -59,15 +54,11 @@ class RestoreSample:
     """One measured restore: source tier, amount restored, duration."""
 
     source_tier: Tier
-    data_mb: float
-    duration_s: float
+    data_mb: Positive
+    duration_s: Positive
 
     def __post_init__(self):
         check_fields(self)
-        if self.data_mb <= 0:
-            raise DomainError(f"data_mb must be > 0, got {self.data_mb}")
-        if self.duration_s <= 0:
-            raise DomainError(f"duration_s must be > 0, got {self.duration_s}")
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Annotated, Iterable
 
 from .errors import DomainError
-from .fields import check_fields
+from .fields import NonNegative, Positive, check_fields
 
 DEFAULT_MISSION_HOURS = 372.0
 # The bundled reference scenarios describe their analysis window as 15 days
@@ -70,20 +70,14 @@ class ReliabilityComponent:
     """
 
     name: str
-    mtbf_h: float | None = None
-    sla: float | None = None
-    sla_period_h: float = STATED_MISSION_HOURS
+    mtbf_h: Positive | None = None
+    sla: Annotated[float, (">", 0), ("<", 1)] | None = None
+    sla_period_h: Positive = STATED_MISSION_HOURS
 
     def __post_init__(self):
         check_fields(self)
         if (self.mtbf_h is None) == (self.sla is None):
             raise DomainError(f"component {self.name!r}: give exactly one of mtbf_h or sla")
-        if self.mtbf_h is not None and self.mtbf_h <= 0:
-            raise DomainError(f"component {self.name!r}: mtbf_h must be > 0, got {self.mtbf_h}")
-        if self.sla is not None and not 0 < self.sla < 1:
-            raise DomainError(f"component {self.name!r}: sla must be in (0, 1), got {self.sla}")
-        if self.sla_period_h <= 0:
-            raise DomainError(f"component {self.name!r}: sla_period_h must be > 0")
 
     def reliability(self, mission_h: float) -> float:
         mtbf_h = self.mtbf_h
@@ -97,7 +91,7 @@ class SeriesSystem:
     """An ordered chain of components that must all survive the mission."""
 
     components: tuple[ReliabilityComponent, ...]
-    mission_h: float = DEFAULT_MISSION_HOURS
+    mission_h: NonNegative = DEFAULT_MISSION_HOURS
 
     def __post_init__(self):
         check_fields(self)
@@ -108,8 +102,6 @@ class SeriesSystem:
             if comp.name in names:
                 raise DomainError(f"duplicate component name {comp.name!r}")
             names.add(comp.name)
-        if self.mission_h < 0:
-            raise DomainError(f"mission_h must be >= 0, got {self.mission_h}")
 
     def system_reliability(self) -> float:
         return series_reliability(c.reliability(self.mission_h) for c in self.components)

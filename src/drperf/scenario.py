@@ -3,9 +3,9 @@
 A scenario names the system kind, points at measured job logs and restore
 samples, and carries pricing, BIA targets, reliability components, and
 the optional test data volume.  Its schema is the dataclasses it builds:
-each record converts its fields by their declared types and holds its
-bounds, and the reader adds what a document alone has: keys and a null
-read as absent.  A scenario holds only its own system's fields.
+each record converts its fields by their declared types, bounds included,
+and the reader adds what a document alone has: keys and a null read as
+absent.  A scenario holds only its own system's fields.
 ``parse_scenario(render_scenario(s))`` reproduces ``s`` exactly; paths stay
 relative and resolve against the scenario's base directory at load time.
 ``Evaluation`` derives every number of one scenario (model, rates,
@@ -30,7 +30,7 @@ from .bia import BiaTargets, ComplianceReport, evaluate
 from .costs import CostBreakdown, ObjectStoreRates, TransactionCounts, VaultRates
 from .engine import Model
 from .errors import ConfigError, ParseError
-from .fields import arguments, build, check_fields, check_keys
+from .fields import NonNegative, Positive, arguments, build, check_fields, check_keys
 from .joblog import parse_job_log, parse_restore_samples
 from .metrics import JobSample, Projection, Rate, RestoreSample, mb_to_gb, project
 from .models import SystemKind
@@ -44,11 +44,11 @@ class Scenario:
     Each field but ``base_dir`` is a key of the scenario document;
     ``base_dir`` is where the document was read, and ``compare=False`` keeps
     it out of the document and of equality.  A field that is not given is None.
-    Construction checks its fields (``fields.check_fields``); rejects a field of
-    another system's ``SystemSpec.defaults`` that is set, and fills its own
-    system's unset ones; builds a mapping or None as its system's pricing
-    record; and checks the test volume > 0, and the job-log labels, the pricing
-    record and the supplied averages against the system.  A scenario built in
+    Construction checks its fields and their bounds (``fields.check_fields``);
+    rejects a field of another system's ``SystemSpec.defaults`` that is set, and
+    fills its own system's unset ones; builds a mapping or None as its system's
+    pricing record; and checks the job-log labels, the pricing record and the
+    names of the supplied averages against the system.  A scenario built in
     Python or by ``dataclasses.replace`` is checked as a parsed one is.
     """
 
@@ -59,9 +59,9 @@ class Scenario:
     bia: BiaTargets
     pricing: ObjectStoreRates | VaultRates | None = None
     reliability: SeriesSystem = field(default_factory=default_recovery_chain)
-    test_data_mb: float | None = None
-    supplied_averages: Mapping[str, float] = field(default_factory=dict)
-    frontend_gb: float | None = None
+    test_data_mb: Positive | None = None
+    supplied_averages: Mapping[str, Positive] = field(default_factory=dict)
+    frontend_gb: NonNegative | None = None
     transactions: TransactionCounts | None = None
     base_dir: Path = field(default=Path("."), compare=False)
 
@@ -91,13 +91,6 @@ class Scenario:
                 f"supplied_averages: unknown keys {sorted(unknown, key=str)}; "
                 f"a {self.system.value} model has {names}"
             )
-        for name, value in self.supplied_averages.items():
-            if not value > 0:
-                raise ConfigError(f"supplied_averages.{name} must be > 0, got {value}")
-        if self.test_data_mb is not None and not self.test_data_mb > 0:
-            raise ConfigError(f"test_data_mb must be > 0, got {self.test_data_mb}")
-        if self.frontend_gb is not None and self.frontend_gb < 0:
-            raise ConfigError(f"frontend_gb must be >= 0, got {self.frontend_gb}")
 
     def resolve(self, relative: str) -> Path:
         """Absolute path of a referenced file, as error messages name it.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,27 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # minutes.  Tests that pass their own @settings inherit the phases from here.
 settings.register_profile("drperf", phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("drperf")
+
+# The drperf and PyYAML modules as the test modules imported them.  A benchmark test
+# run in the same process (bench/program.py:fresh_import) replaces them, and a record
+# of a re-imported class fails the isinstance checks of the modules these tests hold.
+_COLLECTED: dict = {}
+
+
+def _drperf_and_yaml_modules() -> dict:
+    return {k: m for k, m in sys.modules.items() if k.split(".")[0] in ("drperf", "yaml")}
+
+
+def pytest_collection_finish(session):
+    _COLLECTED.update(_drperf_and_yaml_modules())
+
+
+@pytest.fixture(autouse=True)
+def _modules_as_collected():
+    """Put back the modules the test modules were collected with, and drop any other."""
+    for key in _drperf_and_yaml_modules().keys() - _COLLECTED.keys():
+        del sys.modules[key]
+    sys.modules.update(_COLLECTED)
 
 
 @pytest.fixture(scope="session")

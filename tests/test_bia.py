@@ -95,11 +95,11 @@ class TestTargets:
             ("backup_frequency_days", 1.0, 0, "must be > 0, got 0.0", 1e-9),
             ("backup_retention_days", 14, 0, "must be > 0, got 0", 1),
             ("cloud_tiering_threshold_days", None, 0, "must be >= 1, got 0", 1),
-            ("rpo_target_days", None, 0, "must be > 0 when given, got 0.0", 1e-9),
-            ("rto_target_h", None, 0, "must be > 0 when given, got 0.0", 1e-9),
-            ("rto_target_h", None, -5, "must be > 0 when given, got -5.0", 1e-9),
-            ("max_data_loss_mb", None, 0, "must be > 0 when given, got 0.0", 1e-9),
-            ("wrt_h", None, -1, "must be >= 0 when given, got -1.0", 0),
+            ("rpo_target_days", None, 0, "must be > 0, got 0.0", 1e-9),
+            ("rto_target_h", None, 0, "must be > 0, got 0.0", 1e-9),
+            ("rto_target_h", None, -5, "must be > 0, got -5.0", 1e-9),
+            ("max_data_loss_mb", None, 0, "must be > 0, got 0.0", 1e-9),
+            ("wrt_h", None, -1, "must be >= 0, got -1.0", 0),
         ],
     )
     def test_validation(self, name, default, bad, words, good):

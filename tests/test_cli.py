@@ -352,6 +352,21 @@ MALFORMED_FIELDS = [
     ("hybrid", "cost", "transactions.ingress_egress_ops", "-1", "must be >= 0, got -1"),
     ("hybrid", "simulate", "transactions.listing_ops", "-1", "must be >= 0, got -1"),
     ("cloud", "project", "frontend_gb", "-1", "must be >= 0, got -1.0"),
+    # the other bounds that a field's declared type holds, one row per field
+    ("hybrid", "cost", "pricing.per_gb_month", "-1", "must be >= 0, got -1.0"),
+    ("hybrid", "cost", "pricing.per_10k_ingress_egress", "-0.5", "must be >= 0, got -0.5"),
+    ("hybrid", "compare", "pricing.per_10k_listing", "-1.0e-9", "must be >= 0, got -1e-09"),
+    ("cloud", "bia-check", "bia.backup_retention_days", "0", "must be > 0, got 0"),
+    ("hybrid", "simulate", "bia.cloud_tiering_threshold_days", "0", "must be >= 1, got 0"),
+    ("hybrid", "bia-check", "bia.rpo_target_days", "0", "must be > 0, got 0.0"),
+    ("cloud", "bia-check", "bia.rto_target_h", "-5", "must be > 0, got -5.0"),
+    ("hybrid", "bia-check", "bia.wrt_h", "-1", "must be >= 0, got -1.0"),
+    ("cloud", "bia-check", "bia.max_data_loss_mb", "0", "must be > 0, got 0.0"),
+    ("hybrid", "reliability", "reliability.components[0].mtbf_h", "-2", "must be > 0, got -2.0"),
+    # the bound of sla is checked before the rule that a component gives one of mtbf_h and sla
+    ("cloud", "reliability", "reliability.components[0].sla", "1", "must be < 1, got 1.0"),
+    ("cloud", "reliability", "reliability.components[0].sla_period_h", "0",
+     "must be > 0, got 0.0"),
     # before, bia-check printed this backup window target as "inf h"
     ("cloud", "bia-check", "bia.backup_frequency_days", "1.0e+308",
      "gives a backup window beyond float range in hours, got 1e+308"),

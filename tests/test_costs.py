@@ -15,7 +15,7 @@ from drperf.costs import (
     hybrid_cloud_cost,
     vault_instance_fee,
 )
-from drperf.errors import ConfigError, DomainError
+from drperf.errors import DomainError
 
 # The paper's prices and monthly operation counts are the records' defaults.
 STORE, VAULT, OPS = ObjectStoreRates(), VaultRates(), TransactionCounts()
@@ -47,7 +47,7 @@ class TestHybridCloudCost:
         with pytest.raises(DomainError):
             hybrid_cloud_cost(-1.0, OPS, STORE)
         for counts, name in (((-1, 0), "ingress_egress_ops"), ((0, -1), "listing_ops")):
-            with pytest.raises(ConfigError) as excinfo:
+            with pytest.raises(DomainError) as excinfo:
                 TransactionCounts(*counts)
             assert str(excinfo.value) == f"{name} must be >= 0, got -1"
 

@@ -8,7 +8,11 @@ from pathlib import Path
 import pytest
 
 from drperf.cli import main
+from drperf.metrics import JobSample, RestoreSample
 from drperf.models import SYSTEMS
+from drperf.scenario import Scenario
+
+from .test_fields import declared_bounds
 
 README = Path(__file__).parents[1] / "README.md"
 SUPPLIED_AVERAGES_HEADER = "| system | supplied average | rate it sets |\n|---|---|---|\n"
@@ -18,6 +22,14 @@ SUPPLIED_AVERAGE_ROW = re.compile(
     r"\| (?:`(?P<system>[^`]+)` )?\| `(?P<average>\w+)` \((?P<unit>[^)]+)\)"
     r" \| (?P<role>\w+) `(?P<label>\w+)` \|"
 )
+BOUNDS_HEADER = "| file | field | type | bound |\n|---|---|---|---|\n"
+# | scenario | `bia.rto_target_h` | float, optional | > 0 |
+BOUND_ROW = re.compile(
+    r"\| (?P<file>[a-z ]+) \| `(?P<field>[^`]+)` \| (?P<type>\w+(?:, optional)?)"
+    r" \| (?P<bound>[^|]+) \|"
+)
+# The file each root record is read from.
+BOUNDED_FILES = {Scenario: "scenario", JobSample: "job log", RestoreSample: "restore samples"}
 # `project`, `cost`, `bia-check`, and `compare` accept `--test-data-mb`
 VOLUME_SENTENCE = re.compile(r"((?:`[\w-]+`,? (?:and )?)+)accept `--test-data-mb`")
 
@@ -37,6 +49,24 @@ def test_supplied_average_table_lists_the_rate_rows_of_every_system():
         for system, spec in SYSTEMS.items()
         for row in spec.rates
     ]
+
+
+def test_bounds_table_lists_every_bound_the_records_declare():
+    text = README.read_text(encoding="utf-8")
+    assert text.count(BOUNDS_HEADER) == 1
+    table = text.split(BOUNDS_HEADER)[1].split("\n\n")[0]
+    listed = []
+    for line in table.splitlines():
+        row = BOUND_ROW.fullmatch(line)
+        assert row, f"not a row of the bounds table: {line!r}"
+        listed.append(tuple(row.groups()))
+    declared = {  # a dict keeps the first of pricing.per_gb_month's two records
+        (where, bound.path, bound.kind.__name__ + ", optional" * bound.optional,
+         " and ".join(f"{op} {limit}" for op, limit in bound.bounds)): None
+        for root, where in BOUNDED_FILES.items()
+        for bound in declared_bounds(root)
+    }
+    assert listed == list(declared)
 
 
 def _help(argv: list[str], capsys) -> str:

@@ -144,7 +144,7 @@ def test_a_field_of_one_system_is_filled_on_it_and_rejected_on_the_other(
 def test_a_malformed_value_of_the_other_system_reports_its_own_fault_first(cloud_scenario):
     # The record converts its fields before it applies the system rule.
     text = render_scenario(cloud_scenario) + "transactions:\n  listing_ops: -1\n"
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(DomainError) as excinfo:
         parse_scenario(text, base_dir=cloud_scenario.base_dir)
     assert str(excinfo.value) == "transactions.listing_ops must be >= 0, got -1"
 
@@ -240,12 +240,12 @@ class TestParseScenario:
             ({"NoSuchAverage": 1.0}, ConfigError,
              "supplied_averages: unknown keys ['NoSuchAverage']; a hybrid model has"
              " ['MeanDailyThroughput', 'RestoreTimePerMbLocal', 'RestoreTimePerMbArchive']"),
-            ({"MeanDailyThroughput": 0.0}, ConfigError,
+            # The float rule and the bound of the declared type, Positive, reject these
+            # in the reader and in the scenario alike.
+            ({"MeanDailyThroughput": 0.0}, DomainError,
              "supplied_averages.MeanDailyThroughput must be > 0, got 0.0"),
-            ({"RestoreTimePerMbLocal": -1.0}, ConfigError,
+            ({"RestoreTimePerMbLocal": -1.0}, DomainError,
              "supplied_averages.RestoreTimePerMbLocal must be > 0, got -1.0"),
-            # The float rule, errors.to_float, rejects these in the reader and in the
-            # scenario alike.
             ({"MeanDailyThroughput": math.inf}, DomainError,
              "supplied_averages.MeanDailyThroughput must be finite, got inf"),
             ({"MeanDailyThroughput": -math.inf}, DomainError,
@@ -324,23 +324,21 @@ class TestParseScenario:
             parse_scenario(text, base_dir=self.base_dir(hybrid_scenario))
 
     @pytest.mark.parametrize(
-        "extra, error, message",
+        "extra, message",
         [
-            ("transactions:\n  listing_ops: -1\n", ConfigError,
+            ("transactions:\n  listing_ops: -1\n",
              "transactions.listing_ops must be >= 0, got -1"),
-            ("reliability:\n  components: []\n", DomainError,
+            ("reliability:\n  components: []\n",
              "reliability: a series system needs at least one component"),
-            ("reliability:\n  components:\n    - name: Disk\n      mtbf_h: -2\n", DomainError,
-             "reliability.components[0]: component 'Disk': mtbf_h must be > 0, got -2.0"),
+            ("reliability:\n  components:\n    - name: Disk\n      mtbf_h: -2\n",
+             "reliability.components[0].mtbf_h must be > 0, got -2.0"),
         ],
         ids=["transactions", "no-components", "component"],
     )
-    def test_record_bound_error_names_the_record_path(
-        self, hybrid_scenario, extra, error, message
-    ):
+    def test_record_bound_error_names_the_record_path(self, hybrid_scenario, extra, message):
         # a message that starts with one of the record's fields gets the path and a dot,
         # any other the path and a colon
-        with pytest.raises(error) as excinfo:
+        with pytest.raises(DomainError) as excinfo:
             parse_scenario(MINIMAL_HYBRID + extra, base_dir=self.base_dir(hybrid_scenario))
         assert str(excinfo.value) == message
 
@@ -502,20 +500,20 @@ def test_a_record_made_in_python_rejects_a_count_that_is_not_an_int(
 
 
 @pytest.mark.parametrize(
-    "frontend_gb, error, message",
+    "frontend_gb, message",
     [
-        (math.inf, DomainError, "must be finite, got inf"),
-        (math.nan, DomainError, "must be finite, got nan"),
-        (-1.0, ConfigError, "must be >= 0, got -1.0"),
-        ("5", DomainError, "must be a number, got '5'"),
+        (math.inf, "must be finite, got inf"),
+        (math.nan, "must be finite, got nan"),
+        (-1.0, "must be >= 0, got -1.0"),
+        ("5", "must be a number, got '5'"),
     ],
     ids=["inf", "nan", "negative", "str"],
 )
 def test_a_scenario_made_in_python_rejects_a_bad_frontend_size(
-    cloud_scenario, frontend_gb, error, message
+    cloud_scenario, frontend_gb, message
 ):
     # Rejected as the scenario is made, with the reader's words.
-    with pytest.raises(error) as excinfo:
+    with pytest.raises(DomainError) as excinfo:
         dataclasses.replace(cloud_scenario, frontend_gb=frontend_gb)
     assert str(excinfo.value) == f"frontend_gb {message}"
 
@@ -568,27 +566,27 @@ class TestEvaluationHelpers:
         assert len(digests) == 1
 
     @pytest.mark.parametrize(
-        "volume, error, message",
+        "volume, message",
         [
-            (0, ConfigError, "must be > 0, got 0.0"),
-            (-1.0, ConfigError, "must be > 0, got -1.0"),
-            (math.nan, DomainError, "must be finite, got nan"),
-            (math.inf, DomainError, "must be finite, got inf"),
-            (10**400, DomainError, f"is out of range, got {10**400}"),
-            ("5", DomainError, "must be a number, got '5'"),
-            (True, DomainError, "must be a number, got True"),
+            (0, "must be > 0, got 0.0"),
+            (-1.0, "must be > 0, got -1.0"),
+            (math.nan, "must be finite, got nan"),
+            (math.inf, "must be finite, got inf"),
+            (10**400, f"is out of range, got {10**400}"),
+            ("5", "must be a number, got '5'"),
+            (True, "must be a number, got True"),
         ],
         ids=["zero", "negative", "nan", "inf", "10**400", "str", "bool"],
     )
     def test_bad_volume_fails_alike_in_the_scenario_and_as_an_override(
-        self, hybrid_scenario, volume, error, message
+        self, hybrid_scenario, volume, message
     ):
         # The override goes through dataclasses.replace, so one rule checks both.
         for make in (
             lambda: dataclasses.replace(hybrid_scenario, test_data_mb=volume),
             lambda: Evaluation(hybrid_scenario, volume),
         ):
-            with pytest.raises(error) as excinfo:
+            with pytest.raises(DomainError) as excinfo:
                 make()
             assert str(excinfo.value) == f"test_data_mb {message}"
 
