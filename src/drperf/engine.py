@@ -13,20 +13,31 @@ flows.  Expressions must be pure; they receive exactly their declared
 dependencies, so an undeclared read fails loudly.
 
 ``run`` first compiles the model into a flat plan, then runs a period loop
-that allocates no dict and no scope:
+that allocates no dict, no scope and no list:
 
 - Each expression has one scope, a dict holding exactly its declared
   dependencies, passed to it as a read-only ``MappingProxyType``.
+- Every trajectory list is allocated in full before the loop and written
+  by period index.  A stock's list holds one element more, its initial
+  level at index 0: the period at ``index`` reads the level at ``index``
+  and writes the new one at ``index + 1``.  Element 0 is dropped before
+  the result is built.
 - Each stock has two slot lists, ``ins`` and ``outs``, with one slot per
   entry of its ``inflows`` and ``outflows`` (a flow named twice fills two
-  slots).  Its level is the last element of its own trajectory list, which
-  starts with the initial value; that value is dropped before the result
-  is built.  A stock updates as ``level + sum(ins) - sum(outs)``.
+  slots).  A stock with at most one inflow and at most one outflow updates
+  as ``level + (0.0 + ins[0]) - (0.0 + outs[0])``, where a side with no
+  flow reads a shared ``[0.0]`` slot that nothing writes.  That equals
+  ``level + sum(ins) - sum(outs)`` bit for bit, ``-0.0`` included, since
+  ``sum([x])`` is ``0.0 + x`` and ``sum([])`` is ``0``.  A stock with
+  several flows on one side keeps ``sum()``, whose float rounding is
+  compensated from Python 3.12.
 - A readers table lists, per name, the ``(container, key)`` pairs that
   hold that name: ``(scope, name)`` for a scope, ``(ins or outs, position)``
   for a stock.  Every value, once computed (an input, a converter, a flow,
-  or a stock after its update), is stored into each of them by one loop,
-  so a scope or a slot always holds current values by the time it is read.
+  or a stock after its update), is stored into each of them: straight into
+  the one pair when it has exactly one reader, by a loop over its list
+  otherwise.  So a scope or a slot always holds current values by the time
+  it is read.
 - A scope raises on any name it does not hold, on every lookup (``[]``,
   ``get``, ``in``) and every call, so a read that a later period's branch
   makes is caught too; ``run`` reports it as a ``ModelError`` naming the
@@ -265,9 +276,18 @@ def _converter_order(model: Model) -> list[ModelComponent]:
     return [converters[name] for name in order]
 
 
+def _stores(readers: list[tuple[dict | list, str | int]]) -> tuple:
+    """Where a value goes: ``(container, key, None)`` when it has exactly one
+    reader, stored straight there; ``(None, None, readers)`` otherwise."""
+    if len(readers) == 1:
+        return (*readers[0], None)
+    return None, None, readers
+
+
 def run(model: Model) -> RunResult:
     """Evaluate the model over its horizon; same model, same result, always."""
     order = _converter_order(model)
+    horizon = model.horizon
 
     # The plan (see the module docstring): ``readers[name]`` lists the
     # ``(container, key)`` pairs that each new value of ``name`` is stored into.
@@ -279,51 +299,81 @@ def run(model: Model) -> RunResult:
     for comp in model.components:
         name = comp.name
         if comp.is_exogenous:
-            trajectories[name] = values = tuple(map(float, model.exogenous[name]))
-            inputs.append((values, readers[name]))
+            trajectories[name] = tuple(map(float, model.exogenous[name]))
+            inputs.append(name)
         elif comp.kind is Kind.STOCK:
-            # The level is the trajectory's last element; the initial one is dropped below.
-            trajectories[name] = values = [float(comp.initial)]
+            # Element 0 holds the initial level; it is dropped below.
+            trajectories[name] = values = [float(comp.initial)] * (horizon + 1)
             ins, outs = [0.0] * len(comp.inflows), [0.0] * len(comp.outflows)
             for slots, flow_names in ((ins, comp.inflows), (outs, comp.outflows)):
                 for position, flow in enumerate(flow_names):
                     readers[flow].append((slots, position))
-            stocks.append((ins, outs, values, readers[name]))
+            stocks.append((name, ins, outs, values))
         else:
-            trajectories[name] = values = []
+            trajectories[name] = values = [0.0] * horizon
             scope = _Scope.fromkeys(comp.depends)
             for dep in scope:
                 readers[dep].append((scope, dep))
             view = MappingProxyType(scope)
-            expressions[name] = (name, comp.expression, view, values.append, readers[name])
-    for _, _, values, targets in stocks:
-        for target, key in targets:
-            target[key] = values[-1]
+            expressions[name] = (name, comp.expression, view, values)
+    inputs = [(trajectories[name], *_stores(readers[name])) for name in inputs]
     flows = [c for c in model.components if c.kind is Kind.FLOW]
-    evaluations = [expressions[c.name] for c in order + flows if c.name in expressions]
+    evaluations = [
+        (*expressions[c.name], *_stores(readers[c.name]))
+        for c in order + flows
+        if c.name in expressions
+    ]
+    no_flow = [0.0]  # the slot a stock side without flows reads; nothing writes it
+    one_flow, several_flows = [], []
+    for name, ins, outs, values in stocks:
+        for target, key in readers[name]:
+            target[key] = values[0]
+        if len(ins) <= 1 and len(outs) <= 1:
+            one_flow.append((ins or no_flow, outs or no_flow, values, *_stores(readers[name])))
+        else:
+            several_flows.append((ins, outs, values, *_stores(readers[name])))
 
-    for index in range(model.horizon):
-        for values, targets in inputs:
+    for index in range(horizon):
+        for values, target, key, targets in inputs:
             value = values[index]
-            for target, key in targets:
+            if targets is None:
                 target[key] = value
-        for name, expression, view, append, targets in evaluations:
+            else:
+                for other, other_key in targets:
+                    other[other_key] = value
+        for name, expression, view, values, target, key, targets in evaluations:
             try:
                 value = float(expression(view))
             except _UndeclaredRead as exc:
                 raise ModelError(
                     f"{name!r} read {exc.args[0]!r} without declaring it as a dependency"
                 ) from None
-            append(value)
-            for target, key in targets:
+            values[index] = value
+            if targets is None:
                 target[key] = value
-        for ins, outs, values, targets in stocks:
-            value = values[-1] + sum(ins) - sum(outs)
-            values.append(value)
-            for target, key in targets:
+            else:
+                for other, other_key in targets:
+                    other[other_key] = value
+        after = index + 1
+        for ins, outs, values, target, key, targets in one_flow:
+            # ``sum([x])`` is ``0.0 + x``, and ``-0.0`` must count as ``0.0`` here too
+            value = values[index] + (0.0 + ins[0]) - (0.0 + outs[0])
+            values[after] = value
+            if targets is None:
                 target[key] = value
+            else:
+                for other, other_key in targets:
+                    other[other_key] = value
+        for ins, outs, values, target, key, targets in several_flows:
+            value = values[index] + sum(ins) - sum(outs)
+            values[after] = value
+            if targets is None:
+                target[key] = value
+            else:
+                for other, other_key in targets:
+                    other[other_key] = value
 
-    for _, _, values, _ in stocks:
+    for _, _, _, values in stocks:
         del values[0]
     return RunResult(
         digest=model.digest(),

@@ -16,7 +16,8 @@ import re
 from collections.abc import Callable
 
 from .errors import DomainError, ParseError
-from .metrics import JobSample, RestoreSample, Tier
+from .fields import schema
+from .metrics import JobSample, RateOverflowError, RestoreSample, Tier
 
 JOB_HEADER = ("day", "data_mb", "duration_s")
 JOB_HEADER_MINUTES = ("day", "data_mb", "duration_min")
@@ -87,12 +88,17 @@ def _job_sample(header: tuple[str, ...], cells: list[str], samples: list) -> Job
     if day != int(day):
         raise ParseError(f"day must be an integer, got {cells[0]!r}")
     data_mb = _number(cells[1], "data_mb")
-    duration = _number(cells[2], header[2]) * (60.0 if header == JOB_HEADER_MINUTES else 1.0)
-    if not math.isfinite(duration):  # minutes too many to hold in seconds
-        raise ParseError(f"{header[2]} value {cells[2]!r} overflows in seconds")
-    sample = JobSample(day=int(day), data_mb=data_mb, duration_s=duration)
-    if not math.isfinite(data_mb / duration):
-        raise ParseError(_overflow(cells[1], header[2], cells[2]))
+    duration = _number(cells[2], header[2])
+    if header == JOB_HEADER_MINUTES:
+        # the record's bound, on the minutes as read, so that the line names their column
+        schema(JobSample)[0]["duration_s"](duration, header[2])
+        duration *= 60.0
+        if not math.isfinite(duration):  # minutes too many to hold in seconds
+            raise ParseError(f"{header[2]} value {cells[2]!r} overflows in seconds")
+    try:
+        sample = JobSample(day=int(day), data_mb=data_mb, duration_s=duration)
+    except RateOverflowError:
+        raise ParseError(_overflow(cells[1], header[2], cells[2])) from None
     if samples and sample.day <= samples[-1].day:
         raise ParseError(f"day {sample.day} repeats or precedes day {samples[-1].day}")
     return sample
@@ -106,11 +112,10 @@ def _restore_sample(header: tuple[str, ...], cells: list[str], samples: list) ->
         raise ParseError(f"unknown tier {cells[0]!r}; expected one of {known}") from None
     data_mb = _number(cells[1], "data_mb")
     duration = _number(cells[2], "duration_s")
-    sample = RestoreSample(source_tier=tier, data_mb=data_mb, duration_s=duration)
-    # a restore rate is read either way round: MB/s or s/MB
-    if not (math.isfinite(data_mb / duration) and math.isfinite(duration / data_mb)):
-        raise ParseError(_overflow(cells[1], "duration_s", cells[2]))
-    return sample
+    try:
+        return RestoreSample(source_tier=tier, data_mb=data_mb, duration_s=duration)
+    except RateOverflowError:
+        raise ParseError(_overflow(cells[1], "duration_s", cells[2])) from None
 
 
 def parse_job_log(text: str) -> tuple[JobSample, ...]:

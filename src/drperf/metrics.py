@@ -37,6 +37,19 @@ class Tier(str, Enum):
     VAULT = "Vault"  # fully cloud-hosted recovery vault
 
 
+class RateOverflowError(DomainError):
+    """A sample's data over its duration, or a restore's duration over its data,
+    is too large for a float.  Its own class, so that the CSV reader can word
+    the line by the cells it read."""
+
+
+def _check_rates(sample: JobSample | RestoreSample, *rates: float) -> None:
+    if not all(map(math.isfinite, rates)):
+        raise RateOverflowError(
+            f"data_mb {sample.data_mb} over duration_s {sample.duration_s} overflows as a rate"
+        )
+
+
 @dataclass(frozen=True)
 class JobSample:
     """One measured backup job: 1-based day index, data amount, duration."""
@@ -47,6 +60,7 @@ class JobSample:
 
     def __post_init__(self):
         check_fields(self)
+        _check_rates(self, self.data_mb / self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -59,6 +73,8 @@ class RestoreSample:
 
     def __post_init__(self):
         check_fields(self)
+        # a restore rate is read either way round: MB/s or s/MB
+        _check_rates(self, self.data_mb / self.duration_s, self.duration_s / self.data_mb)
 
 
 @dataclass(frozen=True)

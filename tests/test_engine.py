@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 
@@ -314,7 +315,7 @@ def engine_models(draw):
     that may read stocks, expression flows, stocks with several inflows and
     outflows or with outflows only, and exogenous series of one value per period."""
     horizon = draw(st.integers(1, 12))
-    number = st.floats(-50.0, 50.0).map(lambda x: round(x, 3))
+    number = st.floats(-50.0, 50.0).map(lambda x: round(x, 3)) | st.just(-0.0)
     coefficient = st.floats(-1.0, 1.0).map(lambda x: round(x, 3))
     kinds = st.sampled_from(["linear", "damp", "gate", "saturate"])
     exogenous = {}
@@ -405,3 +406,20 @@ class TestAgainstReferenceRun:
         result = run(model)
         assert result.values("Tank") == (11.0, 13.5, 9.5)
         assert _bits(result) == _bits(reference_run(model))
+
+    @pytest.mark.parametrize("n_in, n_out", [(0, 1), (1, 0), (1, 1), (2, 1)])
+    def test_signed_zeros_add_up_as_sum_adds_them(self, n_in, n_out):
+        # sum([-0.0]) is 0.0, so a stock at -0.0 whose one inflow is -0.0 moves to 0.0,
+        # where ``level + ins[0]`` would keep -0.0.  One stock per sign of each flow.
+        components, exogenous = [], {}
+        for k, signs in enumerate(itertools.product((-0.0, 0.0), repeat=n_in + n_out)):
+            flows = [f"F{k}_{i}" for i in range(n_in + n_out)]
+            for flow, sign in zip(flows, signs):
+                components.append(ModelComponent(flow, Kind.FLOW))
+                exogenous[flow] = (sign, -0.0)
+            components.append(ModelComponent(
+                f"S{k}", Kind.STOCK, initial=-0.0,
+                inflows=tuple(flows[:n_in]), outflows=tuple(flows[n_in:]),
+            ))
+        model = Model("signed-zeros", tuple(components), horizon=2, exogenous=exogenous)
+        assert _bits(run(model)) == _bits(reference_run(model))

@@ -64,7 +64,9 @@ HOLDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 _CLOUD_VAULT = SYSTEMS[SystemKind.CLOUD_VAULT]
 # A valid document of each record with bounds; the field under test replaces its value.
 # The vault's one tier is tiny and free, so that block_gb and block_fee reach their
-# limits without breaking the rules between the tiers and the blocks.
+# limits without breaking the rules between the tiers and the blocks.  A sample's data
+# and duration are the smallest float alike, so that either at its limit keeps the rate
+# between them finite.
 VALID = {
     Scenario: {
         "name": "tiny", "system": "cloud-vault", "restore_samples": "restore.csv",
@@ -77,8 +79,8 @@ VALID = {
     VaultRates: {"instance_fee_tiers": [{"upper_gb": 1e-20, "fee": 0.0}], "block_gb": 1.0},
     SeriesSystem: {"components": [{"name": "c", "mtbf_h": 1.0}]},
     ReliabilityComponent: {"name": "c", "sla": 0.5},
-    JobSample: {"day": 1, "data_mb": 1.0, "duration_s": 1.0},
-    RestoreSample: {"source_tier": "Local", "data_mb": 1.0, "duration_s": 1.0},
+    JobSample: {"day": 1, "data_mb": 5e-324, "duration_s": 5e-324},
+    RestoreSample: {"source_tier": "Local", "data_mb": 5e-324, "duration_s": 5e-324},
 }
 # What else a field under test changes: a component gives one of mtbf_h and sla.
 ALSO = {(ReliabilityComponent, "mtbf_h"): {"sla": None}}

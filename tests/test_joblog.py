@@ -54,6 +54,12 @@ class TestParseJobLog:
         with pytest.raises(ParseError, match="duration_s"):
             parse_job_log("day,data_mb,duration_s\n1,10,0\n")
 
+    @pytest.mark.parametrize("cell, value", [("0", "0.0"), ("-1.5", "-1.5")])
+    def test_non_positive_minutes_name_their_column(self, cell, value):
+        with pytest.raises(ParseError) as excinfo:
+            parse_job_log(f"day,data_mb,duration_min\n1,10,{cell}\n")
+        assert str(excinfo.value) == f"line 2: duration_min must be > 0, got {value}"
+
     def test_fractional_day_rejected(self):
         with pytest.raises(ParseError, match="integer"):
             parse_job_log("day,data_mb,duration_s\n1.5,10,20\n")

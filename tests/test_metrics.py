@@ -117,6 +117,20 @@ class TestRestoreMetrics:
         with pytest.raises(DomainError):
             RestoreSample(Tier.LOCAL, data_mb=5, duration_s=0)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: JobSample(1, 1e308, 1e-300), "data_mb 1e+308 over duration_s 1e-300"),
+            (lambda: RestoreSample(Tier.LOCAL, 1e308, 1e-10), "data_mb 1e+308 over duration_s 1e-10"),
+            (lambda: RestoreSample(Tier.LOCAL, 1e-300, 1e300), "data_mb 1e-300 over duration_s 1e+300"),
+        ],
+        ids=["job", "restore-throughput", "restore-time-per-mb"],
+    )
+    def test_a_sample_whose_rate_overflows_is_rejected_on_construction(self, make, message):
+        with pytest.raises(DomainError) as excinfo:
+            make()
+        assert str(excinfo.value) == f"{message} overflows as a rate"
+
     @given(st.floats(0.001, 1e6), st.floats(0.001, 1e6))
     def test_round_trip_identities(self, data, dur):
         sample = RestoreSample(Tier.ARCHIVE, data_mb=data, duration_s=dur)
