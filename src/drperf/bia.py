@@ -15,14 +15,13 @@ from enum import Enum
 from typing import Annotated
 
 from .errors import DomainError
-from .fields import NonNegative, Positive, check_fields
+from .fields import NonNegative, Positive, check, check_fields
 from .metrics import HOURS_PER_DAY, Projection, RateRole
 
 
 def mtd(rto_h: float, wrt_h: float) -> float:
     """Maximum tolerable downtime: recovery time plus work recovery time."""
-    if rto_h < 0 or wrt_h < 0:
-        raise DomainError(f"rto_h and wrt_h must be >= 0, got {rto_h} and {wrt_h}")
+    rto_h, wrt_h = check(rto_h, "rto_h", NonNegative), check(wrt_h, "wrt_h", NonNegative)
     total = rto_h + wrt_h
     if not math.isfinite(total):
         raise DomainError(f"MTD of {rto_h} h + {wrt_h} h overflows")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Annotated
 
 from .errors import DomainError
-from .fields import NonNegative, Positive, check_fields, to_float
+from .fields import NonNegative, Positive, check, check_fields
 
 OPS_PER_BLOCK = 10_000
 
@@ -42,7 +42,7 @@ class TransactionCounts:
     def __post_init__(self):
         check_fields(self)
         for name in ("ingress_egress_ops", "listing_ops"):
-            to_float(getattr(self, name), name)  # the cost functions price counts as floats
+            check(getattr(self, name), name)  # the cost functions price counts as floats
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,7 @@ def hybrid_cloud_cost(
     Storage is billed linearly per GB; transactions are billed linearly
     per 10,000 operations of each kind.
     """
-    if tiered_gb < 0:
-        raise DomainError(f"tiered_gb must be >= 0, got {tiered_gb}")
-    storage = tiered_gb * rates.per_gb_month
+    storage = check(tiered_gb, "tiered_gb", NonNegative) * rates.per_gb_month
     operations = (
         rates.per_10k_ingress_egress * transactions.ingress_egress_ops / OPS_PER_BLOCK
         + rates.per_10k_listing * transactions.listing_ops / OPS_PER_BLOCK
@@ -133,8 +131,7 @@ def hybrid_cloud_cost(
 
 def vault_instance_fee(frontend_gb: float, rates: VaultRates) -> float:
     """Monthly instance fee for a protected frontend of the given size."""
-    if frontend_gb < 0:
-        raise DomainError(f"frontend_gb must be >= 0, got {frontend_gb}")
+    frontend_gb = check(frontend_gb, "frontend_gb", NonNegative)
     for tier in rates.instance_fee_tiers:
         if frontend_gb <= tier.upper_gb:
             return tier.fee
@@ -146,10 +143,5 @@ def vault_instance_fee(frontend_gb: float, rates: VaultRates) -> float:
 
 def cloud_vault_cost(frontend_gb: float, stored_gb: float, rates: VaultRates) -> CostBreakdown:
     """Monthly recovery-vault cost: per-GB storage plus the instance fee."""
-    if frontend_gb < 0 or stored_gb < 0:
-        raise DomainError(
-            f"frontend_gb and stored_gb must be >= 0, got {frontend_gb} and {stored_gb}"
-        )
-    storage = stored_gb * rates.per_gb_month
-    fee = vault_instance_fee(frontend_gb, rates)
-    return CostBreakdown(storage_cost=storage, instance_cost=fee)
+    storage = check(stored_gb, "stored_gb", NonNegative) * rates.per_gb_month
+    return CostBreakdown(storage_cost=storage, instance_cost=vault_instance_fee(frontend_gb, rates))

@@ -24,13 +24,11 @@ that allocates no dict, no scope and no list:
   the result is built.
 - Each stock has two slot lists, ``ins`` and ``outs``, with one slot per
   entry of its ``inflows`` and ``outflows`` (a flow named twice fills two
-  slots).  A stock with at most one inflow and at most one outflow updates
-  as ``level + (0.0 + ins[0]) - (0.0 + outs[0])``, where a side with no
-  flow reads a shared ``[0.0]`` slot that nothing writes.  That equals
-  ``level + sum(ins) - sum(outs)`` bit for bit, ``-0.0`` included, since
-  ``sum([x])`` is ``0.0 + x`` and ``sum([])`` is ``0``.  A stock with
-  several flows on one side keeps ``sum()``, whose float rounding is
-  compensated from Python 3.12.
+  slots); a side with no flow reads a shared ``[0.0]`` slot that nothing
+  writes.  Its new level is ``level + fold(ins) - fold(outs)``: each side
+  added left to right from ``0.0``, ``-0.0`` counting as ``0.0``, on every
+  Python version (``sum()`` compensates from 3.12).  With at most one flow
+  a side, that is ``level + (0.0 + ins[0]) - (0.0 + outs[0])``.
 - A readers table lists, per name, the ``(container, key)`` pairs that
   hold that name: ``(scope, name)`` for a scope, ``(ins or outs, position)``
   for a stock.  Every value, once computed (an input, a converter, a flow,
@@ -53,7 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
@@ -262,6 +260,14 @@ class _Scope(dict):
         return True
 
 
+def fold(values: Iterable[float]) -> float:
+    """``0.0 + x1 + x2 + ...``, left to right; ``sum()`` compensates from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _converter_order(model: Model) -> list[ModelComponent]:
     """Converters sorted so dependencies come first; cycles are an error."""
     converters = {c.name: c for c in model.components if c.kind is Kind.CONVERTER}
@@ -328,10 +334,8 @@ def run(model: Model) -> RunResult:
     for name, ins, outs, values in stocks:
         for target, key in readers[name]:
             target[key] = values[0]
-        if len(ins) <= 1 and len(outs) <= 1:
-            one_flow.append((ins or no_flow, outs or no_flow, values, *_stores(readers[name])))
-        else:
-            several_flows.append((ins, outs, values, *_stores(readers[name])))
+        plan = one_flow if len(ins) <= 1 and len(outs) <= 1 else several_flows
+        plan.append((ins or no_flow, outs or no_flow, values, *_stores(readers[name])))
 
     for index in range(horizon):
         for values, target, key, targets in inputs:
@@ -356,7 +360,6 @@ def run(model: Model) -> RunResult:
                     other[other_key] = value
         after = index + 1
         for ins, outs, values, target, key, targets in one_flow:
-            # ``sum([x])`` is ``0.0 + x``, and ``-0.0`` must count as ``0.0`` here too
             value = values[index] + (0.0 + ins[0]) - (0.0 + outs[0])
             values[after] = value
             if targets is None:
@@ -365,7 +368,12 @@ def run(model: Model) -> RunResult:
                 for other, other_key in targets:
                     other[other_key] = value
         for ins, outs, values, target, key, targets in several_flows:
-            value = values[index] + sum(ins) - sum(outs)
+            inflow = outflow = 0.0  # ``fold`` inline
+            for flow in ins:
+                inflow += flow
+            for flow in outs:
+                outflow += flow
+            value = values[index] + inflow - outflow
             values[after] = value
             if targets is None:
                 target[key] = value

@@ -2,7 +2,8 @@
 declared type and checks the bounds the type declares (``Positive``,
 ``Annotated[int, (">=", 1)]``), and a record field given a mapping builds the
 record, as the scenario reader does, so a record made in Python is read as a
-document is.  Each error message starts with the path of the value it rejects."""
+document is.  ``check`` converts one helper argument by the same rule.  Each
+error message starts with the path of the value it rejects."""
 
 from __future__ import annotations
 
@@ -92,6 +93,7 @@ def check_keys(node: Mapping, path: str, known, required: frozenset = frozenset(
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
+@cache
 def _converter(tp) -> Converter | None:
     """The converter for values of the declared type ``tp``.  ``X | None`` converts as ``X``
     and keeps None; a union of records (``Scenario.pricing``) has none.  ``Annotated[X,
@@ -145,6 +147,11 @@ def _converter(tp) -> Converter | None:
     if dataclasses.is_dataclass(tp):
         return lambda value, path: value if isinstance(value, tp) else build(tp, value, path)
     raise TypeError(f"no converter for {tp!r}")
+
+
+def check(value: object, name: str, tp=float):
+    """``value`` converted as a record field ``name`` of declared type ``tp`` is."""
+    return _converter(tp)(value, name)
 
 
 @cache

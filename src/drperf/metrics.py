@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Annotated
 
 from .errors import DomainError
-from .fields import NonNegative, Positive, check_fields
+from .fields import NonNegative, Positive, check, check_fields
 
 MB_PER_GB = 1000.0  # decimal gigabytes throughout
 SECONDS_PER_HOUR = 3600.0
@@ -43,11 +43,13 @@ class RateOverflowError(DomainError):
     the line by the cells it read."""
 
 
-def _check_rates(sample: JobSample | RestoreSample, *rates: float) -> None:
+def _rate(data_mb: float, duration_s: float, both_ways: bool = False) -> float:
+    """``data_mb / duration_s``; it, or with ``both_ways`` its inverse too, must be finite."""
+    rates = (data_mb / duration_s, duration_s / data_mb) if both_ways else (data_mb / duration_s,)
     if not all(map(math.isfinite, rates)):
-        raise RateOverflowError(
-            f"data_mb {sample.data_mb} over duration_s {sample.duration_s} overflows as a rate"
-        )
+        raise RateOverflowError(f"data_mb {data_mb} over duration_s {duration_s}"
+                                " overflows as a rate")
+    return rates[0]
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class JobSample:
 
     def __post_init__(self):
         check_fields(self)
-        _check_rates(self, self.data_mb / self.duration_s)
+        _rate(self.data_mb, self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,7 @@ class RestoreSample:
 
     def __post_init__(self):
         check_fields(self)
-        # a restore rate is read either way round: MB/s or s/MB
-        _check_rates(self, self.data_mb / self.duration_s, self.duration_s / self.data_mb)
+        _rate(self.data_mb, self.duration_s, both_ways=True)  # read as MB/s or as s/MB
 
 
 @dataclass(frozen=True)
@@ -86,19 +87,15 @@ class ThroughputSummary:
 
 
 def throughput(data_mb: float, duration_s: float) -> float:
-    """Data transfer rate in MB/s."""
-    if duration_s <= 0:
-        raise DomainError(f"duration_s must be > 0, got {duration_s}")
-    if data_mb < 0:
-        raise DomainError(f"data_mb must be >= 0, got {data_mb}")
-    return data_mb / duration_s
+    """Data transfer rate in MB/s, checked as a ``JobSample``'s is."""
+    return _rate(check(data_mb, "data_mb", NonNegative), check(duration_s, "duration_s", Positive))
 
 
 def summarize_throughput(samples: Sequence[JobSample]) -> ThroughputSummary:
     """Summarize a job log into per-sample rates and their mean."""
     if not samples:
         raise DomainError("cannot summarize an empty job log")
-    per_sample = tuple(throughput(s.data_mb, s.duration_s) for s in samples)
+    per_sample = tuple(s.data_mb / s.duration_s for s in samples)  # JobSample checks each
     try:
         mean = math.fsum(per_sample) / len(per_sample)
     except OverflowError:  # finite rates whose sum exceeds the largest float
@@ -179,8 +176,7 @@ def project(test_data_mb: float, rates: Iterable[Rate]) -> Projection:
 
     Each rate must be unique in its role; ``Rate.time_s`` checks each rate and its time.
     """
-    if not test_data_mb > 0:
-        raise DomainError(f"test_data_mb must be > 0, got {test_data_mb}")
+    test_data_mb = check(test_data_mb, "test_data_mb", Positive)
     basis = tuple(rates)
     if not basis:
         raise DomainError("at least one rate is required")

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from . import costs, metrics
 from .costs import CostBreakdown, ObjectStoreRates, TransactionCounts, VaultRates
-from .engine import Kind, Model, ModelComponent
+from .engine import Kind, Model, ModelComponent, fold
 from .errors import ConfigError, DomainError
 from .metrics import JobSample, RateKind, RateRole, RestoreSample, Tier
 
@@ -159,7 +159,7 @@ def daily_ingest(
     stock holds the running sums of this series bit for bit.
     """
     logs = [job_logs[agent.log] for agent in SYSTEMS[system].agents]
-    return tuple(sum(sample.data_mb for sample in day) for day in zip(*logs))
+    return tuple(fold(sample.data_mb for sample in day) for day in zip(*logs))
 
 
 def _restore_by_tier(
@@ -247,7 +247,7 @@ def _build(scenario: Scenario, job_logs, restore_samples) -> Model:
     components += (
         ModelComponent(
             spec.ingest, Kind.FLOW, unit="MB",
-            expression=lambda v: sum(v[name] for name in data), depends=data,
+            expression=lambda v: fold(v[name] for name in data), depends=data,
         ),
         ModelComponent(
             spec.stocks[0], Kind.STOCK, unit="MB", inflows=(spec.ingest,), outflows=tiering
@@ -271,15 +271,15 @@ def _build(scenario: Scenario, job_logs, restore_samples) -> Model:
             exogenous[name] = _event_series(horizon, period, value)
 
     averages = {row.average: _average(row, job_logs, by_tier) for row in spec.rates}
-    # Summed in period order, as engine.run's ingest stock adds it: it is that stock's
+    # Folded in period order, as engine.run's ingest stock adds it: it is that stock's
     # final value, and while it is finite, so is every stock the ingest feeds.
-    total_mb = sum(daily)
+    total_mb = fold(daily)
     if not math.isfinite(total_mb):
         raise DomainError(
             f"job logs {[agent.log for agent in spec.agents]}: their total data overflows:"
             f" the sum over {spec.days} days is too large for a float"
         )
-    billed_mb = sum(exogenous[spec.tiering]) if spec.tiering else total_mb
+    billed_mb = fold(exogenous[spec.tiering]) if spec.tiering else total_mb
     components += [
         constant(row.average, averages[row.average], row.kind.value) for row in spec.rates
     ]

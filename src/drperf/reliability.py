@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Annotated, Iterable
 
 from .errors import DomainError
-from .fields import NonNegative, Positive, check_fields
+from .fields import NonNegative, Positive, check, check_fields
 
 DEFAULT_MISSION_HOURS = 372.0
 # The bundled reference scenarios describe their analysis window as 15 days
@@ -22,15 +22,14 @@ DEFAULT_MISSION_HOURS = 372.0
 # Both bases are supported; 372 h is the default because it matches the
 # published numbers.
 STATED_MISSION_HOURS = 360.0
+# An SLA: the fraction of its reference period that a component is promised to be up.
+Availability = Annotated[float, (">", 0), ("<", 1)]
 
 
 def component_reliability(mtbf_h: float, mission_h: float) -> float:
     """Probability that a component survives ``mission_h`` hours."""
-    if mtbf_h <= 0:
-        raise DomainError(f"mtbf_h must be > 0, got {mtbf_h}")
-    if mission_h < 0:
-        raise DomainError(f"mission_h must be >= 0, got {mission_h}")
-    return math.exp(-mission_h / mtbf_h)
+    mtbf_h = check(mtbf_h, "mtbf_h", Positive)
+    return math.exp(-check(mission_h, "mission_h", NonNegative) / mtbf_h)
 
 
 def sla_to_mtbf(sla: float, reference_period_h: float) -> float:
@@ -39,11 +38,8 @@ def sla_to_mtbf(sla: float, reference_period_h: float) -> float:
     Inverse of :func:`component_reliability`:
     ``component_reliability(sla_to_mtbf(s, T), T) == s``.
     """
-    if not 0 < sla < 1:
-        raise DomainError(f"sla must be in (0, 1), got {sla}")
-    if reference_period_h <= 0:
-        raise DomainError(f"reference_period_h must be > 0, got {reference_period_h}")
-    return reference_period_h / -math.log(sla)
+    sla = check(sla, "sla", Availability)
+    return check(reference_period_h, "reference_period_h", Positive) / -math.log(sla)
 
 
 def series_reliability(values: Iterable[float]) -> float:
@@ -71,18 +67,19 @@ class ReliabilityComponent:
 
     name: str
     mtbf_h: Positive | None = None
-    sla: Annotated[float, (">", 0), ("<", 1)] | None = None
+    sla: Availability | None = None
     sla_period_h: Positive = STATED_MISSION_HOURS
 
     def __post_init__(self):
         check_fields(self)
         if (self.mtbf_h is None) == (self.sla is None):
             raise DomainError(f"component {self.name!r}: give exactly one of mtbf_h or sla")
+        if self.sla is not None and math.isinf(sla_to_mtbf(self.sla, self.sla_period_h)):
+            raise DomainError("sla and sla_period_h give an MTBF beyond float range in hours,"
+                              f" got {self.sla} and {self.sla_period_h}")
 
     def reliability(self, mission_h: float) -> float:
-        mtbf_h = self.mtbf_h
-        if mtbf_h is None:
-            mtbf_h = sla_to_mtbf(self.sla, self.sla_period_h)
+        mtbf_h = self.mtbf_h if self.sla is None else sla_to_mtbf(self.sla, self.sla_period_h)
         return component_reliability(mtbf_h, mission_h)
 
 

@@ -28,6 +28,11 @@ record.
 ``reliability_oracle``: the mission reliability of each link of a scenario's
 recovery chain and of the chain, from the raw YAML mapping and README's
 definitions, with no component or system record.
+
+Every oracle adds floats with ``left_sum``, the left-to-right fold that drperf
+adds with on every Python version, so that it can be compared bit for bit.
+``compensated_sum`` is ``sum`` as Python 3.12 and later add floats, for tests
+that show that no drperf result depends on the version's ``sum``.
 """
 
 from __future__ import annotations
@@ -35,12 +40,37 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from drperf.engine import Kind, Model, RunResult, _converter_order
 from drperf.errors import ModelError
 from drperf.metrics import JobSample
 from drperf.plot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, _coord
+
+
+_builtin_sum = sum
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``0.0 + x1 + x2 + ...``, added left to right."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` with CPython 3.12's float loop: Neumaier's compensated summation.
+    Anything but a non-empty run of floats from 0 goes to the built-in ``sum``."""
+    items = list(iterable)
+    if start != 0 or not items or not all(type(item) is float for item in items):
+        return _builtin_sum(items, start)
+    total = compensation = 0.0
+    for item in items:
+        new = total + item
+        compensation += (total - new) + item if abs(total) >= abs(item) else (item - new) + total
+        total = new
+    return total + compensation if compensation and math.isfinite(compensation) else total
 
 
 def retention_tiering_oracle(
@@ -62,7 +92,7 @@ def retention_tiering_oracle(
             else:
                 still_local.append((day, mb))
         local_copies = still_local
-        local_series.append(sum(mb for _, mb in local_copies))
+        local_series.append(left_sum(mb for _, mb in local_copies))
         cloud_series.append(cloud_total)
     return local_series, cloud_series
 
@@ -142,8 +172,8 @@ def reference_run(model: Model) -> RunResult:
             scope = _Scope({d: current[d] for d in comp.depends}, comp.name)
             current[comp.name] = float(comp.expression(scope))
         for comp in stocks:
-            delta_in = sum(current[f] for f in comp.inflows)
-            delta_out = sum(current[f] for f in comp.outflows)
+            delta_in = left_sum(current[f] for f in comp.inflows)
+            delta_out = left_sum(current[f] for f in comp.outflows)
             current[comp.name] = stock_prev[comp.name] + delta_in - delta_out
         for comp in model.components:
             trajectories[comp.name].append(current[comp.name])
@@ -242,7 +272,7 @@ def cost_oracle(doc: Mapping, files: Mapping[str, str]) -> tuple[float, float, f
             threshold = threshold or _PAPER_THRESHOLD_DAYS
             (log,) = logs
             moved_days = max(len(log) + 1 - threshold, 0)
-            volume_mb = sum(float(row["data_mb"]) for row in log[:moved_days])
+            volume_mb = left_sum(float(row["data_mb"]) for row in log[:moved_days])
         counts = {**_PAPER_OPS, **(doc.get("transactions") or {})}
         storage = float(volume_mb) / 1000 * float(pricing["per_gb_month"])
         transaction = (
@@ -251,8 +281,8 @@ def cost_oracle(doc: Mapping, files: Mapping[str, str]) -> tuple[float, float, f
         )
         return storage, transaction, 0.0
     if volume_mb is None:
-        daily = [sum(float(row["data_mb"]) for row in day) for day in zip(*logs)]
-        stored_gb = sum(daily) / 1000
+        daily = [left_sum(float(row["data_mb"]) for row in day) for day in zip(*logs)]
+        stored_gb = left_sum(daily) / 1000
         frontend_gb = float(doc.get("frontend_gb", _PAPER_FRONTEND_GB))
     else:
         stored_gb = frontend_gb = float(volume_mb) / 1000
@@ -293,7 +323,7 @@ def verdict_oracle(
     verdicts.append(("achieved RPO", frequency_days, bia.get("rpo_target_days"), "days"))
     if bia.get("max_data_loss_mb") is not None:
         logs = [list(csv.DictReader(io.StringIO(files[name]))) for name in doc["job_logs"].values()]
-        daily = [sum(float(row["data_mb"]) for row in day) for day in zip(*logs)]
+        daily = [left_sum(float(row["data_mb"]) for row in day) for day in zip(*logs)]
         verdicts.append(("data loss", max(daily), bia["max_data_loss_mb"], "MB"))
     wrt_h = bia.get("wrt_h")
     return verdicts, None if wrt_h is None else min(restore_h.values()) + wrt_h

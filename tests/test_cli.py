@@ -435,6 +435,20 @@ def test_cost_without_a_test_volume_prices_the_measured_state(system, tmp_path, 
     assert capsys.readouterr() == (MEASURED_STATE_COST[system], "")
 
 
+def test_an_sla_whose_mtbf_overflows_is_one_error_line(tmp_path, capsys):
+    # Before, reliability printed this link's reliability as 1, from an MTBF of inf h.
+    scenario = _scenario_copy(tmp_path, "hybrid")
+    doc = yaml.safe_load(scenario.read_text())
+    link = {"name": "DataCenter", "sla": 0.9999999999999999, "sla_period_h": 1.0e308}
+    _set(doc, "reliability.components[0]", link)
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["reliability", str(scenario)]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: reliability.components[0].sla and sla_period_h give an MTBF beyond float"
+        " range in hours, got 0.9999999999999999 and 1e+308\n"
+    ))
+
+
 @pytest.mark.parametrize("command", ["project", "bia-check", "compare"])
 def test_non_finite_projected_time_is_one_error_line(command, tmp_path, capsys):
     # Finite and > 0, so the scenario parses; the time it projects overflows.  A

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from drperf.engine import Kind, Model, ModelComponent, run
 from drperf.errors import ModelError
 
-from .oracles import reference_run
+from .oracles import left_sum, reference_run
 
 
 def accumulator(horizon=5, inflow=(1.0,) * 5):
@@ -385,8 +385,8 @@ class TestAgainstReferenceRun:
                 continue
             level = comp.initial
             for index in range(model.horizon):
-                inflow = sum(result.values(f)[index] for f in comp.inflows)
-                outflow = sum(result.values(f)[index] for f in comp.outflows)
+                inflow = left_sum(result.values(f)[index] for f in comp.inflows)
+                outflow = left_sum(result.values(f)[index] for f in comp.outflows)
                 level = level + inflow - outflow
                 assert math.isfinite(level)
                 assert result.values(comp.name)[index] == level

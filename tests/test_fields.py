@@ -1,5 +1,6 @@
 """The bounds that input records declare in their field types, read back from
-``fields.schema`` and checked at each limit from both sides."""
+``fields.schema`` and checked at each limit from both sides, and the exported
+helpers that check their arguments by the same types."""
 
 from __future__ import annotations
 
@@ -13,13 +14,25 @@ from typing import Annotated, NamedTuple
 
 import pytest
 
-from drperf.bia import BiaTargets
-from drperf.costs import ObjectStoreRates, TransactionCounts, VaultRates
+from drperf.bia import BiaTargets, mtd
+from drperf.costs import (
+    ObjectStoreRates,
+    TransactionCounts,
+    VaultRates,
+    cloud_vault_cost,
+    hybrid_cloud_cost,
+    vault_instance_fee,
+)
 from drperf.errors import DomainError
 from drperf.fields import build, schema
-from drperf.metrics import JobSample, RestoreSample
+from drperf.metrics import JobSample, Rate, RateKind, RateRole, RestoreSample, project, throughput
 from drperf.models import SYSTEMS, SystemKind
-from drperf.reliability import ReliabilityComponent, SeriesSystem
+from drperf.reliability import (
+    ReliabilityComponent,
+    SeriesSystem,
+    component_reliability,
+    sla_to_mtbf,
+)
 from drperf.scenario import Scenario
 
 
@@ -132,3 +145,63 @@ def test_each_bound_holds_at_its_limit_from_both_sides(bound, value):
         with pytest.raises(DomainError) as excinfo:
             make()
         assert str(excinfo.value) == f"{prefix}{path} must be {op} {limit}, got {held}"
+
+
+# Each exported helper that checks its arguments by declared types: valid arguments
+# for it, and the bounds of each parameter it checks.
+_VALID_RATE = Rate("r", 1.0, RateKind.THROUGHPUT, RateRole.BACKUP)
+HELPERS = [
+    (throughput, {"data_mb": 1.0, "duration_s": 1.0},
+     {"data_mb": (">= 0",), "duration_s": ("> 0",)}),
+    (project, {"test_data_mb": 1.0, "rates": [_VALID_RATE]}, {"test_data_mb": ("> 0",)}),
+    (hybrid_cloud_cost,
+     {"tiered_gb": 1.0, "transactions": TransactionCounts(), "rates": ObjectStoreRates()},
+     {"tiered_gb": (">= 0",)}),
+    (vault_instance_fee, {"frontend_gb": 1.0, "rates": VaultRates()}, {"frontend_gb": (">= 0",)}),
+    (cloud_vault_cost, {"frontend_gb": 1.0, "stored_gb": 1.0, "rates": VaultRates()},
+     {"frontend_gb": (">= 0",), "stored_gb": (">= 0",)}),
+    (mtd, {"rto_h": 1.0, "wrt_h": 1.0}, {"rto_h": (">= 0",), "wrt_h": (">= 0",)}),
+    (component_reliability, {"mtbf_h": 1.0, "mission_h": 1.0},
+     {"mtbf_h": ("> 0",), "mission_h": (">= 0",)}),
+    (sla_to_mtbf, {"sla": 0.5, "reference_period_h": 1.0},
+     {"sla": ("> 0", "< 1"), "reference_period_h": ("> 0",)}),
+]
+# The value of each bound's type just past it.
+PAST = {"> 0": 0.0, ">= 0": -5e-324, "< 1": 1.0}
+NOT_FINITE_OR_NOT_A_NUMBER = [
+    (math.nan, "must be finite, got nan"),
+    (math.inf, "must be finite, got inf"),
+    (-math.inf, "must be finite, got -inf"),
+    (True, "must be a number, got True"),
+    ("1", "must be a number, got '1'"),
+]
+
+
+@pytest.mark.parametrize(
+    "helper, arguments, name, value, line",
+    [
+        pytest.param(helper, arguments, name, value, f"{name} {words}",
+                     id=f"{helper.__name__}-{name}={value!r}")
+        for helper, arguments, checked in HELPERS
+        for name, bounds in checked.items()
+        for value, words in [
+            *NOT_FINITE_OR_NOT_A_NUMBER,
+            *((PAST[bound], f"must be {bound}, got {PAST[bound]}") for bound in bounds),
+        ]
+    ],
+)
+def test_each_helper_parameter_is_checked_as_a_record_field(helper, arguments, name, value, line):
+    helper(**arguments)
+    with pytest.raises(DomainError) as excinfo:
+        helper(**{**arguments, name: value})
+    assert str(excinfo.value) == line
+
+
+def test_throughput_rejects_a_rate_that_overflows_and_reads_an_int_as_its_float():
+    # as a JobSample of the same data and duration does
+    with pytest.raises(DomainError) as excinfo:
+        throughput(1e308, 1e-300)
+    assert str(excinfo.value) == "data_mb 1e+308 over duration_s 1e-300 overflows as a rate"
+    with pytest.raises(DomainError) as excinfo:
+        throughput(1, 0)
+    assert str(excinfo.value) == "duration_s must be > 0, got 0.0"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import dataclasses
 from itertools import accumulate
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drperf.bia import BiaTargets
-from drperf.engine import run
+from drperf.engine import Kind, Model, ModelComponent, run
 from drperf.errors import ConfigError, DomainError
 from drperf.metrics import (
     JobSample,
@@ -20,7 +21,7 @@ from drperf.metrics import (
 from drperf.models import SYSTEMS, SystemKind, build_basic, daily_ingest
 from drperf.scenario import Evaluation, Scenario
 
-from .oracles import retention_tiering_oracle
+from .oracles import compensated_sum, retention_tiering_oracle
 
 HYBRID_DAILY_MB = (
     26956, 25712, 27194, 26710, 25147, 24520, 26529,
@@ -178,6 +179,28 @@ def test_total_ingest_that_overflows_is_rejected(hybrid_restores, cloud_restore)
     empty = tuple(JobSample(day, 0.0, 1.0) for day in range(1, 8))
     model = build_cloud(log(1) + empty[1:], empty, cloud_restore)  # one such day is finite
     assert run(model).values("RecoveryVault")[7] == 1e308
+
+
+def test_no_result_depends_on_the_python_versions_sum(monkeypatch, cloud_restore):
+    # From Python 3.12 ``sum`` compensates float rounding.  drperf adds left to right
+    # instead, so 3.12's ``sum`` changes neither a stock's level nor a model's digest.
+    flows = ("a", "b", "c")
+    components = (*(ModelComponent(f, Kind.FLOW) for f in flows),
+                  ModelComponent("S", Kind.STOCK, inflows=flows))
+    stock = Model("three-inflows", components, 1, {"a": (1.0,), "b": (1e16,), "c": (-1e16,)})
+    tenth = tuple(JobSample(day=day, data_mb=0.1, duration_s=1.0) for day in range(1, 8))
+    empty = tuple(JobSample(day=day, data_mb=0.0, duration_s=1.0) for day in range(1, 8))
+
+    def results() -> tuple[str, str, str]:
+        vault = build_cloud(tenth, empty, cloud_restore)
+        return run(stock).values("S")[0].hex(), vault.meta["stored_mb"].hex(), vault.digest()
+
+    assert compensated_sum([1.0, 1e16, -1e16]) == 1.0
+    assert compensated_sum([0.1] * 7) == 0.7000000000000001
+    left_to_right = results()
+    assert left_to_right[:2] == ((0.0).hex(), (0.7).hex())
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert results() == left_to_right
 
 
 class TestCloudBuilder:

@@ -118,11 +118,15 @@ class TestComponentAndSystemTypes:
             ({"sla": 1.0}, "sla must be < 1, got 1.0"),
             ({"sla": 1.5}, "sla must be < 1, got 1.5"),
             ({"mtbf_h": 100.0, "sla_period_h": 0.0}, "sla_period_h must be > 0, got 0.0"),
+            ({"sla": 0.9999999999999999, "sla_period_h": 1e308},
+             "sla and sla_period_h give an MTBF beyond float range in hours,"
+             " got 0.9999999999999999 and 1e+308"),
         ],
     )
     def test_exactly_one_parameterization_each_in_its_bounds(self, arguments, words):
-        # One of mtbf_h and sla, each in its bounds, and a reference period > 0.  A bound
-        # names the field; only the rule that ties the two fields together names the part.
+        # One of mtbf_h and sla, each in its bounds, a reference period > 0, and a finite
+        # MTBF from an SLA.  A bound or the SLA's MTBF names the fields; only the rule
+        # that one of mtbf_h and sla is given names the part.
         with pytest.raises(DomainError) as excinfo:
             ReliabilityComponent("x", **arguments)
         assert str(excinfo.value) == words
