@@ -54,7 +54,6 @@ _EXPORTS = {
         "recovery_throughput",
         "restore_time_per_mb",
         "summarize_throughput",
-        "throughput",
     ),
     "models": ("SystemKind", "build_basic"),
     "reliability": (
@@ -64,7 +63,7 @@ _EXPORTS = {
         "series_reliability",
         "sla_to_mtbf",
     ),
-    "scenario": ("Evaluation", "Scenario", "load_scenario", "parse_scenario", "render_scenario"),
+    "scenario": ("Evaluation", "Scenario", "load_scenario", "parse_scenario"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -15,13 +15,13 @@ from enum import Enum
 from typing import Annotated
 
 from .errors import DomainError
-from .fields import NonNegative, Positive, check, check_fields
+from .fields import NonNegative, Positive, check_fields, checked
 from .metrics import HOURS_PER_DAY, Projection, RateRole
 
 
-def mtd(rto_h: float, wrt_h: float) -> float:
+@checked
+def mtd(rto_h: NonNegative, wrt_h: NonNegative) -> float:
     """Maximum tolerable downtime: recovery time plus work recovery time."""
-    rto_h, wrt_h = check(rto_h, "rto_h", NonNegative), check(wrt_h, "wrt_h", NonNegative)
     total = rto_h + wrt_h
     if not math.isfinite(total):
         raise DomainError(f"MTD of {rto_h} h + {wrt_h} h overflows")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Annotated
 
 from .errors import DomainError
-from .fields import NonNegative, Positive, check, check_fields
+from .fields import NonNegative, Positive, check_fields, checked, to_float
 
 OPS_PER_BLOCK = 10_000
 
@@ -42,7 +42,7 @@ class TransactionCounts:
     def __post_init__(self):
         check_fields(self)
         for name in ("ingress_egress_ops", "listing_ops"):
-            check(getattr(self, name), name)  # the cost functions price counts as floats
+            to_float(getattr(self, name), name)  # the cost functions price counts as floats
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,16 @@ class CostBreakdown:
         return self.storage_cost + self.transaction_cost + self.instance_cost
 
 
+@checked
 def hybrid_cloud_cost(
-    tiered_gb: float, transactions: TransactionCounts, rates: ObjectStoreRates
+    tiered_gb: NonNegative, transactions: TransactionCounts, rates: ObjectStoreRates
 ) -> CostBreakdown:
     """Monthly object-store cost for data held in the hybrid cloud tier.
 
     Storage is billed linearly per GB; transactions are billed linearly
     per 10,000 operations of each kind.
     """
-    storage = check(tiered_gb, "tiered_gb", NonNegative) * rates.per_gb_month
+    storage = tiered_gb * rates.per_gb_month
     operations = (
         rates.per_10k_ingress_egress * transactions.ingress_egress_ops / OPS_PER_BLOCK
         + rates.per_10k_listing * transactions.listing_ops / OPS_PER_BLOCK
@@ -129,9 +130,9 @@ def hybrid_cloud_cost(
     return CostBreakdown(storage_cost=storage, transaction_cost=operations)
 
 
-def vault_instance_fee(frontend_gb: float, rates: VaultRates) -> float:
+@checked
+def vault_instance_fee(frontend_gb: NonNegative, rates: VaultRates) -> float:
     """Monthly instance fee for a protected frontend of the given size."""
-    frontend_gb = check(frontend_gb, "frontend_gb", NonNegative)
     for tier in rates.instance_fee_tiers:
         if frontend_gb <= tier.upper_gb:
             return tier.fee
@@ -141,7 +142,10 @@ def vault_instance_fee(frontend_gb: float, rates: VaultRates) -> float:
     return math.ceil(blocks) * rates.block_fee
 
 
-def cloud_vault_cost(frontend_gb: float, stored_gb: float, rates: VaultRates) -> CostBreakdown:
-    """Monthly recovery-vault cost: per-GB storage plus the instance fee."""
-    storage = check(stored_gb, "stored_gb", NonNegative) * rates.per_gb_month
+@checked
+def cloud_vault_cost(
+    frontend_gb: float, stored_gb: NonNegative, rates: VaultRates
+) -> CostBreakdown:
+    """Monthly recovery-vault cost: per-GB storage plus ``vault_instance_fee``."""
+    storage = stored_gb * rates.per_gb_month
     return CostBreakdown(storage_cost=storage, instance_cost=vault_instance_fee(frontend_gb, rates))

@@ -2,12 +2,14 @@
 declared type and checks the bounds the type declares (``Positive``,
 ``Annotated[int, (">=", 1)]``), and a record field given a mapping builds the
 record, as the scenario reader does, so a record made in Python is read as a
-document is.  ``check`` converts one helper argument by the same rule.  Each
-error message starts with the path of the value it rejects."""
+document is.  ``checked`` holds a helper's arguments to the same rule, by the
+types its signature declares.  Each error message starts with the path of the
+value it rejects."""
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import operator
 import re
@@ -16,7 +18,7 @@ import typing
 from collections.abc import Callable, Mapping
 from dataclasses import MISSING
 from enum import Enum
-from functools import cache
+from functools import cache, wraps
 from typing import Annotated
 
 from .errors import ConfigError, DomainError
@@ -28,7 +30,7 @@ Converter = Callable[[object, str], object]
 # A bound is an (operator, limit) pair after the type: Annotated[float, (">", 0)].
 Positive = Annotated[float, (">", 0)]
 NonNegative = Annotated[float, (">=", 0)]
-_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 def to_float(value: object, path: str) -> float:
@@ -120,7 +122,7 @@ def _converter(tp) -> Converter | None:
             return None
         item = _converter(members[0])
         return lambda value, path: None if value is None else item(value, path)
-    if origin is tuple:  # tuple[Record, ...]
+    if origin is tuple:  # tuple[X, ...]
         item = _converter(args[0])
 
         def convert_tuple(value, path):
@@ -149,9 +151,34 @@ def _converter(tp) -> Converter | None:
     raise TypeError(f"no converter for {tp!r}")
 
 
-def check(value: object, name: str, tp=float):
-    """``value`` converted as a record field ``name`` of declared type ``tp`` is."""
-    return _converter(tp)(value, name)
+def _bounded(tp) -> bool:
+    """Whether the declared type ``tp`` carries a bound: it is ``Annotated[...]``, or an
+    optional or a tuple of such items."""
+    origin = typing.get_origin(tp)
+    return origin is Annotated or (origin in (tuple, typing.Union, types.UnionType)
+                                   and any(map(_bounded, typing.get_args(tp))))
+
+
+def checked(fn):
+    """``fn`` with each argument whose parameter type carries a bound converted by that
+    type, as a record field of the type is, and named by its parameter: ``mtbf_h must be
+    > 0, got 0.0``.  Arguments of any other type, records included, pass untouched."""
+    hints = typing.get_type_hints(fn, include_extras=True)
+    bounded = [(index, name, _converter(hints[name]))
+               for index, name in enumerate(inspect.signature(fn).parameters)
+               if name in hints and _bounded(hints[name])]
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        args = list(args)
+        for index, name, convert in bounded:
+            if index < len(args):
+                args[index] = convert(args[index], name)
+            elif name in kwargs:
+                kwargs[name] = convert(kwargs[name], name)
+        return fn(*args, **kwargs)
+
+    return call
 
 
 @cache

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Annotated
 
 from .errors import DomainError
-from .fields import NonNegative, Positive, check, check_fields
+from .fields import NonNegative, Positive, check_fields, checked
 
 MB_PER_GB = 1000.0  # decimal gigabytes throughout
 SECONDS_PER_HOUR = 3600.0
@@ -86,11 +86,6 @@ class ThroughputSummary:
     mean_arithmetic: float
 
 
-def throughput(data_mb: float, duration_s: float) -> float:
-    """Data transfer rate in MB/s, checked as a ``JobSample``'s is."""
-    return _rate(check(data_mb, "data_mb", NonNegative), check(duration_s, "duration_s", Positive))
-
-
 def summarize_throughput(samples: Sequence[JobSample]) -> ThroughputSummary:
     """Summarize a job log into per-sample rates and their mean."""
     if not samples:
@@ -141,7 +136,8 @@ class Rate:
     def __post_init__(self):
         check_fields(self)
 
-    def time_s(self, data_mb: float) -> float:
+    @checked
+    def time_s(self, data_mb: Positive) -> float:
         """Seconds to move ``data_mb``; a rate <= 0, or a time not finite, raises."""
         if not self.value > 0:
             raise DomainError(f"rate {self.label!r} must be > 0, got {self.value}")
@@ -171,12 +167,12 @@ class Projection:
         return {k: seconds_to_hours(v) for k, v in self.times_s[role].items()}
 
 
-def project(test_data_mb: float, rates: Iterable[Rate]) -> Projection:
+@checked
+def project(test_data_mb: Positive, rates: Iterable[Rate]) -> Projection:
     """Project the time of each rate for ``test_data_mb``, keyed by role and label.
 
     Each rate must be unique in its role; ``Rate.time_s`` checks each rate and its time.
     """
-    test_data_mb = check(test_data_mb, "test_data_mb", Positive)
     basis = tuple(rates)
     if not basis:
         raise DomainError("at least one rate is required")

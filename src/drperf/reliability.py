@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Annotated, Iterable
+from typing import Annotated
 
 from .errors import DomainError
-from .fields import NonNegative, Positive, check, check_fields
+from .fields import NonNegative, Positive, check_fields, checked
 
 DEFAULT_MISSION_HOURS = 372.0
 # The bundled reference scenarios describe their analysis window as 15 days
@@ -24,36 +24,33 @@ DEFAULT_MISSION_HOURS = 372.0
 STATED_MISSION_HOURS = 360.0
 # An SLA: the fraction of its reference period that a component is promised to be up.
 Availability = Annotated[float, (">", 0), ("<", 1)]
+# A component's or a system's reliability over a mission.
+Probability = Annotated[float, (">=", 0), ("<=", 1)]
 
 
-def component_reliability(mtbf_h: float, mission_h: float) -> float:
+@checked
+def component_reliability(mtbf_h: Positive, mission_h: NonNegative) -> float:
     """Probability that a component survives ``mission_h`` hours."""
-    mtbf_h = check(mtbf_h, "mtbf_h", Positive)
-    return math.exp(-check(mission_h, "mission_h", NonNegative) / mtbf_h)
+    return math.exp(-mission_h / mtbf_h)
 
 
-def sla_to_mtbf(sla: float, reference_period_h: float) -> float:
+@checked
+def sla_to_mtbf(sla: Availability, reference_period_h: Positive) -> float:
     """MTBF at which mission reliability over the reference period equals the SLA.
 
     Inverse of :func:`component_reliability`:
     ``component_reliability(sla_to_mtbf(s, T), T) == s``.
     """
-    sla = check(sla, "sla", Availability)
-    return check(reference_period_h, "reference_period_h", Positive) / -math.log(sla)
+    return reference_period_h / -math.log(sla)
 
 
-def series_reliability(values: Iterable[float]) -> float:
-    """Reliability of a series arrangement: the product of the parts."""
-    product = 1.0
-    count = 0
-    for value in values:
-        if not 0 <= value <= 1:
-            raise DomainError(f"reliability values must be in [0, 1], got {value}")
-        product *= value
-        count += 1
-    if count == 0:
+@checked
+def series_reliability(values: tuple[Probability, ...]) -> float:
+    """Reliability of a series arrangement: the product of the parts, given as a
+    list or a tuple."""
+    if not values:
         raise DomainError("at least one reliability value is required")
-    return product
+    return math.prod(values)
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,7 @@ class SeriesSystem:
             names.add(comp.name)
 
     def system_reliability(self) -> float:
-        return series_reliability(c.reliability(self.mission_h) for c in self.components)
+        return series_reliability([c.reliability(self.mission_h) for c in self.components])
 
 
 def default_recovery_chain() -> SeriesSystem:

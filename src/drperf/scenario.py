@@ -5,9 +5,8 @@ samples, and carries pricing, BIA targets, reliability components, and
 the optional test data volume.  Its schema is the dataclasses it builds:
 each record converts its fields by their declared types, bounds included,
 and the reader adds what a document alone has: keys and a null read as
-absent.  A scenario holds only its own system's fields.
-``parse_scenario(render_scenario(s))`` reproduces ``s`` exactly; paths stay
-relative and resolve against the scenario's base directory at load time.
+absent.  A scenario holds only its own system's fields.  Paths stay relative
+and resolve against the scenario's base directory at load time.
 ``Evaluation`` derives every number of one scenario (model, rates,
 projection, cost, BIA verdicts) from a single read of its input files.
 """
@@ -19,7 +18,6 @@ import os
 import stat
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
@@ -150,28 +148,6 @@ def parse_scenario(text: str, base_dir: Path | str = ".") -> Scenario:
 def load_scenario(path: Path | str) -> Scenario:
     path = Path(path)
     return parse_scenario(_read_text(path), base_dir=path.parent)
-
-
-def _plain(value):
-    """``value`` as YAML-ready data: records as mappings without their null fields."""
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: _plain(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.compare and getattr(value, f.name) is not None
-        }
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, Mapping):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
-
-
-def render_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario to canonical YAML."""
-    return yaml.safe_dump(_plain(scenario), sort_keys=False)
 
 
 # The most bytes one input file may hold: 200 times the bundled scenarios (at

@@ -33,14 +33,22 @@ Every oracle adds floats with ``left_sum``, the left-to-right fold that drperf
 adds with on every Python version, so that it can be compared bit for bit.
 ``compensated_sum`` is ``sum`` as Python 3.12 and later add floats, for tests
 that show that no drperf result depends on the version's ``sum``.
+
+``render_scenario``: a scenario as canonical YAML, for tests that edit a
+scenario as a document.  ``parse_scenario(render_scenario(s))`` reproduces
+``s`` exactly; paths stay relative.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from enum import Enum
+
+import yaml
 
 from drperf.engine import Kind, Model, RunResult, _converter_order
 from drperf.errors import ModelError
@@ -362,3 +370,25 @@ def reliability_oracle(doc: Mapping) -> tuple[dict[str, float], float]:
     for value in values.values():
         system *= value
     return values, system
+
+
+def _plain(value):
+    """``value`` as YAML-ready data: records as mappings without their null fields."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _plain(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.compare and getattr(value, f.name) is not None
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def render_scenario(scenario) -> str:
+    """Serialize a scenario to canonical YAML."""
+    return yaml.safe_dump(_plain(scenario), sort_keys=False)

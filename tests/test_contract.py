@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 from drperf.cli import main
 from drperf.data import data_path
 from drperf.errors import ToolkitError
-from drperf.scenario import parse_scenario, render_scenario
+from drperf.scenario import parse_scenario
+
+from .oracles import render_scenario
 
 FILES = {
     "hybrid": ("hybrid_reference.yaml", "hybrid_backup.csv", "hybrid_restore.csv"),

@@ -23,14 +23,15 @@ from drperf.costs import (
     hybrid_cloud_cost,
     vault_instance_fee,
 )
-from drperf.errors import DomainError
+from drperf.errors import ConfigError, DomainError
 from drperf.fields import build, schema
-from drperf.metrics import JobSample, Rate, RateKind, RateRole, RestoreSample, project, throughput
+from drperf.metrics import JobSample, Rate, RateKind, RateRole, RestoreSample, project
 from drperf.models import SYSTEMS, SystemKind
 from drperf.reliability import (
     ReliabilityComponent,
     SeriesSystem,
     component_reliability,
+    series_reliability,
     sla_to_mtbf,
 )
 from drperf.scenario import Scenario
@@ -73,7 +74,7 @@ BOUNDS = [
     *declared_bounds(RestoreSample),
 ]
 # The operators a bound may name.
-HOLDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+HOLDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 _CLOUD_VAULT = SYSTEMS[SystemKind.CLOUD_VAULT]
 # A valid document of each record with bounds; the field under test replaces its value.
 # The vault's one tier is tiny and free, so that block_gb and block_fee reach their
@@ -148,11 +149,12 @@ def test_each_bound_holds_at_its_limit_from_both_sides(bound, value):
 
 
 # Each exported helper that checks its arguments by declared types: valid arguments
-# for it, and the bounds of each parameter it checks.
+# for it, and the bounds of each parameter it checks; ``values[0]`` is the first item
+# of the list given as ``values``.
 _VALID_RATE = Rate("r", 1.0, RateKind.THROUGHPUT, RateRole.BACKUP)
 HELPERS = [
-    (throughput, {"data_mb": 1.0, "duration_s": 1.0},
-     {"data_mb": (">= 0",), "duration_s": ("> 0",)}),
+    (_VALID_RATE.time_s, {"data_mb": 1.0}, {"data_mb": ("> 0",)}),
+    (series_reliability, {"values": [0.5]}, {"values[0]": (">= 0", "<= 1")}),
     (project, {"test_data_mb": 1.0, "rates": [_VALID_RATE]}, {"test_data_mb": ("> 0",)}),
     (hybrid_cloud_cost,
      {"tiered_gb": 1.0, "transactions": TransactionCounts(), "rates": ObjectStoreRates()},
@@ -167,7 +169,7 @@ HELPERS = [
      {"sla": ("> 0", "< 1"), "reference_period_h": ("> 0",)}),
 ]
 # The value of each bound's type just past it.
-PAST = {"> 0": 0.0, ">= 0": -5e-324, "< 1": 1.0}
+PAST = {"> 0": 0.0, ">= 0": -5e-324, "< 1": 1.0, "<= 1": 1.0000000000000002}
 NOT_FINITE_OR_NOT_A_NUMBER = [
     (math.nan, "must be finite, got nan"),
     (math.inf, "must be finite, got inf"),
@@ -192,16 +194,26 @@ NOT_FINITE_OR_NOT_A_NUMBER = [
 )
 def test_each_helper_parameter_is_checked_as_a_record_field(helper, arguments, name, value, line):
     helper(**arguments)
+    parameter = name.removesuffix("[0]")
     with pytest.raises(DomainError) as excinfo:
-        helper(**{**arguments, name: value})
+        helper(**{**arguments, parameter: [value] if parameter != name else value})
     assert str(excinfo.value) == line
 
 
-def test_throughput_rejects_a_rate_that_overflows_and_reads_an_int_as_its_float():
-    # as a JobSample of the same data and duration does
+def test_a_helper_reads_an_int_as_its_float_by_position_or_keyword():
+    assert type(mtd(1, 2)) is float and mtd(rto_h=1, wrt_h=2) == 3.0
+    for call in (lambda: _VALID_RATE.time_s(0), lambda: _VALID_RATE.time_s(data_mb=0)):
+        with pytest.raises(DomainError) as excinfo:
+            call()
+        assert str(excinfo.value) == "data_mb must be > 0, got 0.0"
+
+
+def test_series_reliability_names_the_item_it_refuses_and_takes_a_list_or_a_tuple():
+    # as a record's tuple field does; an int item reads as its float
+    assert series_reliability((0.5, 1, 0.0)) == 0.0
     with pytest.raises(DomainError) as excinfo:
-        throughput(1e308, 1e-300)
-    assert str(excinfo.value) == "data_mb 1e+308 over duration_s 1e-300 overflows as a rate"
-    with pytest.raises(DomainError) as excinfo:
-        throughput(1, 0)
-    assert str(excinfo.value) == "duration_s must be > 0, got 0.0"
+        series_reliability([0.5, 1.2])
+    assert str(excinfo.value) == "values[1] must be <= 1, got 1.2"
+    with pytest.raises(ConfigError) as excinfo:
+        series_reliability(v for v in [0.5])
+    assert str(excinfo.value).startswith("values must be a list, got <generator object")

@@ -20,7 +20,6 @@ from drperf.metrics import (
     restore_time_per_mb,
     seconds_to_hours,
     summarize_throughput,
-    throughput,
 )
 
 
@@ -28,22 +27,27 @@ def sample(day, data, dur):
     return JobSample(day=day, data_mb=data, duration_s=dur)
 
 
+def rate_of(data, dur):
+    """The backup rate (MB/s) of a one-day log holding one sample."""
+    return summarize_throughput([sample(1, data, dur)]).mean_arithmetic
+
+
 class TestThroughput:
     def test_basic_ratio(self):
-        assert throughput(100.0, 50.0) == 2.0
+        assert rate_of(100.0, 50.0) == 2.0
 
     def test_zero_data_is_allowed(self):
-        assert throughput(0.0, 10.0) == 0.0
+        assert rate_of(0.0, 10.0) == 0.0
 
     def test_rejects_bad_duration(self):
         with pytest.raises(DomainError):
-            throughput(10.0, 0.0)
+            rate_of(10.0, 0.0)
         with pytest.raises(DomainError):
-            throughput(10.0, -1.0)
+            rate_of(10.0, -1.0)
 
     def test_rejects_negative_data(self):
         with pytest.raises(DomainError):
-            throughput(-1.0, 10.0)
+            rate_of(-1.0, 10.0)
 
 
 class TestJobSample:
@@ -136,7 +140,7 @@ class TestRestoreMetrics:
         sample = RestoreSample(Tier.ARCHIVE, data_mb=data, duration_s=dur)
         assert restore_time_per_mb(sample) * data == pytest.approx(dur, rel=1e-9)
         assert recovery_throughput(sample) * dur == pytest.approx(data, rel=1e-9)
-        assert throughput(data, dur) * dur == pytest.approx(data, rel=1e-9)
+        assert rate_of(data, dur) * dur == pytest.approx(data, rel=1e-9)
 
 
 class TestProject:

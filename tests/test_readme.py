@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
+import drperf
 from drperf.cli import main
+from drperf.fields import checked
 from drperf.metrics import JobSample, RestoreSample
 from drperf.models import SYSTEMS
 from drperf.scenario import Scenario
@@ -28,6 +31,13 @@ BOUND_ROW = re.compile(
     r"\| (?P<file>[a-z ]+) \| `(?P<field>[^`]+)` \| (?P<type>\w+(?:, optional)?)"
     r" \| (?P<bound>[^|]+) \|"
 )
+HELPER_BOUNDS_HEADER = "| helper | parameter | bound |\n|---|---|---|\n"
+# | `mtd` | `rto_h` | >= 0 |
+HELPER_BOUND_ROW = re.compile(
+    r"\| `(?P<helper>[\w.]+)` \| `(?P<parameter>[^`]+)` \| (?P<bound>[^|]+) \|"
+)
+# The code of every function that ``fields.checked`` wraps.
+CHECKED_CODE = checked(lambda: None).__code__
 # The file each root record is read from.
 BOUNDED_FILES = {Scenario: "scenario", JobSample: "job log", RestoreSample: "restore samples"}
 # `project`, `cost`, `bia-check`, and `compare` accept `--test-data-mb`
@@ -67,6 +77,36 @@ def test_bounds_table_lists_every_bound_the_records_declare():
         for bound in declared_bounds(root)
     }
     assert listed == list(declared)
+
+
+def helper_bounds():
+    """Each bounded parameter of each exported function or method that ``fields.checked``
+    wraps, in ``drperf.__all__`` order, read from the hints the decorator reads."""
+    for name in drperf.__all__:
+        exported = getattr(drperf, name)
+        members = vars(exported).values() if isinstance(exported, type) else (exported,)
+        for helper in members:
+            if getattr(helper, "__code__", None) is not CHECKED_CODE:
+                continue
+            for parameter, tp in typing.get_type_hints(helper, include_extras=True).items():
+                if typing.get_origin(tp) is tuple:  # tuple[Probability, ...]
+                    parameter, tp = f"{parameter}[i]", typing.get_args(tp)[0]
+                if typing.get_origin(tp) is typing.Annotated:
+                    bound = " and ".join(f"{op} {limit}" for op, limit in tp.__metadata__)
+                    yield helper.__qualname__, parameter, bound
+
+
+def test_helper_bounds_table_lists_every_bound_the_helpers_declare():
+    text = README.read_text(encoding="utf-8")
+    assert text.count(HELPER_BOUNDS_HEADER) == 1
+    table = text.split(HELPER_BOUNDS_HEADER)[1].split("\n\n")[0]
+    listed = []
+    for line in table.splitlines():
+        row = HELPER_BOUND_ROW.fullmatch(line)
+        assert row, f"not a row of the helper bounds table: {line!r}"
+        listed.append(tuple(row.groups()))
+    assert listed == list(helper_bounds())
+    assert len(listed) == 12
 
 
 def _help(argv: list[str], capsys) -> str:

@@ -25,8 +25,9 @@ from drperf.scenario import (
     SystemKind,
     TransactionCounts,
     parse_scenario,
-    render_scenario,
 )
+
+from .oracles import render_scenario
 
 
 class TestBundledScenarios:
