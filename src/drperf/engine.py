@@ -12,34 +12,33 @@ converters.  Flows may additionally read converters but never other
 flows.  Expressions must be pure; they receive exactly their declared
 dependencies, so an undeclared read fails loudly.
 
-``run`` first compiles the model into a flat plan, then runs a period loop
-that allocates no dict, no scope and no list:
+``run`` compiles the period loop of a model's *shape* into one
+straight-line Python function, its kernel, and calls it.  Kernels are cached
+by shape, so every later model of that shape skips the compile:
 
+- A shape holds, per component, a kind code and the positions in
+  ``Model.components`` of its ``depends``, ``inflows`` and ``outflows``; no
+  name, unit, horizon, expression, series or initial level.  The kernel's
+  source holds only generated identifiers and integer literals; names,
+  expressions, series and levels reach it as arguments.  ``functools.lru_cache``
+  keeps the 128 most recently used kernels.  The first run of a shape pays for
+  the compile: about 0.3 ms for 10 components and 2 ms for 60.
+- In each period the kernel reads the exogenous inputs into locals, calls
+  each expression in evaluation order (converters in dependency order, then
+  flows), and then updates each stock.  Every value, once computed, is
+  written to its trajectory and stored into the scope of each expression
+  that reads it, so a scope holds current values by the time it is read.
+- A stock's new level is ``level + fold(inflows) - fold(outflows)``: each
+  side is added left to right from ``0.0`` in flat ``+=`` statements,
+  ``-0.0`` counting as ``0.0``, on every Python version (``sum()``
+  compensates from 3.12).
 - Each expression has one scope, a dict holding exactly its declared
-  dependencies, passed to it as a read-only ``MappingProxyType``.
-- Every trajectory list is allocated in full before the loop and written
-  by period index.  A stock's list holds one element more, its initial
-  level at index 0: the period at ``index`` reads the level at ``index``
-  and writes the new one at ``index + 1``.  Element 0 is dropped before
-  the result is built.
-- Each stock has two slot lists, ``ins`` and ``outs``, with one slot per
-  entry of its ``inflows`` and ``outflows`` (a flow named twice fills two
-  slots); a side with no flow reads a shared ``[0.0]`` slot that nothing
-  writes.  Its new level is ``level + fold(ins) - fold(outs)``: each side
-  added left to right from ``0.0``, ``-0.0`` counting as ``0.0``, on every
-  Python version (``sum()`` compensates from 3.12).  With at most one flow
-  a side, that is ``level + (0.0 + ins[0]) - (0.0 + outs[0])``.
-- A readers table lists, per name, the ``(container, key)`` pairs that
-  hold that name: ``(scope, name)`` for a scope, ``(ins or outs, position)``
-  for a stock.  Every value, once computed (an input, a converter, a flow,
-  or a stock after its update), is stored into each of them: straight into
-  the one pair when it has exactly one reader, by a loop over its list
-  otherwise.  So a scope or a slot always holds current values by the time
-  it is read.
-- A scope raises on any name it does not hold, on every lookup (``[]``,
-  ``get``, ``in``) and every call, so a read that a later period's branch
-  makes is caught too; ``run`` reports it as a ``ModelError`` naming the
-  expression's owner.
+  dependencies, passed to it as a read-only ``MappingProxyType``.  A scope
+  raises on any name it does not hold, on every lookup (``[]``, ``get``,
+  ``in``) and every call, so a read that a later period's branch makes is
+  caught too.  Each expression call has a line of the kernel to itself, so
+  ``run`` takes the expression's owner from the line that raised and reports
+  a ``ModelError`` naming it.
 
 The result keeps one tuple of floats per component
 (``RunResult.trajectories``), read by name with ``RunResult.values``; the
@@ -51,10 +50,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
+from itertools import islice
 from types import MappingProxyType
 
 from .errors import ModelError
@@ -243,7 +244,7 @@ class _UndeclaredRead(Exception):
 class _Scope(dict):
     """The values one expression may read: exactly its declared dependencies.
 
-    ``run`` stores each dependency's value here as soon as it is computed.
+    ``run``'s kernel stores each dependency's value here as soon as it is computed.
     Any other name raises on every lookup, whichever way it is made.
     """
 
@@ -268,121 +269,133 @@ def fold(values: Iterable[float]) -> float:
     return total
 
 
-def _converter_order(model: Model) -> list[ModelComponent]:
-    """Converters sorted so dependencies come first; cycles are an error."""
-    converters = {c.name: c for c in model.components if c.kind is Kind.CONVERTER}
-    graph = {
-        name: {d for d in comp.depends if d in converters}
-        for name, comp in converters.items()
-    }
-    try:
-        order = list(TopologicalSorter(graph).static_order())
-    except CycleError as exc:
-        raise ModelError(f"cyclic converter dependencies: {exc.args[1]}") from exc
-    return [converters[name] for name in order]
+# A shape's kind codes, and the kernel line of the first expression call (see ``_source``).
+_INPUT, _CONVERTER, _FLOW, _STOCK = range(4)
+_CODES = {Kind.CONVERTER: _CONVERTER, Kind.FLOW: _FLOW, Kind.STOCK: _STOCK}
+_FIRST_CALL = 5
 
 
-def _stores(readers: list[tuple[dict | list, str | int]]) -> tuple:
-    """Where a value goes: ``(container, key, None)`` when it has exactly one
-    reader, stored straight there; ``(None, None, readers)`` otherwise."""
-    if len(readers) == 1:
-        return (*readers[0], None)
-    return None, None, readers
+def _shape(model: Model) -> tuple[int, ...]:
+    """A model's cache key, flat: per component, its kind code, then the count
+    and positions of its ``depends``, of its ``inflows`` and of its ``outflows``."""
+    position = {c.name: i for i, c in enumerate(model.components)}
+    shape = []
+    for comp in model.components:
+        shape.append(_INPUT if comp.is_exogenous else _CODES[comp.kind])
+        for names in (comp.depends, comp.inflows, comp.outflows):
+            shape.append(len(names))
+            shape.extend(map(position.__getitem__, names))
+    return tuple(shape)
+
+
+def _source(shape: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """The kernel of a shape as Python source, and the positions of the
+    expressions in the order it calls them: converters in dependency order,
+    then flows.  A converter cycle raises ``CycleError`` with its positions.
+
+    ``kernel(T, E, S, L, N, h)`` takes every trajectory (``T``, a tuple of
+    floats for an input and a list of ``h`` zeros to fill otherwise), the
+    expressions (``E``) and their scopes (``S``), the stocks' initial levels
+    (``L``) and every name (``N``), each in component order, and the horizon.
+    Component ``i`` has trajectory ``t{i}`` and name ``n{i}``; an expression
+    has ``e{i}``, scope ``s{i}`` and view ``v{i}``.  An input, a flow or a
+    stock holds its current value in ``x{i}``, and a converter in ``x``, which
+    nothing reads after the converter's own line.  The call of the ``k``-th
+    expression is on line ``_FIRST_CALL + k``.
+    """
+    kinds, depends, inflows, outflows = [], [], [], []
+    items = iter(shape)
+    for code in items:
+        kinds.append(code)
+        for positions in (depends, inflows, outflows):
+            positions.append(tuple(islice(items, next(items))))
+    every = range(len(kinds))
+    inputs = [i for i in every if kinds[i] == _INPUT]
+    stocks = [i for i in every if kinds[i] == _STOCK]
+    expressions = [i for i in every if kinds[i] in (_CONVERTER, _FLOW)]
+    converters = [i for i in every if kinds[i] == _CONVERTER]
+    graph = {i: {d for d in depends[i] if kinds[d] == _CONVERTER} for i in converters}
+    order = (*TopologicalSorter(graph).static_order(), *(i for i in every if kinds[i] == _FLOW))
+    readers = [[] for _ in every]
+    for i in expressions:
+        for d in dict.fromkeys(depends[i]):
+            readers[d].append(i)
+
+    def unpack(targets: list[str], value: str) -> list[str]:
+        return [f"{''.join(f'{target}, ' for target in targets)}= {value}"] if targets else []
+
+    def value(i: int) -> str:
+        return "x" if kinds[i] == _CONVERTER else f"x{i}"
+
+    def store(i: int) -> str:
+        return "".join(f"; s{r}[n{i}] = {value(i)}" for r in readers[i])
+
+    def add(total: str, flows: tuple[int, ...]) -> str:
+        return "".join([f"{total} = 0.0", *(f"; {total} += x{f}" for f in flows)])
+
+    prologue = [
+        *unpack([f"t{i}" for i in every], "T"),
+        *unpack([f"e{i}" for i in expressions], "E"),
+        *unpack([f"s{i}" for i in expressions], "S"),
+        *unpack([f"v{i}" for i in expressions], "map(MappingProxyType, S)"),
+        *unpack([f"x{i}" for i in stocks], "L"),
+        *unpack([f"n{i}" for i in every], "N"),
+    ]
+    lines = [
+        "def kernel(T, E, S, L, N, h, fl=float):",
+        f"    {'; '.join(prologue) or 'pass'}{''.join(store(i) for i in stocks)}",
+        "    for p in range(h):",
+        f"        {'; '.join(f'x{i} = t{i}[p]{store(i)}' for i in inputs) or 'pass'}",
+        *(f"        {value(i)} = fl(e{i}(v{i})); t{i}[p] = {value(i)}{store(i)}" for i in order),
+        *(
+            f"        {add('a', inflows[i])}; {add('b', outflows[i])}"
+            f"; x{i} = x{i} + a - b; t{i}[p] = x{i}{store(i)}"
+            for i in stocks
+        ),
+    ]
+    return "\n".join(lines) + "\n", order
+
+
+@lru_cache
+def _kernel(shape: tuple[int, ...]) -> tuple[Callable[..., None], tuple[int, ...]]:
+    """The compiled kernel of a shape and its call order (see ``_source``)."""
+    source, order = _source(shape)
+    namespace = {"MappingProxyType": MappingProxyType}
+    exec(compile(source, "<drperf.engine kernel>", "exec"), namespace)
+    return namespace["kernel"], order
 
 
 def run(model: Model) -> RunResult:
     """Evaluate the model over its horizon; same model, same result, always."""
-    order = _converter_order(model)
-    horizon = model.horizon
-
-    # The plan (see the module docstring): ``readers[name]`` lists the
-    # ``(container, key)`` pairs that each new value of ``name`` is stored into.
-    readers: dict[str, list[tuple[dict | list, str | int]]] = {
-        c.name: [] for c in model.components
+    components, horizon = model.components, model.horizon
+    names = tuple(c.name for c in components)
+    try:
+        kernel, order = _kernel(_shape(model))
+    except CycleError as exc:
+        cycle = [names[i] for i in exc.args[1]]
+        raise ModelError(f"cyclic converter dependencies: {cycle}") from None
+    trajectories = {
+        c.name: tuple(map(float, model.exogenous[c.name])) if c.is_exogenous else [0.0] * horizon
+        for c in components
     }
-    trajectories: dict[str, Sequence[float]] = {}
-    inputs, expressions, stocks = [], {}, []
-    for comp in model.components:
-        name = comp.name
-        if comp.is_exogenous:
-            trajectories[name] = tuple(map(float, model.exogenous[name]))
-            inputs.append(name)
-        elif comp.kind is Kind.STOCK:
-            # Element 0 holds the initial level; it is dropped below.
-            trajectories[name] = values = [float(comp.initial)] * (horizon + 1)
-            ins, outs = [0.0] * len(comp.inflows), [0.0] * len(comp.outflows)
-            for slots, flow_names in ((ins, comp.inflows), (outs, comp.outflows)):
-                for position, flow in enumerate(flow_names):
-                    readers[flow].append((slots, position))
-            stocks.append((name, ins, outs, values))
-        else:
-            trajectories[name] = values = [0.0] * horizon
-            scope = _Scope.fromkeys(comp.depends)
-            for dep in scope:
-                readers[dep].append((scope, dep))
-            view = MappingProxyType(scope)
-            expressions[name] = (name, comp.expression, view, values)
-    inputs = [(trajectories[name], *_stores(readers[name])) for name in inputs]
-    flows = [c for c in model.components if c.kind is Kind.FLOW]
-    evaluations = [
-        (*expressions[c.name], *_stores(readers[c.name]))
-        for c in order + flows
-        if c.name in expressions
-    ]
-    no_flow = [0.0]  # the slot a stock side without flows reads; nothing writes it
-    one_flow, several_flows = [], []
-    for name, ins, outs, values in stocks:
-        for target, key in readers[name]:
-            target[key] = values[0]
-        plan = one_flow if len(ins) <= 1 and len(outs) <= 1 else several_flows
-        plan.append((ins or no_flow, outs or no_flow, values, *_stores(readers[name])))
-
-    for index in range(horizon):
-        for values, target, key, targets in inputs:
-            value = values[index]
-            if targets is None:
-                target[key] = value
-            else:
-                for other, other_key in targets:
-                    other[other_key] = value
-        for name, expression, view, values, target, key, targets in evaluations:
-            try:
-                value = float(expression(view))
-            except _UndeclaredRead as exc:
-                raise ModelError(
-                    f"{name!r} read {exc.args[0]!r} without declaring it as a dependency"
-                ) from None
-            values[index] = value
-            if targets is None:
-                target[key] = value
-            else:
-                for other, other_key in targets:
-                    other[other_key] = value
-        after = index + 1
-        for ins, outs, values, target, key, targets in one_flow:
-            value = values[index] + (0.0 + ins[0]) - (0.0 + outs[0])
-            values[after] = value
-            if targets is None:
-                target[key] = value
-            else:
-                for other, other_key in targets:
-                    other[other_key] = value
-        for ins, outs, values, target, key, targets in several_flows:
-            inflow = outflow = 0.0  # ``fold`` inline
-            for flow in ins:
-                inflow += flow
-            for flow in outs:
-                outflow += flow
-            value = values[index] + inflow - outflow
-            values[after] = value
-            if targets is None:
-                target[key] = value
-            else:
-                for other, other_key in targets:
-                    other[other_key] = value
-
-    for _, _, _, values in stocks:
-        del values[0]
+    expressions = [c for c in components if c.expression is not None]
+    try:
+        kernel(
+            tuple(trajectories.values()),
+            [c.expression for c in expressions],
+            [_Scope.fromkeys(c.depends) for c in expressions],
+            [float(c.initial) for c in components if c.kind is Kind.STOCK],
+            names,
+            horizon,
+        )
+    except _UndeclaredRead as exc:
+        tb = exc.__traceback__
+        while tb.tb_frame.f_code is not kernel.__code__:
+            tb = tb.tb_next
+        owner = names[order[tb.tb_lineno - _FIRST_CALL]]
+        raise ModelError(
+            f"{owner!r} read {exc.args[0]!r} without declaring it as a dependency"
+        ) from None
     return RunResult(
         digest=model.digest(),
         trajectories={name: tuple(values) for name, values in trajectories.items()},

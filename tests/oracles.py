@@ -11,8 +11,9 @@ draws, written one f-string per point with the chart's own scaling
 expressions, where ``render_svg`` formats each series in bulk.
 
 ``reference_run``: a direct period loop that builds a fresh read view of
-each component's dependencies on every call, where ``engine.run`` compiles
-a plan once and reuses its scopes; the two must give identical series.
+each component's dependencies on every call, where ``engine.run`` calls a
+kernel compiled for the model's shape and reuses its scopes; the two must
+give identical series.
 
 ``projection_oracle``: each rate and projected time of a scenario, computed
 from the raw YAML mapping and CSV text as README defines them, with no
@@ -47,10 +48,11 @@ import io
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
+from graphlib import TopologicalSorter
 
 import yaml
 
-from drperf.engine import Kind, Model, RunResult, _converter_order
+from drperf.engine import Kind, Model, RunResult
 from drperf.errors import ModelError
 from drperf.metrics import JobSample
 from drperf.plot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, _coord
@@ -159,7 +161,9 @@ class _Scope(Mapping[str, float]):
 
 def reference_run(model: Model) -> RunResult:
     """Evaluate the model period by period, building every scope anew."""
-    order = _converter_order(model)
+    converters = {c.name: c for c in model.components if c.kind is Kind.CONVERTER}
+    graph = {name: [d for d in c.depends if d in converters] for name, c in converters.items()}
+    order = [converters[name] for name in TopologicalSorter(graph).static_order()]
     flows = [c for c in model.components if c.kind is Kind.FLOW and not c.is_exogenous]
     stocks = [c for c in model.components if c.kind is Kind.STOCK]
     exogenous = [c for c in model.components if c.is_exogenous]

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import drperf
+from drperf.engine import _kernel
 
 from .fingerprint import fingerprint
 
@@ -18,8 +19,15 @@ FINGERPRINT = "beee860e0da9f36883afbb13d78bdc7ca51db0a2075dc373ca5afde419e4ee8a"
 SCRIPT = Path(__file__).with_name("fingerprint.py")
 
 
-def test_fingerprint_of_generated_models_is_pinned():
+def test_fingerprint_of_generated_models_is_pinned_compiled_or_cached():
+    # the first pass compiles a kernel for each shape; the second runs them all from the cache
+    _kernel.cache_clear()
     assert fingerprint() == FINGERPRINT
+    compiled = _kernel.cache_info()
+    assert fingerprint() == FINGERPRINT
+    cached = _kernel.cache_info()
+    runs = compiled.hits + compiled.misses
+    assert cached.misses == compiled.misses and cached.hits == compiled.hits + runs
 
 
 def test_fingerprint_runs_as_a_script_without_pyyaml():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections.abc import Mapping
@@ -7,7 +8,7 @@ from collections.abc import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drperf.engine import Kind, Model, ModelComponent, run
+from drperf.engine import Kind, Model, ModelComponent, _kernel, _shape, _source, fold, run
 from drperf.errors import ModelError
 
 from .oracles import left_sum, reference_run
@@ -167,8 +168,11 @@ class TestValidation:
             ),
             horizon=1,
         )
-        with pytest.raises(ModelError, match="cyclic"):
-            run(model)
+        # no kernel is cached for a cyclic shape, so every run finds the cycle again
+        for _ in range(2):
+            with pytest.raises(ModelError) as excinfo:
+                run(model)
+            assert str(excinfo.value) == "cyclic converter dependencies: ['A', 'B', 'A']"
 
     @pytest.mark.parametrize("from_period", [1, 3])
     @pytest.mark.parametrize("kind", [Kind.CONVERTER, Kind.FLOW], ids=lambda k: k.value)
@@ -378,6 +382,11 @@ class TestAgainstReferenceRun:
         result = run(model)
         reference = reference_run(model)
         assert _bits(result) == _bits(reference)
+        # a renamed copy has the same shape, so it runs the same kernel to the same values
+        rename = lambda name: f"{name}'\n✓"
+        renamed = _renamed(model, rename)
+        assert _shape(renamed) == _shape(model)
+        assert _bits(run(renamed)) == {rename(name): bits for name, bits in _bits(result).items()}
         assert result.series == reference.series
         assert result.digest == reference.digest
         for comp in model.components:
@@ -423,3 +432,128 @@ class TestAgainstReferenceRun:
             ))
         model = Model("signed-zeros", tuple(components), horizon=2, exogenous=exogenous)
         assert _bits(run(model)) == _bits(reference_run(model))
+
+
+def _renamed(model: Model, rename) -> Model:
+    """``model`` with every component renamed by ``rename``.  Each expression is
+    called with its old names, mapped to the values of the new ones."""
+    components = []
+    for c in model.components:
+        expression = c.expression
+        if expression is not None:
+            expression = lambda v, e=expression, deps=c.depends: e({d: v[rename(d)] for d in deps})
+        components.append(dataclasses.replace(
+            c, name=rename(c.name), expression=expression, depends=tuple(map(rename, c.depends)),
+            inflows=tuple(map(rename, c.inflows)), outflows=tuple(map(rename, c.outflows)),
+        ))
+    exogenous = {rename(name): series for name, series in model.exogenous.items()}
+    return Model(model.name, tuple(components), model.horizon, exogenous)
+
+
+# Names that would break generated source if they reached it: a quote that closes a
+# string and calls __import__, a newline, and text that is not ASCII.
+AWKWARD_NAMES = ("a'); __import__('os'); ('", "two\nlines", "débit ✓ 流量")
+
+
+class TestKernel:
+    def test_shapes_with_any_names_compile_once_and_run_each_model(self):
+        # one shape: names, expressions, series and horizon all differ between the two
+        def model(names, factor, series):
+            raw, feed, tank = names
+            return Model("shape", (
+                ModelComponent(raw, Kind.CONVERTER),
+                ModelComponent(feed, Kind.FLOW, expression=lambda v: factor * v[raw],
+                               depends=(raw,)),
+                ModelComponent(tank, Kind.STOCK, initial=1.0, inflows=(feed,)),
+            ), len(series), {raw: series})
+
+        first = model(("Raw", "Feed", "Tank"), 2.0, (1.0, 2.0, 3.0))
+        second = model(AWKWARD_NAMES, -1.0, (4.0, 0.5))
+        assert _shape(first) == _shape(second)
+        _kernel.cache_clear()
+        assert run(first).trajectories == {
+            "Raw": (1.0, 2.0, 3.0), "Feed": (2.0, 4.0, 6.0), "Tank": (3.0, 7.0, 13.0)
+        }
+        assert run(second).trajectories == dict(zip(AWKWARD_NAMES, [(4.0, 0.5), (-4.0, -0.5),
+                                                                    (-3.0, -3.5)]))
+        info = _kernel.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_the_source_holds_no_model_text(self):
+        (odd, newline, wide), plain = AWKWARD_NAMES, "Plain"
+        model = Model("awkward", (
+            ModelComponent(odd, Kind.CONVERTER),
+            ModelComponent(newline, Kind.CONVERTER, expression=lambda v: v[odd] + 1.0,
+                           depends=(odd,)),
+            ModelComponent(wide, Kind.FLOW, expression=lambda v: v[newline] * v[plain],
+                           depends=(newline, plain)),
+            ModelComponent(plain, Kind.STOCK, initial=2.0, inflows=(wide,), outflows=(wide,)),
+        ), 3, {odd: (1.0, 2.0, 3.0)})
+        result = run(model)
+        assert _bits(result) == _bits(reference_run(model))
+        assert result.values(wide) == (4.0, 6.0, 8.0)
+        source, _ = _source(_shape(model))
+        compile(source, "<kernel>", "exec")
+        assert not any(text in source for text in (odd, newline, wide, plain, "import", "'", '"'))
+        assert source.isascii()
+
+    @pytest.mark.parametrize("position", range(6))
+    def test_an_undeclared_read_names_its_owner_at_any_place_in_the_call_order(self, position):
+        # converters in a chain, then flows: the reader at ``position`` reads "Secret"
+        names = [f"{name} {k}" for k, name in enumerate(AWKWARD_NAMES * 2)]
+        components = [ModelComponent(name, Kind.CONVERTER) for name in ("Secret", "Seed")]
+        previous = "Seed"
+        for k, name in enumerate(names):
+            kind = Kind.CONVERTER if k < 4 else Kind.FLOW
+            reads = k == position
+            components.append(ModelComponent(
+                name, kind, depends=(previous if kind is Kind.CONVERTER else "Seed",),
+                expression=lambda v, reads=reads: v["Secret"] if reads else 1.0,
+            ))
+            if kind is Kind.CONVERTER:
+                previous = name
+        components.append(ModelComponent("Tank", Kind.STOCK, inflows=tuple(names[4:])))
+        model = Model("chain", tuple(reversed(components)), 2,
+                      {"Secret": (1.0, 1.0), "Seed": (1.0, 1.0)})
+        with pytest.raises(ModelError) as excinfo:
+            run(model)
+        assert str(excinfo.value) == (
+            f"{names[position]!r} read 'Secret' without declaring it as a dependency"
+        )
+
+    def test_five_thousand_flows_a_side_add_as_fold_adds(self):
+        horizon, n = 2, 5000
+        inflows = tuple(f"In{i}" for i in range(n))
+        outflows = tuple(f"Out{i}" for i in range(n))
+        exogenous = {
+            name: (float(f"{1 + i % 9}e{i % 23 - 11}"), -float(f"{1 + i % 7}e{i % 19 - 9}"))
+            for i, name in enumerate(inflows + outflows)
+        }
+        model = Model("wide", (
+            *(ModelComponent(name, Kind.FLOW) for name in inflows + outflows),
+            ModelComponent("Tank", Kind.STOCK, initial=0.1, inflows=inflows, outflows=outflows),
+        ), horizon, exogenous)
+        level, expected = 0.1, []
+        for index in range(horizon):
+            level = (level + fold(exogenous[f][index] for f in inflows)
+                     - fold(exogenous[f][index] for f in outflows))
+            expected.append(level)
+        assert tuple(map(float.hex, run(model).values("Tank"))) == tuple(map(float.hex, expected))
+
+    def test_one_component_read_by_five_thousand_expressions(self):
+        n = 5000
+        readers = [
+            ModelComponent(f"C{i}", Kind.CONVERTER, expression=lambda v, i=i: v["Level"] * i,
+                           depends=("Level",))
+            for i in range(n)
+        ]
+        model = Model("fan-out", (
+            ModelComponent("Feed", Kind.FLOW),
+            ModelComponent("Level", Kind.STOCK, initial=1.0, inflows=("Feed",)),
+            *readers,
+        ), 3, {"Feed": (0.5, 0.25, 2.0)})
+        result = run(model)
+        # each converter reads the level before the period's update
+        for i in (0, 1, n // 2, n - 1):
+            assert result.values(f"C{i}") == (1.0 * i, 1.5 * i, 1.75 * i)
+        assert _bits(result) == _bits(reference_run(model))
