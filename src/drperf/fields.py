@@ -127,9 +127,9 @@ def _converter(tp) -> Converter | None:
 
         def convert_tuple(value, path):
             if type(value) not in (list, tuple):
-                # a scalar by its repr; anything else by its type, as a repr may hold an address
-                shown = repr(value) if isinstance(value, (str, int, float, type(None))) else (
-                    type(value).__name__)
+                # a scalar by its repr, anything else by its type: a repr may hold an address
+                scalar = isinstance(value, (str, int, float, type(None)))
+                shown = repr(value) if scalar else type(value).__name__
                 raise ConfigError(f"{path} must be a list, got {shown}")
             return tuple([item(v, f"{path}[{i}]") for i, v in enumerate(value)])
 

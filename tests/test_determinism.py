@@ -19,7 +19,7 @@ FINGERPRINT = "beee860e0da9f36883afbb13d78bdc7ca51db0a2075dc373ca5afde419e4ee8a"
 SCRIPT = Path(__file__).with_name("fingerprint.py")
 
 
-def test_fingerprint_of_generated_models_is_pinned_compiled_or_cached():
+def test_fingerprint_of_generated_models_is_pinned():
     # the first pass compiles a kernel for each shape; the second runs them all from the cache
     _kernel.cache_clear()
     assert fingerprint() == FINGERPRINT
