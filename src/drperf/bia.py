@@ -112,6 +112,17 @@ def _time_verdicts(
     ]
 
 
+def _achieved_rpo_days(frequency_days: float, backup_h: Mapping[str, float]) -> float | None:
+    """The worst-case age in days of the newest complete copy, or None without a backup time.
+
+    Copies do not overlap, so a new one starts every ``frequency_days`` or when
+    the slowest backup finishes, whichever is later (NIST SP 800-34 Rev. 1).
+    """
+    if not backup_h:
+        return None
+    return max(frequency_days, max(backup_h.values()) / HOURS_PER_DAY)
+
+
 def evaluate(
     projection: Projection, targets: BiaTargets, data_loss_mb: float | None = None
 ) -> ComplianceReport:
@@ -128,11 +139,9 @@ def evaluate(
     verdicts = [
         *_time_verdicts("restore time", restore_h, targets.rto_target_h),
         *_time_verdicts("backup time", backup_h, targets.backup_frequency_days * HOURS_PER_DAY),
-        # The achieved RPO: the backup frequency (the worst-case age of the newest
-        # copy) when the projection holds a backup time, else N/A.
         ComplianceVerdict(
             "achieved RPO",
-            targets.backup_frequency_days if backup_h else None,
+            _achieved_rpo_days(targets.backup_frequency_days, backup_h),
             targets.rpo_target_days,
             "days",
         ),

@@ -16,7 +16,7 @@ dependencies, so an undeclared read fails loudly.
 straight-line Python function, its kernel, and calls it.  Kernels are cached
 by shape, so every later model of that shape skips the compile:
 
-- A shape holds, per component, a kind code and the positions in
+- A shape holds, per component, one tuple: a kind code and the positions in
   ``Model.components`` of its ``depends``, ``inflows`` and ``outflows``; no
   name, unit, horizon, expression, series or initial level.  The kernel's
   source holds only generated identifiers and integer literals; names,
@@ -33,12 +33,11 @@ by shape, so every later model of that shape skips the compile:
   ``-0.0`` counting as ``0.0``, on every Python version (``sum()``
   compensates from 3.12).
 - Each expression has one scope, a dict holding exactly its declared
-  dependencies, passed to it as a read-only ``MappingProxyType``.  A scope
-  raises on any name it does not hold, on every lookup (``[]``, ``get``,
+  dependencies, passed to it as a read-only ``MappingProxyType``.  The scope
+  knows its owner, the expression's component, and raises a ``ModelError``
+  naming it on any name it does not hold, on every lookup (``[]``, ``get``,
   ``in``) and every call, so a read that a later period's branch makes is
-  caught too.  Each expression call has a line of the kernel to itself, so
-  ``run`` takes the expression's owner from the line that raised and reports
-  a ``ModelError`` naming it.
+  caught too.
 
 The result keeps one tuple of floats per component
 (``RunResult.trajectories``), read by name with ``RunResult.values``; the
@@ -50,12 +49,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
-from itertools import islice
 from types import MappingProxyType
 
 from .errors import ModelError
@@ -90,6 +89,12 @@ class ModelComponent:
     def __post_init__(self):
         if not self.name:
             raise ModelError("component name must be non-empty")
+        # NaN fails the comparison, and so do the infinities and an int beyond float range
+        if type(self.initial) not in (int, float) or not abs(self.initial) <= sys.float_info.max:
+            raise ModelError(
+                f"{self.kind.value} {self.name!r} initial must be a finite int or float,"
+                f" got {self.initial!r}"
+            )
         if self.kind is Kind.STOCK:
             if self.expression is not None or self.depends:
                 raise ModelError(f"stock {self.name!r} cannot carry an expression")
@@ -123,6 +128,8 @@ class Model:
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        if type(self.horizon) is not int:
+            raise ModelError(f"horizon must be an int, got {self.horizon!r}")
         if self.horizon < 1:
             raise ModelError(f"horizon must be >= 1, got {self.horizon}")
         names = [c.name for c in self.components]
@@ -204,8 +211,7 @@ class _Series(Mapping[str, tuple[tuple[int, float], ...]]):
         self._trajectories = trajectories
 
     def __getitem__(self, name: str) -> tuple[tuple[int, float], ...]:
-        values = self._trajectories[name]
-        return tuple(zip(range(1, len(values) + 1), values))
+        return tuple(enumerate(self._trajectories[name], 1))
 
     def __iter__(self):
         return iter(self._trajectories)
@@ -237,27 +243,26 @@ class RunResult:
             raise ModelError(f"run has no series {name!r}") from None
 
 
-class _UndeclaredRead(Exception):
-    """An expression read a name it did not declare; ``run`` names the owner."""
-
-
 class _Scope(dict):
     """The values one expression may read: exactly its declared dependencies.
 
     ``run``'s kernel stores each dependency's value here as soon as it is computed.
-    Any other name raises on every lookup, whichever way it is made.
+    Any other name raises a ``ModelError`` naming ``owner``, the expression's
+    component, on every lookup, whichever way it is made.
     """
 
+    __slots__ = ("owner",)
+
     def __missing__(self, key):
-        raise _UndeclaredRead(key)
+        raise ModelError(f"{self.owner!r} read {key!r} without declaring it as a dependency")
 
     def get(self, key, default=None):
         # a declared name always holds a value, so ``default`` never applies
         return self[key]
 
     def __contains__(self, key):
-        if not dict.__contains__(self, key):
-            raise _UndeclaredRead(key)
+        # a scope starts full of ``None``, so the lookup, not the value, is the test
+        self[key]
         return True
 
 
@@ -269,46 +274,37 @@ def fold(values: Iterable[float]) -> float:
     return total
 
 
-# A shape's kind codes, and the kernel line of the first expression call (see ``_source``).
+# The kind codes of a shape (see ``_shape``).
 _INPUT, _CONVERTER, _FLOW, _STOCK = range(4)
 _CODES = {Kind.CONVERTER: _CONVERTER, Kind.FLOW: _FLOW, Kind.STOCK: _STOCK}
-_FIRST_CALL = 5
+_Shape = tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _shape(model: Model) -> tuple[int, ...]:
-    """A model's cache key, flat: per component, its kind code, then the count
-    and positions of its ``depends``, of its ``inflows`` and of its ``outflows``."""
-    position = {c.name: i for i, c in enumerate(model.components)}
-    shape = []
-    for comp in model.components:
-        shape.append(_INPUT if comp.is_exogenous else _CODES[comp.kind])
-        for names in (comp.depends, comp.inflows, comp.outflows):
-            shape.append(len(names))
-            shape.extend(map(position.__getitem__, names))
-    return tuple(shape)
+def _shape(model: Model) -> _Shape:
+    """A model's cache key: per component, its kind code and the positions of
+    its ``depends``, of its ``inflows`` and of its ``outflows``."""
+    at = {c.name: i for i, c in enumerate(model.components)}.__getitem__
+    return tuple([
+        (_INPUT if c.is_exogenous else _CODES[c.kind],
+         tuple(map(at, c.depends)), tuple(map(at, c.inflows)), tuple(map(at, c.outflows)))
+        for c in model.components
+    ])
 
 
-def _source(shape: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-    """The kernel of a shape as Python source, and the positions of the
-    expressions in the order it calls them: converters in dependency order,
-    then flows.  A converter cycle raises ``CycleError`` with its positions.
+def _source(shape: _Shape) -> str:
+    """The kernel of a shape as Python source.  The kernel calls converters
+    first, in dependency order, then flows; a converter cycle raises
+    ``CycleError`` with its positions.
 
     ``kernel(T, E, S, L, N, h)`` takes every trajectory (``T``, a tuple of
     floats for an input and a list of ``h`` zeros to fill otherwise), the
     expressions (``E``) and their scopes (``S``), the stocks' initial levels
     (``L``) and every name (``N``), each in component order, and the horizon.
     Component ``i`` has trajectory ``t{i}`` and name ``n{i}``; an expression
-    has ``e{i}``, scope ``s{i}`` and view ``v{i}``.  An input, a flow or a
-    stock holds its current value in ``x{i}``, and a converter in ``x``, which
-    nothing reads after the converter's own line.  The call of the ``k``-th
-    expression is on line ``_FIRST_CALL + k``.
+    has ``e{i}``, scope ``s{i}`` and view ``v{i}``.  Every component holds its
+    current value in ``x{i}``.
     """
-    kinds, depends, inflows, outflows = [], [], [], []
-    items = iter(shape)
-    for code in items:
-        kinds.append(code)
-        for positions in (depends, inflows, outflows):
-            positions.append(tuple(islice(items, next(items))))
+    kinds, depends, inflows, outflows = zip(*shape) if shape else ((), (), (), ())
     every = range(len(kinds))
     inputs = [i for i in every if kinds[i] == _INPUT]
     stocks = [i for i in every if kinds[i] == _STOCK]
@@ -324,11 +320,8 @@ def _source(shape: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
     def unpack(prefix: str, positions: Sequence[int], value: str) -> list[str]:
         return [f"{''.join(f'{prefix}{i}, ' for i in positions)}= {value}"] if positions else []
 
-    def value(i: int) -> str:
-        return "x" if kinds[i] == _CONVERTER else f"x{i}"
-
     def store(i: int) -> str:
-        return "".join(f"; s{r}[n{i}] = {value(i)}" for r in readers[i])
+        return "".join(f"; s{r}[n{i}] = x{i}" for r in readers[i])
 
     def add(total: str, flows: tuple[int, ...]) -> str:
         return "".join([f"{total} = 0.0", *(f"; {total} += x{f}" for f in flows)])
@@ -346,23 +339,22 @@ def _source(shape: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
         f"    {'; '.join(prologue) or 'pass'}{''.join(store(i) for i in stocks)}",
         "    for p in range(h):",
         f"        {'; '.join(f'x{i} = t{i}[p]{store(i)}' for i in inputs) or 'pass'}",
-        *(f"        {value(i)} = fl(e{i}(v{i})); t{i}[p] = {value(i)}{store(i)}" for i in order),
+        *(f"        x{i} = fl(e{i}(v{i})); t{i}[p] = x{i}{store(i)}" for i in order),
         *(
             f"        {add('a', inflows[i])}; {add('b', outflows[i])}"
             f"; x{i} = x{i} + a - b; t{i}[p] = x{i}{store(i)}"
             for i in stocks
         ),
     ]
-    return "\n".join(lines) + "\n", order
+    return "\n".join(lines) + "\n"
 
 
 @lru_cache
-def _kernel(shape: tuple[int, ...]) -> tuple[Callable[..., None], tuple[int, ...]]:
-    """The compiled kernel of a shape and its call order (see ``_source``)."""
-    source, order = _source(shape)
+def _kernel(shape: _Shape) -> Callable[..., None]:
+    """The compiled kernel of a shape (see ``_source``)."""
     namespace = {"MappingProxyType": MappingProxyType}
-    exec(compile(source, "<drperf.engine kernel>", "exec"), namespace)
-    return namespace["kernel"], order
+    exec(compile(_source(shape), "<drperf.engine kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def run(model: Model) -> RunResult:
@@ -370,7 +362,7 @@ def run(model: Model) -> RunResult:
     components, horizon = model.components, model.horizon
     names = tuple(c.name for c in components)
     try:
-        kernel, order = _kernel(_shape(model))
+        kernel = _kernel(_shape(model))
     except CycleError as exc:
         cycle = [names[i] for i in exc.args[1]]
         raise ModelError(f"cyclic converter dependencies: {cycle}") from None
@@ -379,23 +371,17 @@ def run(model: Model) -> RunResult:
         for c in components
     }
     expressions = [c for c in components if c.expression is not None]
-    try:
-        kernel(
-            tuple(trajectories.values()),
-            [c.expression for c in expressions],
-            [_Scope.fromkeys(c.depends) for c in expressions],
-            [float(c.initial) for c in components if c.kind is Kind.STOCK],
-            names,
-            horizon,
-        )
-    except _UndeclaredRead as exc:
-        tb = exc.__traceback__
-        while tb.tb_frame.f_code is not kernel.__code__:
-            tb = tb.tb_next
-        owner = names[order[tb.tb_lineno - _FIRST_CALL]]
-        raise ModelError(
-            f"{owner!r} read {exc.args[0]!r} without declaring it as a dependency"
-        ) from None
+    scopes = [_Scope.fromkeys(c.depends) for c in expressions]
+    for scope, c in zip(scopes, expressions):
+        scope.owner = c.name
+    kernel(
+        tuple(trajectories.values()),
+        [c.expression for c in expressions],
+        scopes,
+        [float(c.initial) for c in components if c.kind is Kind.STOCK],
+        names,
+        horizon,
+    )
     return RunResult(
         digest=model.digest(),
         trajectories={name: tuple(values) for name, values in trajectories.items()},

@@ -315,8 +315,9 @@ def verdict_oracle(
 
     Each projected time is in hours (seconds / 3600): each restore time is
     checked against the RTO target and each backup time against the backup
-    window, the backup frequency in hours; the achieved RPO is the backup
-    frequency, against the RPO target.  When the BIA sets a data-loss
+    window, the backup frequency in hours.  Copies do not overlap, so the
+    achieved RPO is the larger of the backup frequency and the slowest backup
+    time in days, against the RPO target.  When the BIA sets a data-loss
     ceiling, the data lost is the largest day's data summed over the agents
     in log order.
     When it sets a WRT, the MTD is the fastest restore time plus the WRT.
@@ -332,7 +333,8 @@ def verdict_oracle(
     ]
     for label in sorted(backup_h):
         verdicts.append((f"backup time ({label})", backup_h[label], frequency_days * 24, "h"))
-    verdicts.append(("achieved RPO", frequency_days, bia.get("rpo_target_days"), "days"))
+    rpo_days = max(frequency_days, max(backup_h.values()) / 24)
+    verdicts.append(("achieved RPO", rpo_days, bia.get("rpo_target_days"), "days"))
     if bia.get("max_data_loss_mb") is not None:
         logs = [list(csv.DictReader(io.StringIO(files[name]))) for name in doc["job_logs"].values()]
         daily = [left_sum(float(row["data_mb"]) for row in day) for day in zip(*logs)]

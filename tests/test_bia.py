@@ -189,6 +189,23 @@ class TestEvaluate:
         assert (verdict.measured, verdict.unit) == (1.0, "days")
         assert verdict.status is Status.PASS
 
+    @pytest.mark.parametrize(
+        "backup_h, frequency_days, rpo_days",
+        [({"Backup": 48.0}, 1, 2.0), ({"Backup": 24.0}, 1, 1.0), ({"Backup": 12.0}, 1, 1.0),
+         ({"Fast": 1.0, "Slow": 80.0, "Mid": 30.0}, 2, 80.0 / 24), ({"Backup": 48.0}, 3, 3.0)],
+    )
+    def test_achieved_rpo_is_the_slower_of_the_frequency_and_the_slowest_backup(
+        self, backup_h, frequency_days, rpo_days
+    ):
+        # copies do not overlap: a backup longer than its period spaces the copies out
+        def verdict(rpo_target_days):
+            chosen = targets(backup_frequency_days=frequency_days, rpo_target_days=rpo_target_days)
+            return self.by_metric(evaluate(projection(backup_h), chosen))["achieved RPO"]
+
+        assert (verdict(rpo_days).measured, verdict(rpo_days).unit) == (rpo_days, "days")
+        assert verdict(rpo_days).status is Status.PASS
+        assert verdict(rpo_days * 0.99).status is Status.FAIL
+
     def test_verdict_count_is_deterministic(self):
         count = len(evaluate(self.measured(), targets()).verdicts)
         assert count == len(evaluate(self.measured(), targets()).verdicts) == 4

@@ -98,6 +98,14 @@ class TestRun:
         assert first.digest == second.digest
 
 
+# Each way an expression can look a name up in its view.
+UNDECLARED_READS = [
+    pytest.param(lambda v, name: v[name], id="getitem"),
+    pytest.param(lambda v, name: v.get(name), id="get"),
+    pytest.param(lambda v, name: name in v, id="contains"),
+]
+
+
 class TestValidation:
     def test_short_and_long_series_are_rejected(self):
         for entries in (2, 5):
@@ -105,16 +113,17 @@ class TestValidation:
                 accumulator(horizon=4, inflow=(2.0,) * entries)
 
     def test_duplicate_names(self):
-        with pytest.raises(ModelError, match="duplicate"):
+        # each repeated name once, sorted; a name that is not repeated is not listed
+        with pytest.raises(ModelError) as excinfo:
             Model(
                 name="dupes",
-                components=(
-                    ModelComponent("X", Kind.CONVERTER),
-                    ModelComponent("X", Kind.CONVERTER),
+                components=tuple(
+                    ModelComponent(name, Kind.CONVERTER) for name in ("Y", "X", "Z", "X", "Y", "X")
                 ),
                 horizon=1,
-                exogenous={"X": (1.0,)},
+                exogenous={"X": (1.0,), "Y": (1.0,), "Z": (1.0,)},
             )
+        assert str(excinfo.value) == "duplicate component names: ['X', 'Y']"
 
     def test_unknown_dependency(self):
         with pytest.raises(ModelError, match="unknown component"):
@@ -155,6 +164,35 @@ class TestValidation:
                 exogenous={"F": (1.0,)},
             )
 
+    @pytest.mark.parametrize("side", ["inflows", "outflows"])
+    @pytest.mark.parametrize("kind", [Kind.CONVERTER, Kind.FLOW], ids=lambda k: k.value)
+    def test_only_a_stock_declares_flows(self, kind, side):
+        with pytest.raises(ModelError) as excinfo:
+            ModelComponent("C", kind, **{side: ("F",)})
+        assert str(excinfo.value) == f"{kind.value} 'C' cannot declare flows"
+
+    def test_a_flow_may_read_an_exogenous_flow_and_no_other(self):
+        def model(feed):
+            return Model("flows", (
+                feed,
+                ModelComponent("Drain", Kind.FLOW, expression=lambda v: v["Feed"] / 2,
+                               depends=("Feed",)),
+                ModelComponent("Tank", Kind.STOCK, inflows=("Feed",), outflows=("Drain",)),
+            ), 2, {} if feed.expression else {"Feed": (2.0, 4.0)})
+
+        assert run(model(ModelComponent("Feed", Kind.FLOW))).values("Tank") == (1.0, 3.0)
+        with pytest.raises(ModelError) as excinfo:
+            model(ModelComponent("Feed", Kind.FLOW, expression=lambda v: 2.0))
+        assert str(excinfo.value) == "flow 'Drain' cannot depend on flow 'Feed'"
+
+    def test_a_component_is_found_by_name(self):
+        model = accumulator()
+        assert model.component("Inflow") is model.components[0]
+        assert model.component("Tank") is model.components[1]
+        with pytest.raises(ModelError) as excinfo:
+            model.component("Nope")
+        assert str(excinfo.value) == "model 'accumulator' has no component 'Nope'"
+
     def test_cycle_detection(self):
         model = Model(
             name="loop",
@@ -176,18 +214,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("from_period", [1, 3])
     @pytest.mark.parametrize("kind", [Kind.CONVERTER, Kind.FLOW], ids=lambda k: k.value)
-    @pytest.mark.parametrize(
-        "read",
-        [lambda v: v["X"], lambda v: v.get("X"), lambda v: "X" in v],
-        ids=["getitem", "get", "contains"],
-    )
+    @pytest.mark.parametrize("read", UNDECLARED_READS)
     def test_undeclared_read_fails_loudly(self, read, kind, from_period):
         # the check holds on every call: this read first happens in a later period
         periods = []
 
         def expression(v):
             periods.append(v["T"])
-            return float(read(v)) if v["T"] >= from_period else 0.0
+            return float(read(v, "X")) if v["T"] >= from_period else 0.0
 
         model = Model(
             name="sneaky",
@@ -254,12 +288,50 @@ class TestValidation:
                 exogenous={"C": (1.0,)},
             )
 
+    @pytest.mark.parametrize(
+        "horizon, words",
+        [(2.0, "an int, got 2.0"), (True, "an int, got True"), ("3", "an int, got '3'"),
+         (None, "an int, got None"), (0, ">= 1, got 0"), (-2, ">= 1, got -2")],
+    )
+    def test_horizon_must_be_an_int_of_at_least_one(self, horizon, words):
+        with pytest.raises(ModelError) as excinfo:
+            accumulator(horizon=horizon, inflow=())
+        assert str(excinfo.value) == f"horizon must be {words}"
+
+    @pytest.mark.parametrize(
+        "initial", ["5", True, False, None, math.nan, math.inf, -math.inf, 10**400, 1j]
+    )
+    @pytest.mark.parametrize("kind", [Kind.STOCK, Kind.CONVERTER], ids=lambda k: k.value)
+    def test_initial_must_be_a_finite_int_or_float(self, kind, initial):
+        flows = {"inflows": ("F",)} if kind is Kind.STOCK else {}
+        with pytest.raises(ModelError) as excinfo:
+            ModelComponent("C", kind, initial=initial, **flows)
+        assert str(excinfo.value) == (
+            f"{kind.value} 'C' initial must be a finite int or float, got {initial!r}"
+        )
+
+    @pytest.mark.parametrize("initial", [5, -2.5, 0, 2**1023, 1.7976931348623157e308])
+    def test_a_finite_int_or_float_initial_starts_the_stock(self, initial):
+        model = Model("start", (
+            ModelComponent("F", Kind.FLOW),
+            ModelComponent("Tank", Kind.STOCK, initial=initial, inflows=("F",)),
+        ), 2, {"F": (0.0, 0.0)})
+        assert run(model).values("Tank") == (float(initial),) * 2
+
     def test_stock_cannot_carry_expression(self):
         with pytest.raises(ModelError, match="expression"):
             ModelComponent("S", Kind.STOCK, expression=lambda v: 0.0, inflows=("F",))
 
 
 class TestRunResult:
+    def test_components_models_and_results_are_immutable(self):
+        model = accumulator()
+        result = run(model)
+        for record, name in ((model.components[1], "initial"), (model, "horizon"),
+                             (result, "digest")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+
     def test_accessors(self):
         result = run(accumulator())
         assert result.values("Tank") is result.trajectories["Tank"]
@@ -492,13 +564,16 @@ class TestKernel:
         result = run(model)
         assert _bits(result) == _bits(reference_run(model))
         assert result.values(wide) == (4.0, 6.0, 8.0)
-        source, _ = _source(_shape(model))
+        source = _source(_shape(model))
         compile(source, "<kernel>", "exec")
         assert not any(text in source for text in (odd, newline, wide, plain, "import", "'", '"'))
         assert source.isascii()
 
     @pytest.mark.parametrize("position", range(6))
-    def test_an_undeclared_read_names_its_owner_at_any_place_in_the_call_order(self, position):
+    @pytest.mark.parametrize("read", UNDECLARED_READS)
+    def test_an_undeclared_read_names_its_owner_at_any_place_in_the_call_order(
+        self, read, position
+    ):
         # converters in a chain, then flows: the reader at ``position`` reads "Secret"
         names = [f"{name} {k}" for k, name in enumerate(AWKWARD_NAMES * 2)]
         components = [ModelComponent(name, Kind.CONVERTER) for name in ("Secret", "Seed")]
@@ -508,7 +583,7 @@ class TestKernel:
             reads = k == position
             components.append(ModelComponent(
                 name, kind, depends=(previous if kind is Kind.CONVERTER else "Seed",),
-                expression=lambda v, reads=reads: v["Secret"] if reads else 1.0,
+                expression=lambda v, reads=reads: float(read(v, "Secret")) if reads else 1.0,
             ))
             if kind is Kind.CONVERTER:
                 previous = name
@@ -520,6 +595,11 @@ class TestKernel:
         assert str(excinfo.value) == (
             f"{names[position]!r} read 'Secret' without declaring it as a dependency"
         )
+
+    def test_a_model_with_no_components_runs_to_nothing(self):
+        model = Model("empty", (), 3)
+        assert _source(_shape(model)).startswith("def kernel(")
+        assert run(model).trajectories == {}
 
     def test_five_thousand_flows_a_side_add_as_fold_adds(self):
         horizon, n = 2, 5000
