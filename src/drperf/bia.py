@@ -113,10 +113,12 @@ def _time_verdicts(
 
 
 def _achieved_rpo_days(frequency_days: float, backup_h: Mapping[str, float]) -> float | None:
-    """The worst-case age in days of the newest complete copy, or None without a backup time.
+    """The spacing in days between completed copies, or None without a backup time.
 
+    Each copy's recovery point is taken to be the time it completes (NIST SP
+    800-34 Rev. 1 defines the RPO as the point to which data can be recovered).
     Copies do not overlap, so a new one starts every ``frequency_days`` or when
-    the slowest backup finishes, whichever is later (NIST SP 800-34 Rev. 1).
+    the slowest backup finishes, whichever is later.
     """
     if not backup_h:
         return None

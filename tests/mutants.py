@@ -3,8 +3,6 @@
 Run from anywhere, with only the standard library and the test dependencies:
 
     python tests/mutants.py                    # every mutant of src/drperf/engine.py
-    python tests/mutants.py --list             # the numbered site list, nothing run
-    python tests/mutants.py --only 7 31        # the mutants numbered 7 and 31
     python tests/mutants.py --module src/drperf/bia.py --tests tests/test_bia.py
 
 A mutant is one textual change at one site of the module's code (not a
@@ -12,10 +10,10 @@ docstring or a comment): an arithmetic, comparison or boolean operator, a
 keyword constant or a number swapped for a neighbour, or an ``if`` condition
 negated.  Sites inside strings count too, since the engine's kernel is
 generated from f-strings.  The list is ordered by line, column and operator,
-so a number names the same mutant on every run of the same source.  A change
+so each run of the same source makes the same numbered mutants.  A change
 that does not compile is left out.
 
-Each mutant is written into a copy of ``src``, ``tests`` and
+Each mutant in turn is written into one copy of ``src``, ``tests`` and
 ``pyproject.toml`` in a temporary directory; the repository is never
 written.  pytest runs the chosen tests against the copy in a subprocess
 (``-x``, no bytecode), and the mutant is killed when they fail or time out.
@@ -29,7 +27,6 @@ import argparse
 import ast
 import io
 import os
-import queue
 import re
 import shutil
 import subprocess
@@ -37,7 +34,6 @@ import sys
 import tempfile
 import time
 import tokenize
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -140,39 +136,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--module", default=DEFAULT_MODULE, help="path from the repository root")
     parser.add_argument("--tests", nargs="+", default=list(DEFAULT_TESTS))
-    parser.add_argument("--only", nargs="+", type=int, help="run only these mutant numbers")
-    parser.add_argument("--list", action="store_true", help="print the sites and stop")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once")
     args = parser.parse_args(argv)
 
     original = (ROOT / args.module).read_text(encoding="utf-8")
-    chosen = [m for m in mutants(original) if not args.only or m.number in args.only]
-    if args.list:
-        for m in chosen:
-            print(f"#{m.number} {args.module}:{m.line}:{m.column} {m.before!r} -> {m.after!r}")
-        return 0
-
+    chosen = mutants(original)
     with tempfile.TemporaryDirectory(prefix="drperf-mutants-") as scratch:
-        copies = [_copy(Path(scratch, f"copy{k}")) for k in range(max(args.jobs, 1))]
+        copy = _copy(Path(scratch))
         started = time.perf_counter()
-        if not _run(copies[0], args.module, original, args.tests, timeout=600):
+        if not _run(copy, args.module, original, args.tests, timeout=600):
             print("the unmutated module fails its tests; nothing to measure", file=sys.stderr)
             return 1
         timeout = max(60.0, 10 * (time.perf_counter() - started))
-        free: queue.SimpleQueue[Path] = queue.SimpleQueue()
-        for copy in copies:
-            free.put(copy)
-
-        def killed(m: Mutant) -> bool:
-            copy = free.get()
-            try:
-                return not _run(copy, args.module, m.source, args.tests, timeout)
-            finally:
-                free.put(copy)
-
-        with ThreadPoolExecutor(len(copies)) as pool:
-            results = list(pool.map(killed, chosen))
-    survivors = [m for m, dead in zip(chosen, results) if not dead]
+        survivors = [m for m in chosen if _run(copy, args.module, m.source, args.tests, timeout)]
     for m in survivors:
         print(f"survived #{m.number} {args.module}:{m.line}:{m.column}"
               f" {m.before!r} -> {m.after!r}")

@@ -315,9 +315,10 @@ def verdict_oracle(
 
     Each projected time is in hours (seconds / 3600): each restore time is
     checked against the RTO target and each backup time against the backup
-    window, the backup frequency in hours.  Copies do not overlap, so the
-    achieved RPO is the larger of the backup frequency and the slowest backup
-    time in days, against the RPO target.  When the BIA sets a data-loss
+    window, the backup frequency in hours.  The achieved RPO is the spacing
+    between completed copies, each copy's recovery point being the time it
+    completes; copies do not overlap, so it is the larger of the backup
+    frequency and the slowest backup time in days, against the RPO target.  When the BIA sets a data-loss
     ceiling, the data lost is the largest day's data summed over the agents
     in log order.
     When it sets a WRT, the MTD is the fastest restore time plus the WRT.
